@@ -18,6 +18,7 @@ import csv
 import hashlib
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from pathlib import Path
@@ -348,7 +349,6 @@ def _task_statics_all(sc: Scenario, outdir: Path):
     lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
     diag_rows.append(["validity_lambda_max", lam_max])
     if sc.lam <= 10 * lam_max:
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             weak = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params)
@@ -362,7 +362,6 @@ def _task_statics_all(sc: Scenario, outdir: Path):
         diag_rows.append(["ultrastrong_skipped", str(exc)])
     ht = _high_t_inputs(sc)
     if ht is not None:
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = mfstatics.mfg_high_t(sc.H_S, ht[0], ht[1], sc.beta)
@@ -427,7 +426,6 @@ def _task_dynamics(sc: Scenario, outdir: Path):
 
 
 def _task_steady_compare(sc: Scenario, outdir: Path):
-    import warnings
     tau = gibbs(sc.H_S, sc.beta)
     references = {"gibbs": tau}
     with warnings.catch_warnings():
@@ -481,7 +479,6 @@ def _task_oracle(sc: Scenario, outdir: Path):
     for lam in lambdas:
         model = finitebath.assemble(sc.H_S, sc.X, lam, spec)
         exact = finitebath.exact_mfg(model, sc.beta)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             weak = mfstatics.mfg_weak(

@@ -2,13 +2,29 @@
 
 All generators are Schroedinger-picture superoperators in physical time on
 column-vectorized density matrices (vec(A rho B) = (B^T kron A) vec(rho),
-Fortran/column stacking). Kinds: Davies (GKSL, secular), Bloch-Redfield
-(asymptotic or frozen at a time t, generally not GKSL), its secular and
-real-coefficient variants, and the ultrastrong-coupling Pauli generator.
+Fortran/column stacking).
+
+The Bloch-Redfield family is one masked Redfield build (Breuer & Petruccione,
+ch. 3). With Bohr modes (omega_m, X_m) of the coupling and bath coefficients
+Gamma_m,
+
+    L rho = -i[H_S + lam^2 H_LS, rho]
+            + lam^2 sum_mn K_mn g_mn (X_m rho X_n^dag - {X_n^dag X_m, rho}/2),
+    g_mn = Gamma_m + Gamma_n^*,
+    H_LS = sum_mn K_mn (Gamma_m - Gamma_n^*)/(2i) X_n^dag X_m,
+
+and the mode-pair mask K_mn = [m = n or |omega_m - omega_n| <= cutoff] is
+where the variants differ:
+
+- Davies (GKSL) and fully secular: cutoff -1, only m = n survives;
+- Bloch-Redfield, asymptotic or frozen at a time t: cutoff infinity;
+- partial secular (Cattaneo et al., NJP 21, 113045 (2019)): the user's cutoff;
+- real-only: cutoff infinity with Im Gamma_m set to 0.
+
+The ultrastrong-coupling Pauli generator is built in the pointer basis of X.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -38,37 +54,12 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
-def _left(a):
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def _right(a):
-    return np.kron(a.T, np.eye(a.shape[0]))
-
-
-def _sandwich(a, b):
-    """Superoperator of rho -> a rho b."""
-    return np.kron(b.T, a)
-
-
-def _commutator_super(h):
-    return -1j * (_left(h) - _right(h))
-
-
-def _dissipator(a, b):
-    """rho -> a rho b^dag - (1/2){b^dag a, rho}."""
-    bd_a = dag(b) @ a
-    return (_sandwich(a, dag(b))
-            - 0.5 * (_left(bd_a) + _right(bd_a)))
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     kind: str
     dim: int
     matrix: np.ndarray
     lam: float
-    picture: str = "schrodinger"
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho))
@@ -80,6 +71,9 @@ class SteadyStateReport:
     residual: float
     spectral_gap: float
     unique: bool
+    # largest negative weight removed from a null vector normalized to unit
+    # trace (inf if its trace is not positive)
+    clipped_negativity: float
 
 
 @dataclass(frozen=True)
@@ -91,45 +85,43 @@ class Trajectory:
     min_eigenvalue: np.ndarray
 
 
-class _BrmeIngredients:
-    """Eigenoperators and Gamma coefficients shared by the BRME variants."""
+def _redfield_generator(kind, H_S, X, bath: bathmod.BathParams, *,
+                        time=bathmod.ASYMPTOTIC, cutoff=np.inf, real_only=False,
+                        degeneracy_tol=None) -> Liouvillian:
+    """Redfield generator with mode pairs masked at |omega_m - omega_n| <= cutoff.
 
-    def __init__(self, H_S, X, bath: bathmod.BathParams, time, degeneracy_tol=None):
-        self.H_S = require_hermitian(H_S)
-        self.bath = bath
-        self.dec = decompose(H_S, X, degeneracy_tol)
-        self.time = time
-        self.gammas = [
-            bathmod.gamma_m(bath.J, bath.beta, w, time) for w in self.dec.frequencies
-        ]
+    One build over the stacked eigenoperators X (M, d, d): the sandwich term
+    sum_mn g_mn kron(X_n^*, X_m) is one product of the flattened (M, d^2)
+    stack, and the Lamb shift and anticommutator are one contraction each.
+    """
+    H_S = require_hermitian(H_S)
+    dec = decompose(H_S, X, degeneracy_tol)
+    d, lam, w = H_S.shape[0], bath.lam, dec.frequencies
+    X = np.array(dec.operators, dtype=complex).reshape(-1, d, d)
+    g = np.array([bathmod.gamma_m(bath.J, bath.beta, w_m, time) for w_m in w],
+                 dtype=complex)
+    if real_only:
+        g = g.real.astype(complex)
+    mask = np.eye(w.size, dtype=bool) | (np.abs(w[:, None] - w[None, :]) <= cutoff)
+    rate = (g[:, None] + g.conj()[None, :]) * mask
+    shift = (g[:, None] - g.conj()[None, :]) / 2j * mask
 
-    def assemble(self, kind, *, secular_cutoff=np.inf, keep_perp=True,
-                 real_only=False):
-        """Build the generator, optionally filtering cross terms (m != n)."""
-        lam = self.bath.lam
-        modes = self.dec.modes
-        gammas = [complex(g.real, 0.0) if real_only else g for g in self.gammas]
-        d = self.H_S.shape[0]
+    def pair_sum(c):
+        """sum_mn c_mn X_n^dag X_m"""
+        return np.einsum("mn,nji,mjk->ik", c, X.conj(), X, optimize=True)
 
-        h_par = np.zeros((d, d), dtype=complex)
-        h_perp = np.zeros((d, d), dtype=complex)
-        diss = np.zeros((d * d, d * d), dtype=complex)
-        for (w_m, x_m), g_m in zip(modes, gammas):
-            h_par += g_m.imag * dag(x_m) @ x_m
-            for (w_n, x_n), g_n in zip(modes, gammas):
-                if w_m != w_n and abs(w_m - w_n) > secular_cutoff:
-                    continue
-                if w_m != w_n:
-                    # (Gamma_m - Gamma_n^*)/(2i): the m = n case of the same
-                    # grouping is Im Gamma_m, matching the parallel shift
-                    h_perp += (g_m - np.conj(g_n)) / 2j * dag(x_n) @ x_m
-                gamma_mn = g_m + np.conj(g_n)
-                diss += gamma_mn * _dissipator(x_m, x_n)
-        if not keep_perp:
-            h_perp[:] = 0.0
-        h_eff = self.H_S + lam**2 * (h_par + h_perp)
-        mat = _commutator_super(h_eff) + lam**2 * diss
-        return Liouvillian(kind=kind, dim=d, matrix=mat, lam=lam)
+    xf = X.reshape(-1, d * d)  # xf[m, i d + k] = X_m[i, k]
+    # (xf^dag rate^T xf)[(j, l), (i, k)] = sum_mn rate_mn conj(X_n[j, l]) X_m[i, k],
+    # the (j d + i, l d + k) entry of sum_mn rate_mn kron(conj(X_n), X_m)
+    sandwich = (xf.conj().T @ rate.T @ xf).reshape(d, d, d, d)
+    sandwich = sandwich.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    anti = pair_sum(rate)
+    h_eff = H_S + lam**2 * pair_sum(shift)
+    left = -1j * h_eff - 0.5 * lam**2 * anti   # rho -> left rho
+    right = 1j * h_eff - 0.5 * lam**2 * anti   # rho -> rho right
+    eye = np.eye(d)
+    mat = np.kron(eye, left) + np.kron(right.T, eye) + lam**2 * sandwich
+    return Liouvillian(kind=kind, dim=d, matrix=mat, lam=lam)
 
 
 def davies_generator(H_S, X, bath: bathmod.BathParams,
@@ -139,16 +131,16 @@ def davies_generator(H_S, X, bath: bathmod.BathParams,
     -i[H_S + lam^2 dH_par, .] + lam^2 sum_m gamma_m D[X_m]; steady state is
     the system Gibbs state by detailed balance.
     """
-    ing = _BrmeIngredients(H_S, X, bath, bathmod.ASYMPTOTIC, degeneracy_tol)
-    return ing.assemble(DAVIES, secular_cutoff=-1.0, keep_perp=False)
+    return _redfield_generator(DAVIES, H_S, X, bath, cutoff=-1.0,
+                               degeneracy_tol=degeneracy_tol)
 
 
 def brme_generator(H_S, X, bath: bathmod.BathParams, time=bathmod.ASYMPTOTIC,
                    degeneracy_tol=None) -> Liouvillian:
     """Bloch-Redfield generator with Gamma_m(t) (or the asymptotic values)."""
-    ing = _BrmeIngredients(H_S, X, bath, time, degeneracy_tol)
     kind = BRME_ASYMPTOTIC if time == bathmod.ASYMPTOTIC else BRME_AT_TIME
-    return ing.assemble(kind)
+    return _redfield_generator(kind, H_S, X, bath, time=time,
+                               degeneracy_tol=degeneracy_tol)
 
 
 def secular_filter(H_S, X, bath: bathmod.BathParams, cutoff,
@@ -158,17 +150,17 @@ def secular_filter(H_S, X, bath: bathmod.BathParams, cutoff,
     cutoff = 0 (or "full") removes every m != n pair and the non-commuting
     shift, recovering the Davies/fully-secular generator.
     """
-    ing = _BrmeIngredients(H_S, X, bath, bathmod.ASYMPTOTIC, degeneracy_tol)
-    if cutoff == "full" or cutoff == 0:
-        return ing.assemble(SECULAR_FULL, secular_cutoff=-1.0, keep_perp=False)
-    return ing.assemble(SECULAR_PARTIAL, secular_cutoff=float(cutoff))
+    full = cutoff == "full" or cutoff == 0
+    return _redfield_generator(SECULAR_FULL if full else SECULAR_PARTIAL, H_S, X, bath,
+                               cutoff=-1.0 if full else float(cutoff),
+                               degeneracy_tol=degeneracy_tol)
 
 
 def brme_real_only(H_S, X, bath: bathmod.BathParams,
                    degeneracy_tol=None) -> Liouvillian:
     """BRME with Im Gamma_m forced to zero; steady state is the Gibbs state."""
-    ing = _BrmeIngredients(H_S, X, bath, bathmod.ASYMPTOTIC, degeneracy_tol)
-    return ing.assemble(BRME_REAL_ONLY, real_only=True)
+    return _redfield_generator(BRME_REAL_ONLY, H_S, X, bath, real_only=True,
+                               degeneracy_tol=degeneracy_tol)
 
 
 def default_rate_model(beta: float, nu0: float = 1.0):
@@ -185,7 +177,7 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
     """Ultrastrong-coupling generator in the pointer basis of X.
 
     Populations follow the Pauli equation with hopping rates
-    k_mn = |Delta_mn|^2 f(eps_n - eps_m) (rate into m, detailed-balanced for
+    k_mn = |H_J[m, n]|^2 f(eps_n - eps_m) (rate into m, detailed-balanced for
     KMS-symmetric f); pointer coherences decay at least as fast as the
     fastest population rate. Operates in the pointer basis directly.
     """
@@ -207,7 +199,7 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
         for n in range(d):
             if m == n:
                 continue
-            k[m, n] = abs(split.Delta_mn[m, n]) ** 2 * float(
+            k[m, n] = abs(split.H_J[m, n]) ** 2 * float(
                 rate_model(eps[n] - eps[m])
             )
     mat = np.zeros((d * d, d * d), dtype=complex)
@@ -268,15 +260,17 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid, rtol: float = 1e-8,
 def steady_state(L: Liouvillian) -> SteadyStateReport:
     """Null space of the generator via full eigendecomposition.
 
-    Null vectors are Hermitized, positivity-projected, and trace-normalized.
-    The tolerance ladder 1e-10 -> 1e-8 (relative to ||L||) guards against an
-    empty numerical null space.
+    Null vectors are Hermitized, positivity-projected, and trace-normalized;
+    the negative weight the projection removes is reported as
+    clipped_negativity. The tolerance ladder 1e-10 -> 1e-8 (relative to
+    ||L||) guards against an empty numerical null space; the spectral gap is
+    taken over the eigenvalues outside the accepted null space.
     """
     mat = L.matrix
     norm = max(np.linalg.norm(mat, 2), 1e-300)
     evals, evecs = np.linalg.eig(mat)
 
-    states = []
+    states, clipped = [], []
     null_idx = []
     for tol in (1e-10, 1e-9, 1e-8):
         null_idx = np.flatnonzero(np.abs(evals) < tol * norm)
@@ -292,21 +286,22 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
         w, v = np.linalg.eigh(m)
         if abs(w.min()) > abs(w.max()):
             w = -w
+        trace, negativity = w.sum(), abs(w[w < 0].sum())
         w = np.clip(w, 0.0, None)
         if w.sum() <= 0:
             continue
         rho = (v * w) @ dag(v)
         states.append(rho / np.trace(rho).real)
+        clipped.append(negativity / trace if trace > 0 else np.inf)
     if not states:
         raise RuntimeError("null space contained no positive-trace direction")
 
     residual = max(
         float(np.linalg.norm(mat @ vec(rho))) for rho in states
     )
-    nonzero = np.abs(evals) >= (np.abs(evals[null_idx]).max() + 1e-12 * norm)
-    live = evals[np.abs(evals) > 1e-10 * norm]
+    live = np.delete(evals, null_idx)
     gap = float(-live.real.max()) if live.size else 0.0
     return SteadyStateReport(
         states=states, residual=residual, spectral_gap=gap,
-        unique=(len(states) == 1),
+        unique=(len(states) == 1), clipped_negativity=float(max(clipped)),
     )

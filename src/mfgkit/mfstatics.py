@@ -43,8 +43,7 @@ class PointerSplit:
 
     pointer_basis: np.ndarray  # columns are eigenvectors of X
     H_eps: np.ndarray          # diagonal in the pointer basis
-    H_J: np.ndarray            # zero diagonal
-    Delta_mn: np.ndarray       # the hopping entries, Delta_mn[m, n] for m != n
+    H_J: np.ndarray            # zero diagonal: the hopping entries
 
 
 def pointer_split(H_S: np.ndarray, X: np.ndarray) -> PointerSplit:
@@ -60,7 +59,7 @@ def pointer_split(H_S: np.ndarray, X: np.ndarray) -> PointerSplit:
     h_rot = dag(u) @ H_S @ u
     h_eps = np.diag(np.diag(h_rot))
     h_j = h_rot - h_eps
-    return PointerSplit(pointer_basis=u, H_eps=h_eps, H_J=h_j, Delta_mn=h_j.copy())
+    return PointerSplit(pointer_basis=u, H_eps=h_eps, H_J=h_j)
 
 
 def _weak_ingredients(H_S, X, bath: bathmod.BathParams,

@@ -1,9 +1,13 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgkit import bath, megen, mfstatics
+from mfgkit.eigenops import decompose
 from mfgkit.opcore import dag, gibbs, trace_distance
 
 from conftest import random_density_matrix, random_hermitian
@@ -19,17 +23,72 @@ def _bp(lam, beta=1.0):
     return bath.BathParams(J=DRUDE, beta=beta, lam=lam)
 
 
+def _pairwise_reference(H_S, dec, gammas, lam, secular_cutoff=np.inf,
+                        keep_perp=True, real_only=False):
+    """The mode-pair loop the vectorized Redfield build replaced, kept as its oracle."""
+    d = H_S.shape[0]
+    eye = np.eye(d)
+
+    def left(a):
+        return np.kron(eye, a)
+
+    def right(a):
+        return np.kron(a.T, eye)
+
+    def dissipator(a, b):
+        bd_a = dag(b) @ a
+        return np.kron(dag(b).T, a) - 0.5 * (left(bd_a) + right(bd_a))
+
+    gammas = [complex(g.real, 0.0) if real_only else g for g in gammas]
+    h_par = np.zeros((d, d), dtype=complex)
+    h_perp = np.zeros((d, d), dtype=complex)
+    diss = np.zeros((d * d, d * d), dtype=complex)
+    for (w_m, x_m), g_m in zip(dec.modes, gammas):
+        h_par += g_m.imag * dag(x_m) @ x_m
+        for (w_n, x_n), g_n in zip(dec.modes, gammas):
+            if w_m != w_n and abs(w_m - w_n) > secular_cutoff:
+                continue
+            if w_m != w_n:
+                h_perp += (g_m - np.conj(g_n)) / 2j * dag(x_n) @ x_m
+            diss += (g_m + np.conj(g_n)) * dissipator(x_m, x_n)
+    if not keep_perp:
+        h_perp[:] = 0.0
+    h_eff = H_S + lam**2 * (h_par + h_perp)
+    return -1j * (left(h_eff) - right(h_eff)) + lam**2 * diss
+
+
+def _spectrum(kind, rng, dim):
+    if kind == "degenerate":  # repeated levels: several pairs at omega = 0
+        return rng.choice([-1.0, 0.0, 0.7], size=dim)
+    if kind == "ladder":  # equally spaced: gaps merge into shared Bohr clusters
+        return 0.8 * np.arange(dim)
+    return rng.normal(size=dim)
+
+
 class TestVectorization:
     def test_roundtrip(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.array_equal(megen.unvec(megen.vec(m)), m)
 
-    def test_sandwich_identity(self, rng):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 3)
+    def test_apply_matches_direct_redfield_formula(self, rng):
+        h = random_hermitian(rng, 3)
+        x = random_hermitian(rng, 3)
         rho = random_density_matrix(rng, 3)
-        lhs = megen.unvec(megen._sandwich(a, b) @ megen.vec(rho))
-        assert np.allclose(lhs, a @ rho @ b, atol=1e-13)
+        bp = _bp(0.4)
+        dec = decompose(h, x)
+        g = [bath.gamma_m(DRUDE, 1.0, w, bath.ASYMPTOTIC) for w in dec.frequencies]
+        direct = np.zeros((3, 3), dtype=complex)
+        h_ls = np.zeros((3, 3), dtype=complex)
+        for (_, x_m), g_m in zip(dec.modes, g):
+            for (_, x_n), g_n in zip(dec.modes, g):
+                xnx = dag(x_n) @ x_m
+                h_ls += (g_m - np.conj(g_n)) / 2j * xnx
+                direct += (g_m + np.conj(g_n)) * (
+                    x_m @ rho @ dag(x_n) - 0.5 * (xnx @ rho + rho @ xnx))
+        h_eff = h + bp.lam**2 * h_ls
+        direct = -1j * (h_eff @ rho - rho @ h_eff) + bp.lam**2 * direct
+        out = megen.brme_generator(h, x, bp).apply(rho)
+        assert np.allclose(out, direct, atol=1e-13)
 
 
 class TestDavies:
@@ -39,6 +98,7 @@ class TestDavies:
         assert report.unique
         assert trace_distance(report.states[0], gibbs(H_SB, 1.0)) < 1e-10
         assert report.spectral_gap > 0
+        assert report.clipped_negativity < 1e-12
 
     def test_equals_full_secular_filter(self):
         L1 = megen.davies_generator(H_SB, SZ, _bp(0.2))
@@ -102,6 +162,42 @@ class TestGeneratorTypeInvariants:
             out = L.apply(rho)
             assert abs(np.trace(out)) < 1e-10
             assert np.linalg.norm(out - dag(out)) < 1e-10
+
+
+class TestPairwiseEquivalence:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=6),
+        kind=st.sampled_from(["random", "degenerate", "ladder"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_every_variant_matches_pairwise_loop(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+        h = q @ np.diag(_spectrum(kind, rng, dim)) @ dag(q)
+        h = (h + dag(h)) / 2
+        x = random_hermitian(rng, dim)
+        bp = _bp(rng.uniform(0.05, 1.0))
+        dec = decompose(h, x)
+        gammas = rng.exponential(size=len(dec.modes)) + 1j * rng.normal(
+            size=len(dec.modes))
+        table = dict(zip(dec.frequencies, gammas))
+
+        secular = dict(secular_cutoff=-1.0, keep_perp=False)
+        with mock.patch.object(bath, "gamma_m", lambda J, beta, w, t: table[w]):
+            cases = [
+                (megen.davies_generator(h, x, bp), secular),
+                (megen.brme_generator(h, x, bp), {}),
+                (megen.brme_generator(h, x, bp, time=2.0), {}),
+                (megen.brme_real_only(h, x, bp), dict(real_only=True)),
+                (megen.secular_filter(h, x, bp, "full"), secular),
+                *[(megen.secular_filter(h, x, bp, c), dict(secular_cutoff=c))
+                  for c in (0.05, 0.5, 1.3, 2.9)],
+            ]
+        for L, ref_opts in cases:
+            ref = _pairwise_reference(h, dec, gammas, bp.lam, **ref_opts)
+            assert np.abs(L.matrix - ref).max() <= 1e-12 * np.linalg.norm(ref, 2)
 
 
 class TestPauliUltrastrong:
@@ -190,3 +286,26 @@ class TestSteadyState:
         report = megen.steady_state(L)
         assert not report.unique
         assert len(report.states) >= 2
+
+    def test_gap_skips_null_eigenvalues_found_at_a_looser_rung(self):
+        # a null eigenvalue at 5e-10 ||L|| is accepted at the 1e-9 rung and
+        # must not be reported as the spectral gap
+        L = megen.davies_generator(H_SB, SZ, _bp(0.2))
+        tau = megen.steady_state(L).states[0]
+        eps = 5e-10 * np.linalg.norm(L.matrix, 2)
+        shifted = L.matrix - eps * np.outer(megen.vec(tau),
+                                            megen.vec(np.eye(2)).conj())
+        report = megen.steady_state(replace(L, matrix=shifted))
+        assert report.unique
+        assert report.spectral_gap == pytest.approx(
+            megen.steady_state(L).spectral_gap, rel=1e-6)
+        assert report.spectral_gap > 1e-3
+
+    def test_clipped_negativity_is_reported(self):
+        # L rho = v tr(rho) - rho has the non-positive null vector v
+        v = np.diag([1.2, -0.2]).astype(complex)
+        mat = np.outer(megen.vec(v), megen.vec(np.eye(2)).conj()) - np.eye(4)
+        report = megen.steady_state(
+            megen.Liouvillian(kind="test", dim=2, matrix=mat, lam=0.0))
+        assert report.clipped_negativity == pytest.approx(0.2, abs=1e-12)
+        assert np.allclose(report.states[0], np.diag([1.0, 0.0]), atol=1e-12)

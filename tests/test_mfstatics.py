@@ -24,7 +24,7 @@ class TestPointerSplit:
         split = mfstatics.pointer_split(H_SB, SZ)
         # pointer states ordered by ascending X eigenvalue: -1 first
         assert np.allclose(np.diag(split.H_eps), [-0.5, 0.5], atol=1e-13)
-        assert abs(split.Delta_mn[0, 1]) == pytest.approx(0.25, abs=1e-13)
+        assert abs(split.H_J[0, 1]) == pytest.approx(0.25, abs=1e-13)
 
     def test_commuting_coupling_has_no_hopping(self):
         split = mfstatics.pointer_split(0.7 * SZ, SZ)
