@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 schema violation, 3 numerical failure,
 import argparse
 import csv
 import hashlib
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -608,10 +607,6 @@ def main(argv=None) -> int:
             p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    cache_dir = os.environ.get("MFGKIT_CACHE_DIR")
-    if cache_dir:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-
     try:
         cfg = _load_scenario(args.scenario)
         _apply_tol_overrides(args.tol_override)
@@ -624,8 +619,8 @@ def main(argv=None) -> int:
         if issues:
             for issue in issues:
                 print(issue)
-        else:
-            print("ok: no issues")
+            return EXIT_SCHEMA
+        print("ok: no issues")
         return EXIT_OK
     if args.verb == "run":
         return run_scenario(cfg, Path(args.out))

@@ -257,20 +257,79 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid, rtol: float = 1e-8,
     )
 
 
+def _hermitian_null_basis(vectors: np.ndarray) -> list:
+    """Orthonormal (Hilbert-Schmidt) basis of the Hermitian matrices spanned by
+    the columns of vectors. A single vector keeps its own Hermitian part."""
+    mats = [unvec(v) for v in vectors.T]
+    if len(mats) == 1:
+        return [(mats[0] + dag(mats[0])) / 2]
+    d2 = vectors.shape[0]
+    parts = [p for m in mats for p in ((m + dag(m)) / 2, (m - dag(m)) / 2j)]
+    flat = np.array([np.concatenate([vec(p).real, vec(p).imag]) for p in parts])
+    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return [unvec(row[:d2] + 1j * row[d2:]) for row in vt[:rank]]
+
+
+def _clip_to_state(m, orient=False):
+    """(rho, negativity) from Hermitian m: its positive part at unit trace, and
+    the negative weight removed relative to tr m (inf if tr m <= 0). With
+    orient, m's sign is chosen by its larger-magnitude eigenvalue first.
+    None if m has no positive part."""
+    w, v = np.linalg.eigh(m)
+    if orient and abs(w.min()) > abs(w.max()):
+        w = -w
+    trace, negativity = w.sum(), abs(w[w < 0].sum())
+    w = np.clip(w, 0.0, None)
+    if w.sum() <= 0:
+        return None
+    rho = (v * w) @ dag(v)
+    return rho / np.trace(rho).real, (negativity / trace if trace > 0 else np.inf)
+
+
+def _degenerate_candidates(basis: list) -> list:
+    """Steady-state candidates from a Hermitian null space of dimension > 1.
+
+    rho0 is the identity projected onto the null space, at unit trace. Every
+    other basis direction is made traceless, and the two states where
+    rho0 +- s T stops being positive are added: the ends of the segment of
+    states through rho0 along T. For a null space of dimension 2 these are
+    the two extremal steady states (the block states of a two-block model).
+    For dimension > 2 they are boundary points of the steady-state set that
+    depend on the basis the SVD picks, not its extremal states.
+    """
+    traces = np.array([np.trace(b).real for b in basis])
+    if traces @ traces <= 1e-24:
+        return []
+    rho0 = sum(c * b for c, b in zip(traces, basis)) / (traces @ traces)
+    p, u = np.linalg.eigh(rho0)
+    keep = p > 1e-12 * p.max()
+    whiten = u[:, keep] / np.sqrt(p[keep])
+    candidates = [rho0]
+    for coeffs in np.linalg.svd(traces[None, :])[2][1:]:  # traceless directions
+        T = sum(c * b for c, b in zip(coeffs, basis))
+        mu = np.linalg.eigvalsh(dag(whiten) @ T @ whiten)
+        # rho0 + s T >= 0 on the support of rho0 for -1/max(mu) <= s <= -1/min(mu)
+        candidates += [rho0 - T / m for m in (mu.min(), mu.max()) if m]
+    return candidates
+
+
 def steady_state(L: Liouvillian) -> SteadyStateReport:
     """Null space of the generator via full eigendecomposition.
 
-    Null vectors are Hermitized, positivity-projected, and trace-normalized;
-    the negative weight the projection removes is reported as
-    clipped_negativity. The tolerance ladder 1e-10 -> 1e-8 (relative to
-    ||L||) guards against an empty numerical null space; the spectral gap is
-    taken over the eigenvalues outside the accepted null space.
+    The tolerance ladder 1e-10 -> 1e-8 (relative to ||L||) guards against an
+    empty numerical null space; the spectral gap is taken over the
+    eigenvalues outside the accepted null space. The steady state is unique
+    when the Hermitian matrices in the null space span one dimension; that
+    null vector is Hermitized, positivity-projected and trace-normalized.
+    A degenerate null space gives the candidates of _degenerate_candidates.
+    The negative weight the projection removes is reported as
+    clipped_negativity.
     """
     mat = L.matrix
     norm = max(np.linalg.norm(mat, 2), 1e-300)
     evals, evecs = np.linalg.eig(mat)
 
-    states, clipped = [], []
     null_idx = []
     for tol in (1e-10, 1e-9, 1e-8):
         null_idx = np.flatnonzero(np.abs(evals) < tol * norm)
@@ -280,21 +339,16 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
         raise RuntimeError(
             f"no numerical null space (min |eigenvalue| = {np.abs(evals).min():.3e})"
         )
-    for i in null_idx:
-        m = unvec(evecs[:, i])
-        m = (m + dag(m)) / 2
-        w, v = np.linalg.eigh(m)
-        if abs(w.min()) > abs(w.max()):
-            w = -w
-        trace, negativity = w.sum(), abs(w[w < 0].sum())
-        w = np.clip(w, 0.0, None)
-        if w.sum() <= 0:
-            continue
-        rho = (v * w) @ dag(v)
-        states.append(rho / np.trace(rho).real)
-        clipped.append(negativity / trace if trace > 0 else np.inf)
-    if not states:
+    basis = _hermitian_null_basis(evecs[:, null_idx])
+    unique = len(basis) == 1
+    if unique:
+        found = [_clip_to_state(basis[0], orient=True)]
+    else:
+        found = [_clip_to_state(m) for m in _degenerate_candidates(basis)]
+    found = [f for f in found if f is not None]
+    if not found:
         raise RuntimeError("null space contained no positive-trace direction")
+    states = [rho for rho, _ in found]
 
     residual = max(
         float(np.linalg.norm(mat @ vec(rho))) for rho in states
@@ -302,6 +356,6 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     live = np.delete(evals, null_idx)
     gap = float(-live.real.max()) if live.size else 0.0
     return SteadyStateReport(
-        states=states, residual=residual, spectral_gap=gap,
-        unique=(len(states) == 1), clipped_negativity=float(max(clipped)),
+        states=states, residual=residual, spectral_gap=gap, unique=unique,
+        clipped_negativity=float(max(neg for _, neg in found)),
     )

@@ -30,6 +30,14 @@ class TestSpectralDensities:
         assert np.allclose(tab.j(probe), SUPER.j(probe), rtol=1e-8)
         assert tab.low_freq_exponent() == pytest.approx(3.0, abs=0.1)
 
+    def test_tabulated_spline_built_once(self):
+        grid = tuple(np.linspace(0.01, 40.0, 50))
+        tab = bath.Tabulated(omegas=grid, values=tuple(SUPER.j(np.array(grid))))
+        assert tab._spline() is tab._spline()
+        # the spline is not part of the value: equal grids are equal keys
+        twin = bath.Tabulated(omegas=grid, values=tab.values)
+        assert twin == tab and hash(twin) == hash(tab)
+
     def test_tabulated_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             bath.Tabulated(omegas=(1.0, 0.5, 2.0, 3.0), values=(0.1,) * 4)
@@ -145,7 +153,6 @@ class TestGammaM:
             up = 2 * bath.gamma_m(DRUDE, beta, w, bath.ASYMPTOTIC).real
             assert down / up == pytest.approx(np.exp(beta * w), rel=1e-10)
 
-    @pytest.mark.slow
     def test_finite_time_converges_to_asymptotic(self):
         asym = bath.gamma_m(OHMIC, 1.5, 0.8, bath.ASYMPTOTIC)
         diffs = [abs(bath.gamma_m(OHMIC, 1.5, 0.8, t) - asym) for t in (2.0, 8.0)]
@@ -162,6 +169,66 @@ class TestGammaM:
     def test_rate_positivity(self, w, log_beta):
         g = bath.gamma_m(DRUDE, 10.0**log_beta, w, bath.ASYMPTOTIC)
         assert g.real >= -1e-13
+
+
+class TestGammaMFiniteTime:
+    # recorded from the time-domain route int_0^t e^(-i w r) G(r) dr, with
+    # G(r) from corr_fn and an adaptive quadrature over r
+    @pytest.mark.parametrize("J, beta, w, t, expected", [
+        (DRUDE, 1.0, 1.118, 2.0, 0.1034318210136 - 0.4630948714197j),
+        (DRUDE, 1.0, -1.118, 2.0, 0.3163567664303 - 0.4893231325022j),
+        (DRUDE, 1.0, 0.0, 2.0, 0.2000279786158 - 0.4999773000351j),
+        (OHMIC, 1.5, 0.8, 2.0, 0.1858786154147 - 0.5712943928462j),
+        (OHMIC, 1.5, 0.8, 8.0, 0.1659673374045 - 0.5702814061944j),
+        (DRUDE, 1.0, 0.7, 0.5, 0.1758754393926 - 0.4573797703772j),
+        (DRUDE, 1.0, 0.7, 8.0, 0.1354459993218 - 0.4809473815883j),
+    ])
+    def test_frozen_values(self, J, beta, w, t, expected):
+        assert bath.gamma_m(J, beta, w, t) == pytest.approx(expected, abs=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        J=st.sampled_from([DRUDE, OHMIC, SUPER]),
+        beta=st.floats(min_value=0.3, max_value=5.0),
+        w=st.floats(min_value=-3.0, max_value=3.0),
+        t=st.floats(min_value=0.2, max_value=20.0),
+    )
+    def test_derivative_is_correlation_function(self, J, beta, w, t):
+        # d Gamma_m / dt = e^(-i w t) G(t), by a fourth-order central difference
+        h = 1e-3
+        g = [bath.gamma_m(J, beta, w, t + k * h) for k in (-2, -1, 1, 2)]
+        slope = (g[0] - 8 * g[1] + 8 * g[2] - g[3]) / (12 * h)
+        expected = np.exp(-1j * w * t) * bath.corr_fn(J, beta, t)
+        assert abs(slope - expected) < 1e-5 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("t", [30.0, 100.0, 300.0])
+    def test_large_time_reaches_asymptotic(self, t):
+        # the sinc peak of the kernel narrows as 1/t; the limit must stay exact
+        asym = bath.gamma_m(DRUDE, 1.0, 0.7, bath.ASYMPTOTIC)
+        assert abs(bath.gamma_m(DRUDE, 1.0, 0.7, t) - asym) < 1e-10
+
+    def test_discrete_modes_explicit_sum(self):
+        modes = ((1.0, 0.3), (2.5, 0.1), (4.0, 0.05))
+        J = bath.DiscreteModes(modes=modes)
+        beta, w, t = 1.2, 0.7, 3.3
+        expected = 0.0
+        for wk, g2 in modes:
+            n = bath.bose(wk, beta)
+            expected += g2 * (
+                (n + 1) * (np.exp(-1j * (wk + w) * t) - 1) / (-1j * (wk + w))
+                + n * (np.exp(1j * (wk - w) * t) - 1) / (1j * (wk - w)))
+        assert bath.gamma_m(J, beta, w, t) == pytest.approx(expected, abs=1e-13)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(bath, "_FOURIER_OPTS", dict(epsabs=1e-15, epsrel=1e-15, limit=2))
+        with pytest.raises(bath.BathIntegrationError):
+            bath.gamma_m.__wrapped__(DRUDE, 1.0, 0.7, 40.0)
+
+    def test_memoized(self):
+        first = bath.gamma_m(OHMIC, 1.5, 0.55, 3.0)
+        hits = bath.gamma_m.cache_info().hits
+        assert bath.gamma_m(OHMIC, 1.5, 0.55, 3.0) is first
+        assert bath.gamma_m.cache_info().hits == hits + 1
 
 
 class TestDBeta:

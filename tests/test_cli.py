@@ -21,6 +21,13 @@ class TestSchema:
             assert code == cli.EXIT_OK
             assert "ok" in capsys.readouterr().out
 
+    def test_validate_issue_exits_2(self, tmp_path, capsys):
+        cfg = dict(cli.PRESETS["spin_boson"])
+        cfg["bath"] = dict(cfg["bath"], beta=-1)
+        path = _write_scenario(tmp_path, cfg)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_SCHEMA
+        assert "beta must be positive" in capsys.readouterr().out
+
     def test_unknown_scenario_exits_2(self):
         assert cli.main(["validate", "--scenario", "no_such_thing"]) == cli.EXIT_SCHEMA
 
@@ -99,14 +106,6 @@ class TestRun:
         assert header == ["generator", "reference", "trace_distance"]
         generators = {r.split(",")[0] for r in rows[1:]}
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
-
-    def test_cache_dir_created(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("MFGKIT_CACHE_DIR", str(cache))
-        out = tmp_path / "osc"
-        assert cli.main(["run", "--scenario", "oscillator_drude",
-                         "--out", str(out)]) == cli.EXIT_OK
-        assert cache.is_dir()
 
 
 class TestSweep:

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from mfgkit import bath, megen, mfstatics
 from mfgkit.eigenops import decompose
-from mfgkit.opcore import dag, gibbs, trace_distance
+from mfgkit.opcore import dag, gibbs, require_density_matrix, trace_distance
 
 from conftest import random_density_matrix, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 H_SB = 0.5 * SZ + 0.25 * SX
 
 DRUDE = bath.DrudeLorentz(gamma=0.1, omega_d=5.0)
@@ -135,7 +136,6 @@ class TestBrmeVariants:
         partial = megen.secular_filter(H_SB, SZ, _bp(0.2), 1e6)
         assert np.allclose(full.matrix, partial.matrix, atol=1e-14)
 
-    @pytest.mark.slow
     def test_finite_time_generator_approaches_asymptotic(self):
         asym = megen.brme_generator(H_SB, SZ, _bp(0.2))
         late = megen.brme_generator(H_SB, SZ, _bp(0.2), time=8.0)
@@ -274,6 +274,13 @@ class TestSteadyState:
         report = megen.steady_state(L)
         assert not report.unique
         assert len(report.states) >= 2
+        # distinct density matrices, none clipped out of a traceless direction
+        assert np.isfinite(report.clipped_negativity)
+        for rho in report.states:
+            require_density_matrix(rho)
+        for i, a in enumerate(report.states):
+            for b in report.states[:i]:
+                assert np.abs(a - b).max() > 1e-12
 
     def test_reducible_model_has_two_steady_states(self):
         h = np.zeros((4, 4), dtype=complex)
@@ -286,6 +293,55 @@ class TestSteadyState:
         report = megen.steady_state(L)
         assert not report.unique
         assert len(report.states) >= 2
+        for block in (slice(0, 2), slice(2, 4)):
+            tau = np.zeros((4, 4), dtype=complex)
+            tau[block, block] = gibbs(h[block, block], 1.0)
+            assert min(trace_distance(rho, tau) for rho in report.states) < 1e-10
+        assert report.clipped_negativity < 1e-12
+
+    @staticmethod
+    def _block_model(blocks):
+        """Davies generator of uncoupled qubit blocks [(h_k, x_k), ...]."""
+        d = 2 * len(blocks)
+        h = np.zeros((d, d), dtype=complex)
+        x = np.zeros((d, d), dtype=complex)
+        for k, (hk, xk) in enumerate(blocks):
+            h[2 * k:2 * k + 2, 2 * k:2 * k + 2] = hk
+            x[2 * k:2 * k + 2, 2 * k:2 * k + 2] = xk
+        return h, megen.davies_generator(h, x, _bp(0.2))
+
+    def test_reducible_model_with_complex_block_states(self):
+        # block Gibbs states with complex coherences: a basis assembled in
+        # the wrong orientation returns conj(rho), which L does not annihilate
+        h, L = self._block_model([(0.6 * SY, SX), (0.5 * SX + 0.4 * SY, SZ)])
+        assert np.abs(gibbs(h[:2, :2], 1.0).imag).max() > 0.1
+        report = megen.steady_state(L)
+        assert not report.unique
+        for rho in report.states:
+            assert np.linalg.norm(L.matrix @ megen.vec(rho)) < 1e-10
+        for block in (slice(0, 2), slice(2, 4)):
+            tau = np.zeros((4, 4), dtype=complex)
+            tau[block, block] = gibbs(h[block, block], 1.0)
+            assert min(trace_distance(rho, tau) for rho in report.states) < 1e-10
+
+    def test_three_block_model_states_are_steady(self):
+        # with a null space of dimension 3 the candidates depend on the
+        # basis; callers may rely only on distinct steady density matrices,
+        # the first being the mixture rho0 of full rank
+        _, L = self._block_model([(0.6 * SZ, SX), (0.4 * SY, SX),
+                                  (0.3 * SX - 0.2 * SY, SZ)])
+        report = megen.steady_state(L)
+        assert not report.unique
+        assert len(report.states) >= 3
+        assert report.residual < 1e-10
+        assert report.clipped_negativity < 1e-12
+        for rho in report.states:
+            require_density_matrix(rho)
+            assert np.linalg.norm(L.matrix @ megen.vec(rho)) < 1e-10
+        for i, a in enumerate(report.states):
+            for b in report.states[:i]:
+                assert np.abs(a - b).max() > 1e-12
+        assert np.linalg.eigvalsh(report.states[0]).min() > 1e-3
 
     def test_gap_skips_null_eigenvalues_found_at_a_looser_rung(self):
         # a null eigenvalue at 5e-10 ||L|| is accepted at the 1e-9 rung and
