@@ -17,8 +17,17 @@ Finite-time Gamma_m(t) is one frequency-domain integral for every bath,
     Phi(x, t) = int_0^t e^(i x r) dr = (e^(i x t) - 1)/(i x),
 
 a sum over the modes for a discrete bath and a quadrature for a continuous
-J (see gamma_m); G(r) is not needed. gamma_m and d_beta are memoized per
-process on their arguments (the spectral densities are frozen dataclasses).
+J (see gamma_m); G(r) is not needed.
+
+Every principal-value integral over a continuous J, the Lamb shift
+Im Gamma_m(infinity), D_beta and the oscillator self-energy in clexact, is
+PV int_0^inf h(w)/(w^2 - a^2) dw evaluated by principal_value, which
+subtracts h(a). Im Gamma(infinity) and D_beta are one integral:
+
+    D_beta(omega) = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw.
+
+gamma_m and d_beta are memoized per process on their arguments (the
+spectral densities are frozen dataclasses).
 """
 
 import functools
@@ -53,13 +62,10 @@ def coth(x):
     return out if out.ndim else float(out)
 
 
-def _x_coth_x(x):
-    """x*coth(x), smooth through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x * x / 3.0, safe / np.tanh(safe))
-    return out if out.ndim else float(out)
+def _w_coth(w, beta):
+    """w coth(beta w/2) for scalar w, smooth through w = 0."""
+    x = beta * w / 2.0
+    return (2.0 / beta) * (1.0 + x * x / 3.0 if abs(x) < 1e-4 else x / np.tanh(x))
 
 
 def bose(omega, beta):
@@ -343,11 +349,16 @@ def _quad(f, a, b, points=None):
         warnings.simplefilter("ignore", IntegrationWarning)
         if points is not None and np.isfinite(b):
             points = [p for p in points if a < p < b]
-            val, _ = quad(f, a, b, points=points or None, **_QUAD_OPTS)
+            val, err = quad(f, a, b, points=points or None, **_QUAD_OPTS)
         else:
-            val, _ = quad(f, a, b, **_QUAD_OPTS)
+            val, err = quad(f, a, b, **_QUAD_OPTS)
     if not np.isfinite(val):
         raise BathIntegrationError(f"quadrature over [{a}, {b}] returned {val}")
+    # QUADPACK stops at its subdivision limit; an error estimate above the
+    # requested tolerance is a failure, not a number
+    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+        raise BathIntegrationError(
+            f"quadrature over [{a}, {b}] did not converge (error estimate {err:.2e})")
     return val
 
 
@@ -363,29 +374,27 @@ def semi_infinite_quad(f, scale, points=()):
     return total
 
 
-def principal_value(F, a, scale):
-    """PV int_0^inf F(omega)/(omega - a) d omega for a pole at a > 0.
+def principal_value(h, a, scale):
+    """PV int_0^inf h(w)/(w^2 - a^2) dw for a >= 0.
 
-    Symmetric-window scheme: inside [a - delta, a + delta] the first-order
-    pole integrates to zero, leaving the regular difference quotient.
+    Since PV int_0^inf dw/(w^2 - a^2) = 0, subtracting h(a) leaves a regular
+    integrand; at a = 0 it is the plain integral of (h(w) - h(0))/w^2.
+    Dividing by (w - a) and (w + a) in turn keeps tiny a from underflowing
+    their product.
     """
-    if a <= 0:
-        raise ValueError("pole must be at positive frequency")
-    delta = min(a, scale) / 10.0
-    fa = F(a)
-    dfa = (F(a + 1e-6 * delta) - F(a - 1e-6 * delta)) / (2e-6 * delta)
+    if a < 0:
+        raise ValueError("need a >= 0")
+    ha = h(a)
+    guard = 1e-8 * min(a, scale)
+    if guard > 0:
+        dha = (h(a + guard) - h(a - guard)) / (2.0 * guard)
 
-    def regular(w):
-        if abs(w - a) < 1e-8 * delta:
-            return dfa
-        return (F(w) - fa) / (w - a)
+    def integrand(w):
+        if abs(w - a) < guard:
+            return dha / (w + a)
+        return (h(w) - ha) / (w - a) / (w + a)
 
-    window = _quad(regular, a - delta, a + delta)
-    left = _quad(lambda w: F(w) / (w - a), 0.0, a - delta) if a - delta > 0 else 0.0
-    right = _quad(lambda w: F(w) / (w - a), a + delta, 4 * scale + 2 * a) + _quad(
-        lambda w: F(w) / (w - a), 4 * scale + 2 * a, np.inf
-    )
-    return left + window + right
+    return semi_infinite_quad(integrand, scale, points=(a, 2 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -418,27 +427,10 @@ def d_beta(J: SpectralDensity, beta: float, omega_m: float) -> float:
         term = (omega_m * coth(beta * w / 2) + w) / (w**2 - omega_m**2) - 1.0 / w
         return float(np.sum(g2 * term))
 
-    a = abs(omega_m)
-    scale = J.scale()
-
-    # Combine the 1/w counter term into one fraction:
-    # D = PV int h(w)/(w^2 - a^2) dw with h = (J/w) omega_m (w coth(bw/2) + omega_m).
-    # PV int_0^inf dw/(w^2 - a^2) = 0, so subtracting h(a) removes the pole
-    # with no correction term and stays stable as omega_m -> 0.
     def h(w):
-        wc = (2.0 / beta) * _x_coth_x(beta * w / 2.0)  # = w * coth(beta w / 2)
-        return float(J.j_over_omega(w)) * omega_m * (wc + omega_m)
+        return float(J.j_over_omega(w)) * omega_m * (_w_coth(w, beta) + omega_m)
 
-    ha = h(a)
-    guard = 1e-8 * max(a, scale)
-    dha = (h(a + guard) - h(max(a - guard, 0.0))) / (guard + min(a, guard))
-
-    def integrand(w):
-        if abs(w - a) < guard:
-            return dha / (w + a)
-        return (h(w) - ha) / ((w - a) * (w + a))
-
-    return semi_infinite_quad(integrand, scale, points=(a, 2 * a))
+    return principal_value(h, abs(omega_m), J.scale())
 
 
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
@@ -568,9 +560,15 @@ def gamma_m(J: SpectralDensity, beta: float, omega_m: float, t) -> complex:
     so the result stays accurate as the peak narrows at large t. A summed
     error estimate above the _QUAD_OPTS tolerance raises BathIntegrationError.
 
-    Pass t = ASYMPTOTIC for Gamma_m(infinity): the real part is the closed
-    form (pi/2) J(|w_m|) [coth(beta |w_m|/2) - sign(w_m)] (absorption for
-    raising eigenoperators), the imaginary part a principal-value integral.
+    Pass t = ASYMPTOTIC for Gamma_m(infinity). The real part is
+    pi S(-omega_m): pi J n at |omega_m| for raising eigenoperators
+    (absorption), pi J (n + 1) for lowering ones. The imaginary part is
+    one principal_value call,
+
+        Im Gamma_m(inf) = PV int_0^inf J(w) (omega_m coth(beta w/2) - w)
+                                  / (w^2 - omega_m^2) dw,
+
+    the same integral as d_beta: D_beta(w) = -Im Gamma_{-w}(inf) - int J/w.
     Values are memoized per process on (J, beta, omega_m, t).
     """
     if beta <= 0:
@@ -639,31 +637,12 @@ def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m: float) -> comple
             "Gamma_m(infinity) does not exist for a discrete mode set "
             "(no continuum decay)"
         )
-    scale = J.scale()
-    a = abs(omega_m)
 
-    if omega_m == 0.0:
-        re = (np.pi / beta) * float(J.j_over_omega(0.0))
-        im = -semi_infinite_quad(lambda w: float(J.j_over_omega(w)), scale)
-        return complex(re, im)
+    def h(w):
+        return float(J.j_over_omega(w)) * (omega_m * _w_coth(w, beta) - w * w)
 
-    re = (np.pi / 2.0) * float(J.j(a)) * (coth(beta * a / 2.0) - np.sign(omega_m))
-
-    def j_times_n(w):
-        # J(w) n(w), finite at 0
-        return float(J.j_over_omega(w)) * w * 0.5 * (coth(beta * w / 2.0) - 1.0)
-
-    def j_times_n1(w):
-        return float(J.j_over_omega(w)) * w * 0.5 * (coth(beta * w / 2.0) + 1.0)
-
-    # Im Gamma = PV int J [ n/(w - w_m) - (n+1)/(w + w_m) ] dw
-    if omega_m > 0:
-        im = principal_value(j_times_n, a, scale)
-        im -= semi_infinite_quad(lambda w: j_times_n1(w) / (w + a), scale, points=(a,))
-    else:
-        im = semi_infinite_quad(lambda w: j_times_n(w) / (w + a), scale, points=(a,))
-        im -= principal_value(j_times_n1, a, scale)
-    return complex(re, im)
+    re = np.pi * _thermal_spectrum(J, beta, -omega_m)
+    return complex(re, principal_value(h, abs(omega_m), J.scale()))
 
 
 def polaron_kappa(J: SpectralDensity, beta: float, lam: float) -> float:
@@ -694,7 +673,7 @@ def polaron_kappa(J: SpectralDensity, beta: float, lam: float) -> float:
     def integrand(w):
         # J/w^2 * coth = (J/w^3) * w coth, finite at 0 for s > 2 (here s = 3)
         jow = float(J.j_over_omega(w))
-        return jow / max(w, 1e-300)**2 * (2.0 / beta) * _x_coth_x(beta * w / 2.0)
+        return jow / max(w, 1e-300)**2 * _w_coth(w, beta)
 
     integral = semi_infinite_quad(integrand, scale)
     return float(np.exp(-2 * lam**2 * integral))

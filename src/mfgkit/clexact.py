@@ -146,12 +146,7 @@ def _self_energy_real(J: bathmod.SpectralDensity, omega: float) -> float:
     """Re Sigma(w) = w^2 PV int J(xi) / (xi (xi^2 - w^2)) dxi (counter-term included)."""
     if omega == 0.0:
         return 0.0
-    scale = J.scale()
-
-    def regular(xi):
-        return float(J.j_over_omega(xi)) / (xi + omega)
-
-    return omega**2 * bathmod.principal_value(regular, omega, scale)
+    return omega**2 * bathmod.principal_value(J.j_over_omega, omega, J.scale())
 
 
 def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float,

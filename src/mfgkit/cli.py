@@ -264,12 +264,6 @@ def validate_scenario(cfg: dict) -> list:
         return [f"schema: invalid parameter value: {exc}"]
     if sc.task == "oscillator":
         return issues
-    if cfg.get("task") == "polaron" or cfg.get("polaron_kappa"):
-        if sc.J.low_freq_exponent() <= 2.0 + 1e-9:
-            issues.append(
-                "physics: polaron kappa integral diverges for this spectral "
-                "density (J must vanish faster than omega^2 at low frequency)"
-            )
     try:
         sc.J.j(np.array([1.0]))
     except Exception as exc:  # noqa: BLE001 - report, don't crash

@@ -1,15 +1,74 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import expi
 
-from mfgkit import bath
+from mfgkit import bath, clexact
 
 
 DRUDE = bath.DrudeLorentz(gamma=0.1, omega_d=5.0)
 OHMIC = bath.OhmicExp(gamma=0.2, omega_c=3.0)
 SUPER = bath.SuperOhmicCubic(gamma=0.7, omega_c=2.0)
+
+
+# -- reference: the symmetric-window principal value that principal_value
+# replaced, and the asymptotic Gamma_m built on it (two log-singular pieces)
+
+def _ref_quad(f, a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(f, a, b, **bath._QUAD_OPTS)[0]
+
+
+def _ref_semi_infinite(f, scale, points=()):
+    splits = sorted({s for s in (*points, scale, 4 * scale, 16 * scale) if s > 0})
+    edges = [0.0, *splits, np.inf]
+    return sum(_ref_quad(f, lo, hi) for lo, hi in zip(edges, edges[1:]))
+
+
+def _ref_window_pv(F, a, scale):
+    """PV int_0^inf F(w)/(w - a) dw, a > 0, by a symmetric window around a."""
+    delta = min(a, scale) / 10.0
+    fa = F(a)
+    dfa = (F(a + 1e-6 * delta) - F(a - 1e-6 * delta)) / (2e-6 * delta)
+
+    def regular(w):
+        if abs(w - a) < 1e-8 * delta:
+            return dfa
+        return (F(w) - fa) / (w - a)
+
+    window = _ref_quad(regular, a - delta, a + delta)
+    left = _ref_quad(lambda w: F(w) / (w - a), 0.0, a - delta) if a - delta > 0 else 0.0
+    right = (_ref_quad(lambda w: F(w) / (w - a), a + delta, 4 * scale + 2 * a)
+             + _ref_quad(lambda w: F(w) / (w - a), 4 * scale + 2 * a, np.inf))
+    return left + window + right
+
+
+def _ref_gamma_asymptotic(J, beta, omega_m):
+    scale = J.scale()
+    a = abs(omega_m)
+    if omega_m == 0.0:
+        re = (np.pi / beta) * float(J.j_over_omega(0.0))
+        return complex(re, -_ref_semi_infinite(lambda w: float(J.j_over_omega(w)), scale))
+    re = (np.pi / 2.0) * float(J.j(a)) * (bath.coth(beta * a / 2.0) - np.sign(omega_m))
+
+    def j_times_n(w):
+        return float(J.j_over_omega(w)) * w * 0.5 * (bath.coth(beta * w / 2.0) - 1.0)
+
+    def j_times_n1(w):
+        return float(J.j_over_omega(w)) * w * 0.5 * (bath.coth(beta * w / 2.0) + 1.0)
+
+    if omega_m > 0:
+        im = _ref_window_pv(j_times_n, a, scale)
+        im -= _ref_semi_infinite(lambda w: j_times_n1(w) / (w + a), scale, points=(a,))
+    else:
+        im = _ref_semi_infinite(lambda w: j_times_n(w) / (w + a), scale, points=(a,))
+        im -= _ref_window_pv(j_times_n1, a, scale)
+    return complex(re, im)
 
 
 class TestSpectralDensities:
@@ -60,10 +119,56 @@ class TestSpecialFunctions:
 
 class TestPrincipalValue:
     def test_exponential_oracle(self):
-        # PV int_0^inf e^(-w)/(w - a) dw = -e^(-a) Ei(a)
+        # PV int_0^inf e^(-w)(w + a)/(w^2 - a^2) dw = -e^(-a) Ei(a)
         for a in (0.5, 1.0, 2.0):
-            got = bath.principal_value(lambda w: np.exp(-w), a, 1.0)
+            got = bath.principal_value(lambda w: np.exp(-w) * (w + a), a, 1.0)
             assert got == pytest.approx(-np.exp(-a) * expi(a), abs=1e-8)
+        with pytest.raises(ValueError):
+            bath.principal_value(np.exp, -1.0, 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        J=st.sampled_from([DRUDE, OHMIC, SUPER]),
+        beta=st.floats(min_value=0.1, max_value=10.0),
+        a=st.floats(min_value=0.05, max_value=4.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_asymptotic_gamma_matches_window_scheme(self, J, beta, a, sign):
+        got = bath.gamma_m.__wrapped__(J, beta, sign * a, bath.ASYMPTOTIC)
+        ref = _ref_gamma_asymptotic(J, beta, sign * a)
+        assert abs(got - ref) < 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("J, beta", [(DRUDE, 1.0), (OHMIC, 1.5), (SUPER, 0.3)])
+    @pytest.mark.parametrize("w", [0.05, 0.8, 1.25, 3.7])
+    def test_d_beta_is_lamb_shift_integral(self, J, beta, w):
+        # D_beta(w) + Im Gamma_{-w}(inf) + int J/w = 0: one integral, two names
+        total = (bath.d_beta(J, beta, w) + bath.gamma_m(J, beta, -w, bath.ASYMPTOTIC).imag
+                 + bath.reorganization_energy(J, 1.0))
+        assert abs(total) < 1e-10
+
+    def test_d_beta_is_lamb_shift_integral_tabulated(self):
+        grid = np.linspace(0.01, 40.0, 800)
+        tab = bath.Tabulated(omegas=tuple(grid), values=tuple(SUPER.j(grid)))
+        ell = bath.reorganization_energy(tab, 1.0)
+        for w in (0.4, 1.7):
+            d = bath.d_beta(tab, 1.0, w)
+            im = bath.gamma_m(tab, 1.0, -w, bath.ASYMPTOTIC).imag
+            assert abs(d + im + ell) < 1e-8 * max(abs(d), abs(im), ell)
+
+    def test_self_energy_matches_window_scheme(self):
+        # the oscillator_drude preset's grid in position_correlation
+        J = bath.DrudeLorentz(gamma=0.5, omega_d=5.0)
+        for w in np.linspace(0.0, 60.0, 481)[1:]:
+            ref = w**2 * _ref_window_pv(
+                lambda xi: float(J.j_over_omega(xi)) / (xi + w), w, J.scale())
+            assert abs(clexact._self_energy_real(J, w) - ref) < 1e-10
+
+
+class TestQuadConvergence:
+    def test_subdivision_limit_raises(self, monkeypatch):
+        monkeypatch.setitem(bath._QUAD_OPTS, "limit", 2)
+        with pytest.raises(bath.BathIntegrationError, match="did not converge"):
+            bath.d_beta.__wrapped__(DRUDE, 1.0, 1.25)
 
 
 class TestReorganizationEnergy:
@@ -152,6 +257,23 @@ class TestGammaM:
             down = 2 * bath.gamma_m(DRUDE, beta, -w, bath.ASYMPTOTIC).real
             up = 2 * bath.gamma_m(DRUDE, beta, w, bath.ASYMPTOTIC).real
             assert down / up == pytest.approx(np.exp(beta * w), rel=1e-10)
+
+    @pytest.mark.parametrize("beta_w", [31.0, 40.0])
+    def test_detailed_balance_far_from_resonance(self, beta_w):
+        # the absorption rate J n is tiny but must not cancel to 0
+        for J in (DRUDE, OHMIC):
+            down = bath.gamma_m(J, 1.0, -beta_w, bath.ASYMPTOTIC).real
+            up = bath.gamma_m(J, 1.0, beta_w, bath.ASYMPTOTIC).real
+            assert up > 0
+            assert down / up == pytest.approx(np.exp(beta_w), rel=1e-12)
+
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC])
+    @pytest.mark.parametrize("w", [1e-100, 1e-200, 1e-300, 2.2e-308])
+    def test_tiny_frequency_lamb_shift_is_continuous(self, J, w):
+        at_zero = bath.gamma_m(J, 1.0, 0.0, bath.ASYMPTOTIC).imag
+        for sign in (1.0, -1.0):
+            got = bath.gamma_m(J, 1.0, sign * w, bath.ASYMPTOTIC).imag
+            assert abs(got - at_zero) < 1e-12
 
     def test_finite_time_converges_to_asymptotic(self):
         asym = bath.gamma_m(OHMIC, 1.5, 0.8, bath.ASYMPTOTIC)
