@@ -344,19 +344,18 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 # ---------------------------------------------------------------------------
 
 
-def _quad(f, a, b, points=None):
+def checked_quad(f, a, b, **opts):
+    """scipy quad that raises BathIntegrationError unless the value is finite
+    and the error estimate is within max(epsabs, epsrel |value|). QAWF (a
+    weight over [a, inf)) takes no epsrel."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        if points is not None and np.isfinite(b):
-            points = [p for p in points if a < p < b]
-            val, err = quad(f, a, b, points=points or None, **_QUAD_OPTS)
-        else:
-            val, err = quad(f, a, b, **_QUAD_OPTS)
+        val, err = quad(f, a, b, **opts)
     if not np.isfinite(val):
         raise BathIntegrationError(f"quadrature over [{a}, {b}] returned {val}")
     # QUADPACK stops at its subdivision limit; an error estimate above the
     # requested tolerance is a failure, not a number
-    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * abs(val)):
         raise BathIntegrationError(
             f"quadrature over [{a}, {b}] did not converge (error estimate {err:.2e})")
     return val
@@ -368,9 +367,9 @@ def semi_infinite_quad(f, scale, points=()):
     total = 0.0
     lo = 0.0
     for s in splits:
-        total += _quad(f, lo, s)
+        total += checked_quad(f, lo, s, **_QUAD_OPTS)
         lo = s
-    total += _quad(f, lo, np.inf)
+    total += checked_quad(f, lo, np.inf, **_QUAD_OPTS)
     return total
 
 

@@ -7,11 +7,9 @@ density). Their agreement is the executable form of the model's
 cross-identity; the Gaussian MFG state is reconstructed from the moments.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import loggamma
@@ -173,12 +171,15 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     def denom_re(w):
         return omega_0**2 - w**2 - sigma_re(w)
 
-    def integrand(w):
+    def envelope(w):
         if w == 0.0:
             return 0.0
         im_sigma = np.pi * float(J.j(w)) / 2
         g_im = im_sigma / (denom_re(w) ** 2 + im_sigma**2)
-        return np.cos(w * dt) * bathmod.coth(beta * w / 2) * g_im
+        return bathmod.coth(beta * w / 2) * g_im
+
+    def integrand(w):
+        return np.cos(w * dt) * envelope(w)
 
     # locate the dressed resonance so the quadrature subdivides around it
     points = []
@@ -187,11 +188,14 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:])):
         points.append(brentq(denom_re, samples[i], samples[i + 1]))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        total, _ = quad(integrand, 0.0, w_max, points=points or None,
-                        limit=400, epsabs=1e-12, epsrel=1e-10)
-        tail, _ = quad(integrand, w_max, np.inf, limit=200, epsabs=1e-12)
+    total = bathmod.checked_quad(integrand, 0.0, w_max, points=points or None,
+                                 limit=400, epsabs=1e-12, epsrel=1e-10)
+    if dt == 0.0:
+        tail = bathmod.checked_quad(integrand, w_max, np.inf, limit=200,
+                                    epsabs=1e-12, epsrel=1.49e-8)
+    else:  # QAWF: the oscillating tail as its envelope under the weight cos(w dt)
+        tail = bathmod.checked_quad(envelope, w_max, np.inf, weight="cos", wvar=dt,
+                                    epsabs=1e-12)
     return float((total + tail) / np.pi)
 
 

@@ -1,10 +1,16 @@
 """Numerically exact finite-bath oracle.
 
-Discretizes a continuous spectral density into N bosonic modes with
-truncated Fock spaces, assembles the global Hamiltonian (optionally with
-the counter term), and computes exact global Gibbs states, reduced MFG
-states, and unitary dynamics by dense eigendecomposition. Everything here
-is deterministic: fixed spec in, bit-identical numbers out.
+Discretizes a continuous spectral density into N bosonic modes with truncated
+Fock spaces. The global Hamiltonian has two factors, the system and the bath
+of dimension D_B = (n_max+1)^N:
+    H_tot = H_S' (x) 1_B + 1_S (x) H_B + lam X (x) B,
+with H_B = sum_k w_k n_k, B = sum_k (g_k a_k^dag + g_k^* a_k) and, with the
+counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. Exact global Gibbs
+states, reduced MFG states and unitary dynamics come from the dense spectrum
+H_tot = sum_i E_i |v_i><v_i|. The reduced state skips the global one: with
+each v_i reshaped to a d_s x D_B matrix and p_i = e^(-beta E_i)/Z,
+rho_S = tr_B sum_i p_i |v_i><v_i| = sum_i p_i v_i v_i^dag. Everything here is
+deterministic: fixed spec in, bit-identical numbers out.
 """
 
 import warnings
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import TensorSpace, dag, kron, partial_trace, require_hermitian
+from .opcore import dag, require_hermitian
 
 LINEAR = "linear"
 GAUSS = "gauss"
@@ -69,7 +75,6 @@ class GlobalModel:
     bath_dims: tuple
     H_tot: np.ndarray
     assembled_from: tuple  # (H_S, X, lam, FiniteBathSpec)
-    space: TensorSpace
     _eig: tuple | None = field(default=None, repr=False)
 
     def eig(self):
@@ -92,47 +97,45 @@ def assemble(H_S, X, lam: float, spec: FiniteBathSpec) -> GlobalModel:
     X = require_hermitian(X)
     d_s = H_S.shape[0]
     n_levels = spec.fock_cutoff + 1
-    dims = (d_s,) + (n_levels,) * len(spec.modes)
-    total = int(np.prod(dims))
-    if total > DIM_CAP:
-        raise ValueError(f"global dimension {total} exceeds the cap {DIM_CAP}")
-    space = TensorSpace(dims)
-
-    eyes = [np.eye(d, dtype=complex) for d in dims]
-
-    def embed(op, slot):
-        factors = list(eyes)
-        factors[slot] = op
-        return kron(*factors)
+    bath_dim = n_levels ** len(spec.modes)
+    if d_s * bath_dim > DIM_CAP:
+        raise ValueError(f"global dimension {d_s * bath_dim} exceeds the cap {DIM_CAP}")
 
     a = _ladder(n_levels)
-    num = dag(a) @ a
-    h = embed(H_S, 0)
-    coupling_sq = 0.0
-    for k, (w_k, g_k) in enumerate(spec.modes, start=1):
-        h += w_k * embed(num, k)
-        h += lam * embed(X, 0) @ embed(g_k * dag(a) + np.conj(g_k) * a, k)
-        coupling_sq += abs(g_k) ** 2 / w_k
-    if spec.counter_term:
-        h += lam**2 * coupling_sq * embed(X @ X, 0)
-    h = (h + dag(h)) / 2
-    return GlobalModel(system_dim=d_s, bath_dims=dims[1:], H_tot=h,
-                       assembled_from=(H_S, X, float(lam), spec), space=space)
+    H_B = B = np.zeros((1, 1))
+    for w_k, g_k in spec.modes:  # each mode appends one factor on the right
+        one_b, one_k = np.eye(len(B)), np.eye(n_levels)
+        H_B = np.kron(H_B, one_k) + np.kron(one_b, w_k * dag(a) @ a)
+        B = np.kron(B, one_k) + np.kron(one_b, g_k * dag(a) + np.conj(g_k) * a)
+    coupling_sq = sum(abs(g) ** 2 / w for w, g in spec.modes) if spec.counter_term else 0.0
+    h_sys = H_S + lam**2 * coupling_sq * (X @ X)
+    # Hermitian factors make the Kronecker sum exactly Hermitian
+    h = np.kron((h_sys + dag(h_sys)) / 2, np.eye(bath_dim))
+    h += np.kron(np.eye(d_s), H_B)
+    h += np.kron(lam * (X + dag(X)) / 2, B)
+    return GlobalModel(system_dim=d_s, bath_dims=(n_levels,) * len(spec.modes), H_tot=h,
+                       assembled_from=(H_S, X, float(lam), spec))
+
+
+def _boltzmann(w, beta):
+    """Gibbs weights e^(-beta E_i)/Z of the spectrum w."""
+    if beta <= 0 or not np.isfinite(beta):
+        raise ValueError("beta must be finite and positive")
+    p = np.exp(-beta * (w - w.min()))
+    return p / p.sum()
 
 
 def global_gibbs(model: GlobalModel, beta: float) -> np.ndarray:
     """Exact global Gibbs state e^(-beta H_tot)/Z via the cached spectrum."""
-    if beta <= 0 or not np.isfinite(beta):
-        raise ValueError("beta must be finite and positive")
     w, v = model.eig()
-    p = np.exp(-beta * (w - w.min()))
-    p /= p.sum()
-    return (v * p) @ dag(v)
+    return (v * _boltzmann(w, beta)) @ dag(v)
 
 
 def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
-    """Reduced MFG state: partial trace of the global Gibbs state."""
-    rho = partial_trace(global_gibbs(model, beta), model.space, keep=0)
+    """Reduced MFG state tr_B e^(-beta H_tot)/Z from the cached spectrum."""
+    w, v = model.eig()
+    v = v.reshape(model.system_dim, -1, len(w))  # (system, bath, eigenvector)
+    rho = np.einsum("aki,bki,i->ab", v, v.conj(), _boltzmann(w, beta), optimize=True)
     rho = (rho + dag(rho)) / 2
     return rho / np.trace(rho).real
 
@@ -168,7 +171,7 @@ def effective_dimension(rho_sb_0: np.ndarray, model: GlobalModel) -> float:
     if len(gaps) and gaps.min() < 1e-10 * max(1.0, np.abs(w).max()):
         warnings.warn("near-degenerate global spectrum: d_eff dephasing is "
                       "basis-sensitive", stacklevel=2)
-    populations = np.einsum("ki,kl,li->i", v.conj(), np.asarray(rho_sb_0), v).real
+    populations = np.einsum("ki,ki->i", v.conj(), np.asarray(rho_sb_0) @ v).real
     return float(1.0 / np.sum(populations**2))
 
 

@@ -210,7 +210,6 @@ def test_11_dynamics_hygiene():
         assert brme.min_eigenvalue[k] == pytest.approx(recomputed, abs=1e-14)
 
 
-@pytest.mark.slow
 def test_12_effective_dimension_anchors_and_trend():
     J = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
     n_max = 3

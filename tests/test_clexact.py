@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mfgkit import bath, clexact
 from mfgkit.opcore import dag
@@ -98,6 +99,43 @@ class TestCrossRoute:
         c0 = clexact.position_correlation(J, 2.0, 1.0, 0.0)
         c5 = clexact.position_correlation(J, 2.0, 1.0, 5.0)
         assert abs(c5) < c0
+
+    def test_oscillating_tail_matches_period_panels(self, monkeypatch):
+        # a plain quad of the tail [w_max, inf) at dt = 20 stops at its
+        # subdivision limit with the wrong sign (-3.4e-10 for +7.4e-11)
+        calls = []
+
+        def spy(f, a, b, **opts):
+            out = quad(f, a, b, **opts)
+            calls.append((f, a, b, opts, out[0]))
+            return out
+
+        monkeypatch.setattr(bath, "quad", spy)
+        dt = 20.0
+        J = bath.DrudeLorentz(gamma=0.5, omega_d=5.0)
+        clexact.position_correlation(J, 2.0, 1.0, dt)
+        own = [c for c in calls if "position_correlation" in c[0].__qualname__]
+        f, w_max, b, opts, tail = own[-1]  # the tail is the last quadrature
+        assert (b, opts.get("weight"), opts.get("wvar")) == (np.inf, "cos", dt)
+        # the envelope decays as w^-5: beyond 800 periods the rest is < 1e-13
+        edges = w_max + (2 * np.pi / dt) * np.arange(801)
+        panels = sum(quad(lambda w: np.cos(w * dt) * f(w), lo, hi,
+                          epsabs=1e-16, epsrel=1e-12)[0]
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+        assert tail == pytest.approx(panels, abs=1e-12)
+
+    @pytest.mark.parametrize("dt, stalled", [(0.0, "main"), (0.0, "tail"), (5.0, "tail")])
+    def test_unconverged_quadrature_raises(self, monkeypatch, dt, stalled):
+        def stall(f, a, b, **opts):
+            own = "position_correlation" in f.__qualname__
+            if own and (b == np.inf) == (stalled == "tail"):
+                return 1.0, 1.0  # error estimate far above any requested tolerance
+            return quad(f, a, b, **opts)
+
+        monkeypatch.setattr(bath, "quad", stall)
+        J = bath.DrudeLorentz(gamma=0.5, omega_d=5.0)
+        with pytest.raises(bath.BathIntegrationError):
+            clexact.position_correlation(J, 2.0, 1.0, dt)
 
 
 class TestGaussianState:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mfgkit import cli
+from mfgkit import bath, cli
 
 K_B = 1.380649e-23
 
@@ -42,6 +42,15 @@ class TestSchema:
         path = _write_scenario(tmp_path, cfg)
         assert cli.main(["run", "--scenario", path,
                          "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+
+    def test_tabulated_nan_row_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "j.csv"
+        table.write_text("0.5, 0.1\n1.0, nan\n2.0, 0.3\n4.0, 0.1\n8.0, 0.0\n")
+        cfg = dict(cli.PRESETS["spin_boson"])
+        cfg["bath"] = {"kind": "tabulated", "path": str(table), "beta": 1.0}
+        path = _write_scenario(tmp_path, cfg)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_SCHEMA
+        assert "schema:" in capsys.readouterr().out
 
     def test_named_and_literal_operators(self):
         assert np.array_equal(cli._as_matrix("sigma_x"),
@@ -106,6 +115,26 @@ class TestRun:
         assert header == ["generator", "reference", "trace_distance"]
         generators = {r.split(",")[0] for r in rows[1:]}
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
+
+
+class TestExitCodes:
+    def _run_with_task(self, tmp_path, monkeypatch, task):
+        monkeypatch.setitem(cli._TASKS, "oscillator", task)
+        return cli.run_scenario(dict(cli.PRESETS["oscillator_drude"]), tmp_path / "out")
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(sc, outdir):
+            raise TypeError("not a numerical failure")
+
+        with pytest.raises(TypeError):
+            self._run_with_task(tmp_path, monkeypatch, broken)
+
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def unconverged(sc, outdir):
+            raise bath.BathIntegrationError("did not converge")
+
+        assert self._run_with_task(tmp_path, monkeypatch, unconverged) == cli.EXIT_NUMERICAL
+        assert "error: numerical" in capsys.readouterr().err
 
 
 class TestSweep:

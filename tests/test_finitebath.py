@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mfgkit import bath, finitebath
-from mfgkit.opcore import gibbs, kron, partial_trace, trace_distance
+from mfgkit.opcore import TensorSpace, dag, gibbs, kron, partial_trace, trace_distance
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -19,6 +23,89 @@ def _spec(n_modes=3, n_max=3, omega_max=15.0, scheme=finitebath.LINEAR,
     modes = finitebath.discretize(DRUDE, n_modes, omega_max, scheme)
     return finitebath.FiniteBathSpec(modes=tuple(modes), fock_cutoff=n_max,
                                      counter_term=counter_term)
+
+
+def _embed_reference(H_S, X, lam, spec):
+    """H_tot with every local operator embedded in all 1+N tensor factors."""
+    d_s = H_S.shape[0]
+    n_levels = spec.fock_cutoff + 1
+    dims = (d_s,) + (n_levels,) * len(spec.modes)
+    eyes = [np.eye(d, dtype=complex) for d in dims]
+
+    def embed(op, slot):
+        factors = list(eyes)
+        factors[slot] = op
+        return kron(*factors)
+
+    a = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1).astype(complex)
+    h = embed(H_S, 0)
+    coupling_sq = 0.0
+    for k, (w_k, g_k) in enumerate(spec.modes, start=1):
+        h += w_k * embed(dag(a) @ a, k)
+        h += lam * embed(X, 0) @ embed(g_k * dag(a) + np.conj(g_k) * a, k)
+        coupling_sq += abs(g_k) ** 2 / w_k
+    if spec.counter_term:
+        h += lam**2 * coupling_sq * embed(X @ X, 0)
+    return (h + dag(h)) / 2
+
+
+def _random_model(seed, d_s, n_modes, n_max, counter_term):
+    rng = np.random.default_rng(seed)
+    modes = tuple((rng.uniform(0.2, 4.0), complex(*rng.normal(scale=0.5, size=2)))
+                  for _ in range(n_modes))
+    spec = finitebath.FiniteBathSpec(modes=modes, fock_cutoff=n_max,
+                                     counter_term=counter_term)
+    H_S = random_hermitian(rng, d_s)
+    X = random_hermitian(rng, d_s)
+    lam = rng.uniform(0.0, 1.0)
+    return rng, (H_S, X, lam, spec)
+
+
+MODELS = dict(
+    seed=st.integers(min_value=0, max_value=10**6),
+    d_s=st.sampled_from([2, 3]),
+    n_modes=st.integers(min_value=1, max_value=3),
+    n_max=st.integers(min_value=1, max_value=3),
+    counter_term=st.booleans(),
+)
+
+
+class TestSystemBathSplitEquivalence:
+    """The two-factor assembly and reduction against the per-slot paths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**MODELS)
+    def test_assemble_matches_per_slot_embedding(self, seed, d_s, n_modes, n_max,
+                                                 counter_term):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+        h = finitebath.assemble(*args).H_tot
+        ref = _embed_reference(*args)
+        assert np.abs(h - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(min_value=0.1, max_value=5.0), **MODELS)
+    def test_exact_mfg_matches_partial_trace_of_global_gibbs(
+            self, seed, d_s, n_modes, n_max, counter_term, beta):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+        model = finitebath.assemble(*args)
+        dim = model.H_tot.shape[0]
+        space = TensorSpace((d_s, dim // d_s))
+        ref = partial_trace(finitebath.global_gibbs(model, beta), space, keep=0)
+        assert trace_distance(finitebath.exact_mfg(model, beta), ref) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(**MODELS)
+    def test_effective_dimension_matches_three_operand_einsum(
+            self, seed, d_s, n_modes, n_max, counter_term):
+        rng, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+        model = finitebath.assemble(*args)
+        _, v = model.eig()
+        rho = random_density_matrix(rng, model.H_tot.shape[0])
+        ref = 1.0 / np.sum(np.einsum("ki,kl,li->i", v.conj(), rho, v).real ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d_eff = finitebath.effective_dimension(rho, model)
+        assert d_eff == pytest.approx(ref, rel=1e-10)
 
 
 class TestDiscretize:
@@ -80,9 +167,11 @@ class TestExactMfg:
         model = finitebath.assemble(H_SB, SZ, 0.4, _spec())
         tau_sb = finitebath.global_gibbs(model, 1.0)
         reduced_0 = finitebath.exact_mfg(model, 1.0)
+        dim = model.H_tot.shape[0]
+        space = TensorSpace((model.system_dim, dim // model.system_dim))
         for t in (0.7, 13.0):
             evolved = finitebath.exact_evolve(model, tau_sb, t)
-            reduced_t = partial_trace(evolved, model.space, keep=0)
+            reduced_t = partial_trace(evolved, space, keep=0)
             assert trace_distance(reduced_t, reduced_0) < 1e-10
 
     def test_log_partition_ratio_decouples_at_zero_coupling(self):
