@@ -401,12 +401,6 @@ def principal_value(h, a, scale):
 # ---------------------------------------------------------------------------
 
 
-def eval_J(J: SpectralDensity, omega):
-    if np.any(np.asarray(omega) < 0):
-        raise ValueError("spectral densities are defined for omega >= 0")
-    return J.j(omega)
-
-
 @functools.lru_cache(maxsize=4096)
 def d_beta(J: SpectralDensity, beta: float, omega_m: float) -> float:
     """The principal-value integral D_beta(omega_m).
@@ -520,14 +514,6 @@ def corr_fn(J: SpectralDensity, beta: float, t: float) -> complex:
     if t < 0:
         return np.conj(corr_fn(J, beta, -t))
     return corr_fn_complex_time(J, beta, float(t))
-
-
-def corr_fn_kms_shifted(J: SpectralDensity, beta: float, t: float) -> complex:
-    """G(-t - i beta): analytic continuation across the KMS strip.
-
-    The KMS condition asserts equality with corr_fn(J, beta, t).
-    """
-    return corr_fn_complex_time(J, beta, complex(-t, -beta))
 
 
 def _phase_integral(x, t):

@@ -17,7 +17,6 @@ import argparse
 import csv
 import hashlib
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from pathlib import Path
@@ -335,9 +334,7 @@ def _task_statics_all(sc: Scenario, outdir: Path):
     lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
     diag_rows.append(["validity_lambda_max", lam_max])
     if sc.lam <= 10 * lam_max:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            weak = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params)
+        weak = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params)
         states["mfg_weak"] = weak.state
         for k, v in weak.diagnostics.items():
             diag_rows.append([f"weak_{k}", v])
@@ -348,9 +345,7 @@ def _task_statics_all(sc: Scenario, outdir: Path):
         diag_rows.append(["ultrastrong_skipped", str(exc)])
     ht = _high_t_inputs(sc)
     if ht is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = mfstatics.mfg_high_t(sc.H_S, ht[0], ht[1], sc.beta)
+        res = mfstatics.mfg_high_t(sc.H_S, ht[0], ht[1], sc.beta)
         states["mfg_high_t"] = res.state
         diag_rows.append(["high_t_ell_beta", res.diagnostics["ell_beta"]])
 
@@ -414,9 +409,7 @@ def _task_dynamics(sc: Scenario, outdir: Path):
 def _task_steady_compare(sc: Scenario, outdir: Path):
     tau = gibbs(sc.H_S, sc.beta)
     references = {"gibbs": tau}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        references["mfg_weak"] = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params).state
+    references["mfg_weak"] = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params).state
     try:
         references["mfg_ultrastrong"] = mfstatics.mfg_ultrastrong(
             sc.H_S, sc.X, sc.beta).state
@@ -465,11 +458,8 @@ def _task_oracle(sc: Scenario, outdir: Path):
     for lam in lambdas:
         model = finitebath.assemble(sc.H_S, sc.X, lam, spec)
         exact = finitebath.exact_mfg(model, sc.beta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            weak = mfstatics.mfg_weak(
-                sc.H_S, sc.X,
-                bathmod.BathParams(J=J_disc, beta=sc.beta, lam=lam)).state
+        weak = mfstatics.mfg_weak(
+            sc.H_S, sc.X, bathmod.BathParams(J=J_disc, beta=sc.beta, lam=lam)).state
         rows.append([lam, trace_distance(exact, weak),
                      trace_distance(exact, gibbs(sc.H_S, sc.beta))])
     _write_csv(outdir / "oracle.csv", sc.cfg, sc.units,
@@ -501,22 +491,6 @@ _TASKS = {
     "oracle": _task_oracle,
     "oscillator": _task_oscillator,
 }
-
-
-def _apply_tol_overrides(overrides):
-    for item in overrides or []:
-        if "=" not in item:
-            raise SchemaError(f"--tol-override expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        targets = {
-            "deriv_agreement": (clexact, "DERIV_AGREEMENT_TOL"),
-            "root_residual": (clexact, "ROOT_RESIDUAL_TOL"),
-            "trace_drift": (megen, "TRACE_DRIFT_ABORT"),
-        }
-        if name not in targets:
-            raise SchemaError(f"unknown tolerance {name!r}")
-        mod, attr = targets[name]
-        setattr(mod, attr, float(value))
 
 
 def run_scenario(cfg: dict, outdir: Path) -> int:
@@ -584,8 +558,6 @@ def main(argv=None) -> int:
         p.add_argument("--scenario", required=True,
                        help="scenario YAML path or preset name")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol-override", action="append", default=[],
-                       help="name=value tolerance override")
         if verb == "sweep":
             p.add_argument("--param", required=True,
                            help="dotted config path, e.g. coupling.lambda")
@@ -596,7 +568,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_scenario(args.scenario)
-        _apply_tol_overrides(args.tol_override)
     except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

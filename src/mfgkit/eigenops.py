@@ -5,6 +5,11 @@ X = sum_m X_m with [H_S, X_m] = omega_m X_m, i.e. X_m raises the system
 energy by the Bohr frequency omega_m (omega_m > 0 for absorption).
 Near-degenerate Bohr frequencies are merged by single-linkage clustering
 so downstream code never divides by an accidental near-zero gap.
+
+The M modes are stored stacked: `frequencies` is an (M,) float array and
+`operators` an (M, d, d) complex array with operators[m] = X_m, so every
+consumer contracts over the mode index m. `modes` is a read-only view of
+the same data as (omega_m, X_m) pairs.
 """
 
 from dataclasses import dataclass
@@ -18,35 +23,15 @@ RECONSTRUCTION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BohrDecomposition:
-    """Modes (omega_m, X_m) sorted by omega_m ascending; omega = 0 appears once."""
+    """Modes sorted by omega_m ascending; omega = 0 appears once."""
 
-    modes: tuple[tuple[float, np.ndarray], ...]
+    frequencies: np.ndarray  # (M,) float
+    operators: np.ndarray    # (M, d, d) complex
     degeneracy_tol: float
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([w for w, _ in self.modes])
-
-    @property
-    def operators(self) -> list[np.ndarray]:
-        return [x for _, x in self.modes]
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(x for _, x in self.modes)
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of sorted scalars: split at gaps > tol."""
-    order = np.argsort(values)
-    groups, current = [], [order[0]]
-    for i in order[1:]:
-        if values[i] - values[current[-1]] > tol:
-            groups.append(np.array(current))
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(np.array(current))
-    return groups
+    def modes(self) -> tuple[tuple[float, np.ndarray], ...]:
+        return tuple(zip(self.frequencies, self.operators))
 
 
 def decompose(H_S: np.ndarray, X: np.ndarray,
@@ -71,30 +56,33 @@ def decompose(H_S: np.ndarray, X: np.ndarray,
     x_eig = dag(v) @ X @ v  # X in the H_S eigenbasis
 
     d = len(energies)
-    gaps = energies[:, None] - energies[None, :]  # gap[a, b] = E_a - E_b
-    flat = gaps.ravel()
-    modes = []
-    for group in _cluster(flat, degeneracy_tol):
-        block = np.zeros((d, d), dtype=complex)
-        for idx in group:
-            a, b = divmod(int(idx), d)
-            block[a, b] = x_eig[a, b]
-        if np.linalg.norm(block) == 0.0:
-            continue
-        omega = float(np.mean(flat[group]))
-        if abs(omega) < degeneracy_tol:
-            omega = 0.0
-        modes.append((omega, v @ block @ dag(v)))
-    modes.sort(key=lambda m: m[0])
-    dec = BohrDecomposition(modes=tuple(modes), degeneracy_tol=float(degeneracy_tol))
+    gaps = (energies[:, None] - energies[None, :]).ravel()  # gap[a d + b] = E_a - E_b
+    # single-linkage clusters of the sorted gaps: a new cluster starts at
+    # every step > tol, so labels ascend with frequency and the modes come
+    # out sorted
+    order = np.argsort(gaps)
+    steps = np.diff(gaps[order]) > degeneracy_tol
+    sorted_labels = np.concatenate(([0], np.cumsum(steps)))
+    blocks = np.zeros((sorted_labels[-1] + 1, d * d), dtype=complex)
+    blocks[sorted_labels, order] = x_eig.ravel()[order]
+    omega = np.bincount(sorted_labels, weights=gaps[order]) / np.bincount(sorted_labels)
+    omega[np.abs(omega) < degeneracy_tol] = 0.0
+    keep = np.any(blocks != 0, axis=1)
+    operators = v @ blocks[keep].reshape(-1, d, d) @ dag(v)
+    frequencies = omega[keep]
+    frequencies.flags.writeable = operators.flags.writeable = False
+    dec = BohrDecomposition(frequencies=frequencies, operators=operators,
+                            degeneracy_tol=float(degeneracy_tol))
 
-    defect = np.abs(dec.reconstruct() - X).max()
+    defect = np.abs(operators.sum(axis=0) - X).max()
     if defect > RECONSTRUCTION_TOL * max(np.abs(X).max(), 1.0):
         raise RuntimeError(f"eigenoperator reconstruction defect {defect:.3e}")
-    for omega, x_m in dec.modes:
-        res = np.linalg.norm(commutator(H_S, x_m) - omega * x_m)
-        if res > 10 * degeneracy_tol * max(norm, 1.0) * np.linalg.norm(x_m):
-            raise RuntimeError(
-                f"mode at omega={omega} violates the commutator relation ({res:.3e})"
-            )
+    residual = commutator(H_S, operators) - frequencies[:, None, None] * operators
+    res = np.linalg.norm(residual, axis=(1, 2))
+    bad = res > 10 * degeneracy_tol * max(norm, 1.0) * np.linalg.norm(operators, axis=(1, 2))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise RuntimeError(
+            f"mode at omega={frequencies[m]} violates the commutator relation ({res[m]:.3e})"
+        )
     return dec

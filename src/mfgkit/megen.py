@@ -96,8 +96,7 @@ def _redfield_generator(kind, H_S, X, bath: bathmod.BathParams, *,
     """
     H_S = require_hermitian(H_S)
     dec = decompose(H_S, X, degeneracy_tol)
-    d, lam, w = H_S.shape[0], bath.lam, dec.frequencies
-    X = np.array(dec.operators, dtype=complex).reshape(-1, d, d)
+    d, lam, w, X = H_S.shape[0], bath.lam, dec.frequencies, dec.operators
     g = np.array([bathmod.gamma_m(bath.J, bath.beta, w_m, time) for w_m in w],
                  dtype=complex)
     if real_only:

@@ -4,9 +4,21 @@ Implements the second-order weak-coupling correction, its validity bound,
 the ultrastrong (pointer-basis) limit, and the high-temperature resummation
 for projector-coupled multi-state systems, plus the mean-force Hamiltonian
 extraction H_MF = -(1/beta) log tau_MF.
+
+The weak-coupling state is tau + lambda^2 tau^(2) (Cresser & Anders,
+PRL 127, 250601 (2021)), written as contractions over the stacked Bohr
+modes (omega_m, X_m) of `eigenops.decompose`. With D_m = D_beta(omega_m),
+D'_m its omega-derivative and A = beta sum_m D_m X_m X_m^dag,
+
+    tau^(2) = tau (A - tr(tau A)) + sum_m D'_m (X_m^dag tau X_m - tau X_m X_m^dag)
+              + (P tau - Q) + (P tau - Q)^dag,
+    P = sum_mn c_mn X_n X_m^dag,   Q = sum_mn c_mn X_m^dag tau X_n,
+    c_mn = D_m/(omega_n - omega_m), zero inside a cluster (|omega_n - omega_m|
+           <= degeneracy_tol),
+
+and the validity bound is lambda_max = 1/sqrt(|tr(tau A)|).
 """
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,12 +29,9 @@ from . import bath as bathmod
 from .eigenops import BohrDecomposition, decompose
 from .opcore import dag, gibbs, require_hermitian
 
-log = logging.getLogger(__name__)
-
 WEAK = "weak"
 ULTRASTRONG = "ultrastrong"
 HIGH_T = "high_t"
-GIBBS = "gibbs"
 
 
 class ValidityError(ValueError):
@@ -64,28 +73,30 @@ def pointer_split(H_S: np.ndarray, X: np.ndarray) -> PointerSplit:
 
 def _weak_ingredients(H_S, X, bath: bathmod.BathParams,
                       degeneracy_tol: float | None = None):
+    """Bohr modes, tau, D_beta(omega_m) and A = beta sum_m D_m X_m X_m^dag."""
     dec = decompose(H_S, X, degeneracy_tol)
     tau = gibbs(H_S, bath.beta)
-    d_vals = [bathmod.d_beta(bath.J, bath.beta, w) for w in dec.frequencies]
-    return dec, tau, d_vals
+    d_vals = np.array([bathmod.d_beta(bath.J, bath.beta, w) for w in dec.frequencies])
+    x = dec.operators
+    a = bath.beta * np.einsum("m,mij,mkj->ik", d_vals, x, x.conj())
+    return dec, tau, d_vals, a
 
 
-def weak_validity_bound(H_S, X, bath: bathmod.BathParams,
-                        degeneracy_tol: float | None = None,
-                        _ingredients=None) -> float:
-    """lambda_max = 1/sqrt(|beta sum_m tr[tau X_m X_m^dag] D_beta(omega_m)|).
-
-    Returns +inf when the denominator vanishes (e.g. [H_S, X] = 0).
-    """
-    dec, tau, d_vals = _ingredients or _weak_ingredients(H_S, X, bath, degeneracy_tol)
-    total = sum(
-        np.trace(tau @ x_m @ dag(x_m)).real * d
-        for (_, x_m), d in zip(dec.modes, d_vals)
-    )
-    denom = abs(bath.beta * total)
+def _lambda_max(tau, a) -> float:
+    denom = abs(np.trace(tau @ a).real)
     if denom < 1e-300:
         return float(np.inf)
     return float(1.0 / np.sqrt(denom))
+
+
+def weak_validity_bound(H_S, X, bath: bathmod.BathParams,
+                        degeneracy_tol: float | None = None) -> float:
+    """lambda_max = 1/sqrt(|tr(tau A)|), A = beta sum_m D_beta(omega_m) X_m X_m^dag.
+
+    Returns +inf when the denominator vanishes (e.g. [H_S, X] = 0).
+    """
+    _, tau, _, a = _weak_ingredients(H_S, X, bath, degeneracy_tol)
+    return _lambda_max(tau, a)
 
 
 def mfg_weak(H_S, X, bath: bathmod.BathParams,
@@ -96,10 +107,9 @@ def mfg_weak(H_S, X, bath: bathmod.BathParams,
     Eigenvalues pushed slightly negative by the truncation are clamped and
     the state renormalized; the clamp magnitude lands in diagnostics.
     """
-    ingredients = _weak_ingredients(H_S, X, bath, degeneracy_tol)
-    dec, tau, d_vals = ingredients
+    dec, tau, d_vals, a = _weak_ingredients(H_S, X, bath, degeneracy_tol)
     lam = bath.lam
-    lam_max = weak_validity_bound(H_S, X, bath, _ingredients=ingredients)
+    lam_max = _lambda_max(tau, a)
     if lam > 10 * lam_max:
         raise ValidityError(
             f"lambda = {lam} exceeds the weak-coupling bound {lam_max:.4g} by more "
@@ -112,7 +122,7 @@ def mfg_weak(H_S, X, bath: bathmod.BathParams,
             stacklevel=2,
         )
 
-    correction = _tau2(dec, tau, d_vals, bath)
+    correction = _tau2(dec, tau, d_vals, a, bath)
     raw = (lambda m: (m + dag(m)) / 2)(tau + lam**2 * correction)
     w, v = np.linalg.eigh(raw)
     lo = float(w.min())
@@ -134,27 +144,21 @@ def mfg_weak(H_S, X, bath: bathmod.BathParams,
     )
 
 
-def _tau2(dec: BohrDecomposition, tau, d_vals, bath: bathmod.BathParams):
-    """The three sums of the second-order MFG correction (lambda excluded)."""
-    beta = bath.beta
-    out = np.zeros_like(tau)
-    d_dim = tau.shape[0]
-    eye = np.eye(d_dim)
-
-    for (w_m, x_m), d_m in zip(dec.modes, d_vals):
-        xx = x_m @ dag(x_m)
-        out += beta * d_m * (tau @ (xx - np.trace(tau @ xx).real * eye))
-        d_prime = bathmod.d_beta_deriv(bath.J, beta, w_m)
-        out += d_prime * (dag(x_m) @ tau @ x_m - tau @ x_m @ dag(x_m))
+def _tau2(dec: BohrDecomposition, tau, d_vals, a, bath: bathmod.BathParams):
+    """The second-order MFG correction (lambda excluded) as stack contractions."""
+    w, x = dec.frequencies, dec.operators
+    xd = x.conj().transpose(0, 2, 1)  # X_m^dag
+    d_prime = np.array([bathmod.d_beta_deriv(bath.J, bath.beta, w_m) for w_m in w])
+    out = tau @ (a - np.trace(tau @ a).real * np.eye(len(tau)))
+    out += np.einsum("m,mij->ij", d_prime, xd @ tau @ x - tau @ x @ xd)
 
     # m != n sum; merged (clustered) frequencies never reach the denominator
-    for (w_m, x_m), d_m in zip(dec.modes, d_vals):
-        for w_n, x_n in dec.modes:
-            if abs(w_n - w_m) <= dec.degeneracy_tol:
-                continue
-            term = x_n @ (dag(x_m) @ tau) - (dag(x_m) @ tau) @ x_n
-            out += (d_m / (w_n - w_m)) * (term + dag(term))
-    return out
+    gap = w[None, :] - w[:, None]  # gap[m, n] = omega_n - omega_m
+    c = np.divide(d_vals[:, None], gap, out=np.zeros_like(gap),
+                  where=np.abs(gap) > dec.degeneracy_tol)
+    y = np.einsum("mn,nij->mij", c, x)  # Y_m = sum_n c_mn X_n
+    pair = (y @ xd).sum(axis=0) @ tau - (xd @ tau @ y).sum(axis=0)  # P tau - Q
+    return out + pair + dag(pair)
 
 
 def mfg_ultrastrong(H_S, X, beta: float) -> MfgResult:

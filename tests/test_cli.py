@@ -1,8 +1,10 @@
+from copy import deepcopy
+
 import numpy as np
 import pytest
 import yaml
 
-from mfgkit import bath, cli
+from mfgkit import bath, cli, mfstatics
 
 K_B = 1.380649e-23
 
@@ -117,6 +119,17 @@ class TestRun:
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
 
 
+class TestWarnings:
+    def test_weak_validity_warning_reaches_caller(self, tmp_path):
+        # lambda between the validity bound and 10x it: mfg_weak warns, still runs
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        sc = cli.Scenario(cfg)
+        lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
+        cfg["coupling"]["lambda"] = 3.0 * lam_max
+        with pytest.warns(UserWarning, match="validity bound"):
+            assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
+
+
 class TestExitCodes:
     def _run_with_task(self, tmp_path, monkeypatch, task):
         monkeypatch.setitem(cli._TASKS, "oscillator", task)
@@ -160,20 +173,3 @@ class TestSweep:
                          "--param", "oscillator.beta", "--grid", ",",
                          "--out", str(tmp_path / "sw")])
         assert code == cli.EXIT_SCHEMA
-
-
-class TestTolOverride:
-    def test_unknown_name_rejected(self):
-        assert cli.main(["run", "--scenario", "oscillator_drude",
-                         "--out", "/tmp/unused",
-                         "--tol-override", "bogus=1"]) == cli.EXIT_SCHEMA
-
-    def test_known_name_applied(self, tmp_path, monkeypatch):
-        from mfgkit import clexact
-
-        monkeypatch.setattr(clexact, "DERIV_AGREEMENT_TOL", 1e-5)
-        out = tmp_path / "osc"
-        assert cli.main(["run", "--scenario", "oscillator_drude",
-                         "--out", str(out),
-                         "--tol-override", "deriv_agreement=1e-4"]) == cli.EXIT_OK
-        assert clexact.DERIV_AGREEMENT_TOL == 1e-4

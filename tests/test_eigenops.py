@@ -6,10 +6,44 @@ from hypothesis import strategies as st
 from mfgkit.eigenops import decompose
 from mfgkit.opcore import commutator, dag, matrix_exp
 
-from conftest import random_hermitian
+from conftest import hamiltonian_with_spectrum, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _decompose_reference(H_S, X, degeneracy_tol):
+    """Reference: the per-cluster, per-element loop the scatter replaced.
+
+    Returns the (omega_m, X_m) pairs sorted by omega_m.
+    """
+    energies, v = np.linalg.eigh(H_S)
+    x_eig = dag(v) @ X @ v
+    d = len(energies)
+    flat = (energies[:, None] - energies[None, :]).ravel()
+    order = np.argsort(flat)
+    groups, current = [], [order[0]]
+    for i in order[1:]:
+        if flat[i] - flat[current[-1]] > degeneracy_tol:
+            groups.append(np.array(current))
+            current = [i]
+        else:
+            current.append(i)
+    groups.append(np.array(current))
+    modes = []
+    for group in groups:
+        block = np.zeros((d, d), dtype=complex)
+        for idx in group:
+            a, b = divmod(int(idx), d)
+            block[a, b] = x_eig[a, b]
+        if np.linalg.norm(block) == 0.0:
+            continue
+        omega = float(np.mean(flat[group]))
+        if abs(omega) < degeneracy_tol:
+            omega = 0.0
+        modes.append((omega, v @ block @ dag(v)))
+    modes.sort(key=lambda m: m[0])
+    return modes
 
 
 class TestQubitExamples:
@@ -73,6 +107,35 @@ class TestRandomSystems:
     def test_frequencies_sorted_ascending(self, rng):
         dec = decompose(random_hermitian(rng, 5), random_hermitian(rng, 5))
         assert list(dec.frequencies) == sorted(dec.frequencies)
+
+
+class TestStackedFormat:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=8),
+        kind=st.sampled_from(["random", "degenerate", "ladder", "zero_coupling"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_scatter_matches_per_cluster_loop(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        h = hamiltonian_with_spectrum(kind, rng, dim)
+        x = (np.zeros((dim, dim), dtype=complex) if kind == "zero_coupling"
+             else random_hermitian(rng, dim))
+        dec = decompose(h, x)
+        ref = _decompose_reference(h, x, dec.degeneracy_tol)
+        assert dec.frequencies.shape == (len(ref),)
+        assert dec.operators.shape == (len(ref), dim, dim)
+        assert len(dec.modes) == len(ref)
+        for (w, x_m), (w_ref, x_ref) in zip(dec.modes, ref):
+            assert abs(w - w_ref) <= 1e-14
+            assert np.abs(x_m - x_ref).max() <= 1e-14
+
+    def test_modes_view_is_read_only(self, rng):
+        dec = decompose(random_hermitian(rng, 3), random_hermitian(rng, 3))
+        w, x_m = dec.modes[0]
+        assert np.shares_memory(x_m, dec.operators)
+        with pytest.raises(ValueError):
+            x_m[0, 0] = 1.0
 
 
 class TestDegeneracyClustering:

@@ -10,7 +10,7 @@ from mfgkit import bath, megen, mfstatics
 from mfgkit.eigenops import decompose
 from mfgkit.opcore import dag, gibbs, require_density_matrix, trace_distance
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import hamiltonian_with_spectrum, random_density_matrix, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,14 +56,6 @@ def _pairwise_reference(H_S, dec, gammas, lam, secular_cutoff=np.inf,
         h_perp[:] = 0.0
     h_eff = H_S + lam**2 * (h_par + h_perp)
     return -1j * (left(h_eff) - right(h_eff)) + lam**2 * diss
-
-
-def _spectrum(kind, rng, dim):
-    if kind == "degenerate":  # repeated levels: several pairs at omega = 0
-        return rng.choice([-1.0, 0.0, 0.7], size=dim)
-    if kind == "ladder":  # equally spaced: gaps merge into shared Bohr clusters
-        return 0.8 * np.arange(dim)
-    return rng.normal(size=dim)
 
 
 class TestVectorization:
@@ -173,10 +165,7 @@ class TestPairwiseEquivalence:
     )
     def test_every_variant_matches_pairwise_loop(self, dim, kind, seed):
         rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
-                            + 1j * rng.normal(size=(dim, dim)))
-        h = q @ np.diag(_spectrum(kind, rng, dim)) @ dag(q)
-        h = (h + dag(h)) / 2
+        h = hamiltonian_with_spectrum(kind, rng, dim)
         x = random_hermitian(rng, dim)
         bp = _bp(rng.uniform(0.05, 1.0))
         dec = decompose(h, x)

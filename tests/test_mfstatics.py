@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from mfgkit import bath, mfstatics
 from mfgkit.opcore import commutator, dag, gibbs, require_density_matrix, trace_distance
 
-from conftest import random_hermitian
+from conftest import hamiltonian_with_spectrum, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -17,6 +19,45 @@ H_SB = 0.5 * SZ + 0.25 * SX  # eps = 1, Delta = 0.5
 
 def _bp(lam, beta=1.0, J=DRUDE):
     return bath.BathParams(J=J, beta=beta, lam=lam)
+
+
+def _tau2_pairwise(dec, tau, d_vals, bath_params):
+    """Reference: the mode-by-mode and pair-by-pair loop the contraction replaced."""
+    beta = bath_params.beta
+    out = np.zeros_like(tau)
+    eye = np.eye(tau.shape[0])
+
+    for (w_m, x_m), d_m in zip(dec.modes, d_vals):
+        xx = x_m @ dag(x_m)
+        out += beta * d_m * (tau @ (xx - np.trace(tau @ xx).real * eye))
+        d_prime = bath.d_beta_deriv(bath_params.J, beta, w_m)
+        out += d_prime * (dag(x_m) @ tau @ x_m - tau @ x_m @ dag(x_m))
+
+    for (w_m, x_m), d_m in zip(dec.modes, d_vals):
+        for w_n, x_n in dec.modes:
+            if abs(w_n - w_m) <= dec.degeneracy_tol:
+                continue
+            term = x_n @ (dag(x_m) @ tau) - (dag(x_m) @ tau) @ x_n
+            out += (d_m / (w_n - w_m)) * (term + dag(term))
+    return out
+
+
+def _bound_pairwise(dec, tau, d_vals, beta):
+    """Reference: the mode-by-mode sum behind the validity bound."""
+    total = sum(np.trace(tau @ x_m @ dag(x_m)).real * d
+                for (_, x_m), d in zip(dec.modes, d_vals))
+    denom = abs(beta * total)
+    return np.inf if denom < 1e-300 else 1.0 / np.sqrt(denom)
+
+
+# smooth stand-ins for D_beta and its derivative; D > 0 keeps tr(tau A) away
+# from cancellation so the bound can be compared relatively
+def _fake_d(J, beta, w):
+    return 1.0 + 0.3 * np.tanh(w) + 0.1 * np.sin(2.0 * w)
+
+
+def _fake_d_prime(J, beta, w):
+    return 0.3 / np.cosh(w) ** 2 + 0.2 * np.cos(2.0 * w)
 
 
 class TestPointerSplit:
@@ -62,7 +103,7 @@ class TestWeakCoupling:
             h = random_hermitian(r, 3)
             x = random_hermitian(r, 3)
             ing = mfstatics._weak_ingredients(h, x, _bp(0.0))
-            tau2 = mfstatics._tau2(ing[0], ing[1], ing[2], _bp(0.0))
+            tau2 = mfstatics._tau2(*ing, _bp(0.0))
             assert abs(np.trace(tau2)) < 1e-12
             assert np.linalg.norm(tau2 - dag(tau2)) < 1e-12
 
@@ -83,6 +124,32 @@ class TestWeakCoupling:
             mfstatics.mfg_weak(H_SB, SZ, _bp(1.5 * lam_max))
         with pytest.raises(mfstatics.ValidityError):
             mfstatics.mfg_weak(H_SB, SZ, _bp(11.0 * lam_max))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=8),
+        kind=st.sampled_from(["random", "degenerate", "ladder", "zero_coupling"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_contraction_matches_pairwise_loop(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        h = hamiltonian_with_spectrum(kind, rng, dim)
+        x = (np.zeros((dim, dim), dtype=complex) if kind == "zero_coupling"
+             else random_hermitian(rng, dim))
+        bp = _bp(0.0, beta=rng.uniform(0.2, 5.0))
+        with mock.patch.object(bath, "d_beta", _fake_d), \
+                mock.patch.object(bath, "d_beta_deriv", _fake_d_prime):
+            ing = mfstatics._weak_ingredients(h, x, bp)
+            tau2 = mfstatics._tau2(*ing, bp)
+            ref = _tau2_pairwise(ing[0], ing[1], ing[2], bp)
+            bound = mfstatics.weak_validity_bound(h, x, bp)
+        assert np.abs(tau2 - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
+        ref_bound = _bound_pairwise(ing[0], ing[1], ing[2], bp.beta)
+        if kind == "zero_coupling":
+            assert len(ing[0].modes) == 0 and bound == ref_bound == np.inf
+            assert not tau2.any()
+        else:
+            assert bound == pytest.approx(ref_bound, rel=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
