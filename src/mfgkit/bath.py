@@ -26,8 +26,15 @@ subtracts h(a). Im Gamma(infinity) and D_beta are one integral:
 
     D_beta(omega) = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw.
 
-gamma_m and d_beta are memoized per process on their arguments (the
-spectral densities are frozen dataclasses).
+With the thermal spectrum S of _thermal_spectrum, D_beta(omega) =
+PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
+
+    D_beta'(omega) = int_0^inf [S(omega + x) + S(omega - x) - 2 S(omega)] / x^2 dx.
+
+For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
+
+gamma_m, d_beta and d_beta_deriv are memoized per process on their
+arguments (the spectral densities are frozen dataclasses).
 """
 
 import functools
@@ -223,15 +230,19 @@ class Tabulated(SpectralDensity):
         return out if out.ndim else float(out)
 
     def j_over_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
         w0 = self.omegas[0]
-        slope0 = self.values[0] / w0 if w0 > 0 else (
-            np.asarray(self.values)[1] / np.asarray(self.omegas)[1]
-        )
+        slope0 = float(self.values[0] / w0 if w0 > 0 else self.values[1] / self.omegas[1])
+        if np.ndim(omega) == 0:  # the quadratures' case: one spline call, no masks
+            w = float(omega)
+            if w < max(w0, 1e-12):
+                return slope0
+            if w > self.omegas[-1]:
+                return 0.0
+            return max(float(self._spline()(w)), 0.0) / w
+        omega = np.asarray(omega, dtype=float)
         tiny = omega < max(w0, 1e-12)
         safe = np.where(tiny, 1.0, omega)
-        out = np.where(tiny, slope0, self.j(safe) / safe)
-        return out if out.ndim else float(out)
+        return np.where(tiny, slope0, self.j(safe) / safe)
 
     def scale(self):
         w = np.asarray(self.omegas)
@@ -426,18 +437,32 @@ def d_beta(J: SpectralDensity, beta: float, omega_m: float) -> float:
     return principal_value(h, abs(omega_m), J.scale())
 
 
+@functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
-    """dD_beta/d omega_m by central differences with Richardson extrapolation."""
-    h = 1e-5 * max(1.0, abs(omega_m))
+    """dD_beta/d omega_m: the mode sum's derivative for a discrete bath, the
+    finite part of the module docstring for a continuous J. Its panels split
+    at x = |omega_m| (the kink of S at nu = 0) only for |omega_m| >= 1e-2
+    scale: a shorter first panel holds nothing but the cancelling
+    S(omega + x) + S(omega - x) - 2 S(omega), and QUADPACK does not converge
+    there. D_beta'(0) diverges for Ohmic-class J (OhmicExp, Tabulated), and
+    the quadrature raises BathIntegrationError."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if J.discrete:
+        w, g2 = J.arrays()
+        if np.any(np.abs(w - abs(omega_m)) < 1e-12):
+            raise BathIntegrationError("omega_m collides with a discrete bath mode")
+        c, gap = coth(beta * w / 2), w**2 - omega_m**2
+        return float(np.sum(g2 * (c * gap + 2 * omega_m * (omega_m * c + w)) / gap**2))
 
-    def central(step):
-        return (d_beta(J, beta, omega_m + step) - d_beta(J, beta, omega_m - step)) / (
-            2.0 * step
-        )
+    s0 = _thermal_spectrum(J, beta, omega_m)
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    def integrand(x):
+        return (_thermal_spectrum(J, beta, omega_m + x)
+                + _thermal_spectrum(J, beta, omega_m - x) - 2.0 * s0) / (x * x)
+
+    a, scale = abs(omega_m), J.scale()
+    return semi_infinite_quad(integrand, scale, points=(a,) if a >= 1e-2 * scale else ())
 
 
 def _bose_ratio(x):
@@ -464,13 +489,7 @@ def _osc_quad(envelope, t, scale, kind):
         if kind == "sin":
             return 0.0
         return semi_infinite_quad(envelope, scale)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(envelope, 0, np.inf, weight=kind, wvar=t,
-                      limit=400, epsabs=1e-11)
-    if not np.isfinite(val):
-        raise BathIntegrationError("oscillatory bath quadrature failed")
-    return val
+    return checked_quad(envelope, 0, np.inf, weight=kind, wvar=t, limit=400, epsabs=1e-11)
 
 
 def corr_fn_complex_time(J: SpectralDensity, beta: float, tc: complex) -> complex:

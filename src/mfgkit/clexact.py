@@ -5,6 +5,9 @@ the closed-form partition function (Drude-Lorentz bath), and the spectral
 correlation integral over the oscillator Green's function (any spectral
 density). Their agreement is the executable form of the model's
 cross-identity; the Gaussian MFG state is reconstructed from the moments.
+
+ln Z is a sum of ln Gamma over the roots mu_j of a cubic P, so its parameter
+derivatives are closed form: digamma values times mu_j' = -(d_x P)/P' (moments).
 """
 
 from dataclasses import dataclass, field
@@ -12,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import loggamma
+from scipy.special import digamma, loggamma
 
 from . import bath as bathmod
 from .opcore import dag, matrix_exp
 
 ROOT_RESIDUAL_TOL = 1e-10
-DERIV_AGREEMENT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,8 @@ class OscillatorMoments:
 def cubic_roots(p: CLParams) -> tuple[complex, complex, complex]:
     """Roots of mu^3 - w_D mu^2 + (w_0^2 + gamma w_D) mu - w_D w_0^2.
 
-    Companion-matrix method (np.roots); real root listed first.
+    Companion-matrix method (np.roots); real root listed first. Thermodynamic
+    stability requires every root in the right half plane (ValueError if not).
     """
     coeffs = [1.0, -p.omega_D, p.omega_0**2 + p.gamma * p.omega_D,
               -p.omega_D * p.omega_0**2]
@@ -69,6 +72,8 @@ def cubic_roots(p: CLParams) -> tuple[complex, complex, complex]:
         res = abs(np.polyval(coeffs, mu))
         if res > ROOT_RESIDUAL_TOL * scale:
             raise RuntimeError(f"cubic root residual {res:.3e} too large")
+    if any(mu.real <= 0 for mu in roots):
+        raise ValueError(f"unstable parameters: root with Re <= 0 in {roots}")
     # real-root-first; a real cubic has 3 real roots or 1 real + conjugate pair
     im_tol = 1e-9 * max(p.omega_D, p.omega_0)
     cleaned = [complex(mu.real, 0.0) if abs(mu.imag) < im_tol else complex(mu)
@@ -77,15 +82,12 @@ def cubic_roots(p: CLParams) -> tuple[complex, complex, complex]:
     return tuple(cleaned)
 
 
-def log_partition(p: CLParams, roots=None) -> float:
+def log_partition(p: CLParams) -> float:
     """ln Z = ln(beta w_0 / 4 pi^2) + sum_j ln Gamma(mu_j/nu) - ln Gamma(w_D/nu).
 
-    Conjugate root pairs make the sum real; thermodynamic stability requires
-    every root to sit in the right half plane.
+    Conjugate root pairs make the sum real.
     """
-    roots = cubic_roots(p) if roots is None else roots
-    if any(mu.real <= 0 for mu in roots):
-        raise ValueError(f"unstable parameters: root with Re <= 0 in {roots}")
+    roots = cubic_roots(p)
     val = np.log(p.beta * p.omega_0 / (4 * np.pi**2)) - loggamma(p.omega_D / p.nu)
     val += sum(loggamma(mu / p.nu) for mu in roots)
     if abs(val.imag) > 1e-10:
@@ -93,48 +95,22 @@ def log_partition(p: CLParams, roots=None) -> float:
     return float(val.real)
 
 
-def _richardson_derivative(f, x, h):
-    """Finite-difference derivative with one Richardson step and an h/2 check.
-
-    Central stencil when x - h stays in the (positive) domain, forward
-    otherwise; the step is never shrunk below what cancellation tolerates.
-    """
-    if x - h > 0:
-        def diff(step):
-            return (f(x + step) - f(x - step)) / (2 * step)
-
-        def richardson(step):
-            return (4 * diff(step / 2) - diff(step)) / 3
-    else:
-        def diff(step):
-            return (f(x + step) - f(x)) / step
-
-        def richardson(step):
-            return 2 * diff(step / 2) - diff(step)
-
-    rich1, rich2 = richardson(h), richardson(h / 2)
-    scale = max(abs(rich2), 1e-12)
-    if abs(rich1 - rich2) / scale > DERIV_AGREEMENT_TOL:
-        raise RuntimeError(
-            f"derivative did not converge: {rich1:.8g} vs {rich2:.8g}"
-        )
-    return rich2
-
-
 def moments(p: CLParams) -> OscillatorMoments:
-    """Unit-free moments from ln Z: xx = -(1/beta) d ln Z/d w_0, etc."""
+    """Unit-free moments xx = -(1/beta) d ln Z/d w_0 and pp (from d ln Z/d gamma):
 
-    def lnz_w0(w0):
-        return log_partition(CLParams(w0, p.gamma, p.omega_D, p.beta))
+        d ln Z/dx = sum_j psi(mu_j/nu) mu_j'/nu  (+ 1/w_0 for x = w_0),
+        mu_j' = -(d_x P)(mu_j)/P'(mu_j),  d_w0 P = 2 w_0 (mu - w_D),  d_gamma P = w_D mu.
 
-    def lnz_gamma(g):
-        return log_partition(CLParams(p.omega_0, g, p.omega_D, p.beta))
-
-    dw0 = _richardson_derivative(lnz_w0, p.omega_0, 1e-4 * p.omega_0)
-    # step set by the oscillator scale, not gamma: a tiny damping would
-    # otherwise shrink the stencil into round-off
-    h_gamma = 1e-4 * max(p.gamma, p.omega_0)
-    dgamma = _richardson_derivative(lnz_gamma, p.gamma, h_gamma)
+    P'(mu_j) is taken as prod_{k != j} (mu_j - mu_k), so each sum is a divided
+    difference over the computed roots: accurate next to critical damping,
+    where two roots nearly meet and np.roots loses half its digits.
+    """
+    mu = np.array(cubic_roots(p))
+    weight = digamma(mu / p.nu) / (p.nu * np.prod(mu[:, None] - mu + np.eye(3), axis=1))
+    dw0 = 1 / p.omega_0 - np.sum(weight * 2 * p.omega_0 * (mu - p.omega_D)).real
+    dgamma = -np.sum(weight * p.omega_D * mu).real
+    if not np.isfinite(dw0 + dgamma):
+        raise RuntimeError(f"ln Z derivative not finite at a repeated root: {tuple(mu)}")
     xx = -dw0 / p.beta
     pp = xx - (2 * p.gamma / (p.beta * p.omega_0)) * dgamma
     return OscillatorMoments(xx=float(xx), pp=float(pp))

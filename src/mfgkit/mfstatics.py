@@ -16,7 +16,9 @@ D'_m its omega-derivative and A = beta sum_m D_m X_m X_m^dag,
     c_mn = D_m/(omega_n - omega_m), zero inside a cluster (|omega_n - omega_m|
            <= degeneracy_tol),
 
-and the validity bound is lambda_max = 1/sqrt(|tr(tau A)|).
+and the validity bound is lambda_max = 1/sqrt(|tr(tau A)|). The omega = 0
+mode drops out of the D' sum (X_0 commutes with tau), so D'(0), which
+diverges for Ohmic-class J, is never asked for.
 """
 
 import warnings
@@ -148,9 +150,10 @@ def _tau2(dec: BohrDecomposition, tau, d_vals, a, bath: bathmod.BathParams):
     """The second-order MFG correction (lambda excluded) as stack contractions."""
     w, x = dec.frequencies, dec.operators
     xd = x.conj().transpose(0, 2, 1)  # X_m^dag
-    d_prime = np.array([bathmod.d_beta_deriv(bath.J, bath.beta, w_m) for w_m in w])
+    nz = w != 0.0  # the omega = 0 term vanishes identically
+    d_prime = np.array([bathmod.d_beta_deriv(bath.J, bath.beta, w_m) for w_m in w[nz]])
     out = tau @ (a - np.trace(tau @ a).real * np.eye(len(tau)))
-    out += np.einsum("m,mij->ij", d_prime, xd @ tau @ x - tau @ x @ xd)
+    out += np.einsum("m,mij->ij", d_prime, xd[nz] @ tau @ x[nz] - tau @ x[nz] @ xd[nz])
 
     # m != n sum; merged (clustered) frequencies never reach the denominator
     gap = w[None, :] - w[:, None]  # gap[m, n] = omega_n - omega_m

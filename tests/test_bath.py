@@ -13,6 +13,12 @@ from mfgkit import bath, clexact
 DRUDE = bath.DrudeLorentz(gamma=0.1, omega_d=5.0)
 OHMIC = bath.OhmicExp(gamma=0.2, omega_c=3.0)
 SUPER = bath.SuperOhmicCubic(gamma=0.7, omega_c=2.0)
+DISCRETE = bath.DiscreteModes(modes=((4.5, 0.1), (7.0, 0.05), (10.0, 0.03)))
+DRUDE_REF = bath.DrudeLorentz(gamma=0.1, omega_d=5.0)
+SUPER_REF = bath.SuperOhmicCubic(gamma=0.2, omega_c=3.0)
+_TAB_GRID = np.linspace(0.0, 60.0, 200)
+TAB_OHMIC = bath.Tabulated(omegas=tuple(_TAB_GRID),
+                           values=tuple(0.1 * _TAB_GRID * np.exp(-_TAB_GRID / 4)))
 
 
 def _corr_fn_kms_shifted(J, beta, t):
@@ -104,6 +110,23 @@ class TestSpectralDensities:
         # the spline is not part of the value: equal grids are equal keys
         twin = bath.Tabulated(omegas=grid, values=tab.values)
         assert twin == tab and hash(twin) == hash(tab)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w0=st.sampled_from([0.0, 0.05, 0.7]),
+        n=st.integers(min_value=4, max_value=60),
+        frac=st.floats(min_value=-0.2, max_value=1.2),
+        on_grid=st.booleans(),
+    )
+    def test_tabulated_scalar_path_matches_array_path(self, w0, n, frac, on_grid):
+        grid = np.linspace(w0, 40.0, n)
+        tab = bath.Tabulated(omegas=tuple(grid), values=tuple(0.1 * grid * np.exp(-grid / 4)))
+        idx = int(abs(frac) * (n - 1)) % n
+        w = float(grid[idx]) if on_grid else frac * 40.0
+        scalar = tab.j_over_omega(w)
+        assert type(scalar) is float
+        assert scalar == tab.j_over_omega(np.array([w]))[0]
+        assert tab.j_over_omega(np.float64(w)) == scalar
 
     def test_tabulated_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -225,6 +248,14 @@ class TestCorrelationFunction:
             lhs = bath.corr_fn(OHMIC, 1.5, t)
             rhs = _corr_fn_kms_shifted(OHMIC, 1.5, t)
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+    def test_oscillatory_error_estimate_is_checked(self, monkeypatch):
+        def inflated(f, a, b, **opts):
+            return quad(f, a, b, **opts)[0], 1.0
+
+        monkeypatch.setattr(bath, "quad", inflated)
+        with pytest.raises(bath.BathIntegrationError, match="did not converge"):
+            bath.corr_fn(OHMIC, 1.5, 0.4)
 
     def test_discrete_modes_exact_sum(self):
         J = bath.DiscreteModes(modes=((1.0, 0.3), (2.5, 0.1)))
@@ -383,6 +414,49 @@ class TestDBeta:
         assert bath.d_beta_deriv(DRUDE, 1.0, 1.25) == pytest.approx(
             secant, rel=1e-4
         )
+
+    # reference: an 8th-order difference of a tight (epsrel 1e-14) quadrature
+    # of the Hilbert form of D_beta; the Richardson difference the finite
+    # part replaced was off by 1.3e-6 and 4.2e-8 on the tabulated cases
+    @pytest.mark.parametrize("J, beta, w, expected, rel", [
+        (DRUDE_REF, 1.0, 0.7, -1.5789165950e-02, 1e-10),
+        (DRUDE_REF, 1.0, 2.0, -6.6072704522e-02, 1e-10),
+        (DRUDE_REF, 1.0, -2.3, 5.1955580251e-02, 1e-10),
+        (SUPER_REF, 1.0, 0.7, 5.0354775325e-02, 1e-10),
+        (TAB_OHMIC, 0.1, 2.0, -2.3589067336e-01, 2e-8),
+        (TAB_OHMIC, 1.0, 0.7, -7.7540472874e-02, 2e-8),
+    ])
+    def test_derivative_frozen_tight_reference(self, J, beta, w, expected, rel):
+        assert bath.d_beta_deriv(J, beta, w) == pytest.approx(expected, rel=rel)
+
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER, DISCRETE],
+                             ids=["drude", "ohmic", "super", "discrete"])
+    @pytest.mark.parametrize("w1, w2", [(0.4, 1.2), (2.5, 3.8), (-2.0, -0.8)])
+    def test_derivative_integrates_to_d_beta(self, J, w1, w2):
+        # no difference quotient: 12-point Gauss-Legendre of D' over an
+        # interval away from omega = 0 (and the discrete modes) against D
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        half, mid = (w2 - w1) / 2, (w2 + w1) / 2
+        integral = half * sum(wt * bath.d_beta_deriv(J, 1.0, mid + half * x)
+                              for x, wt in zip(nodes, weights))
+        change = bath.d_beta(J, 1.0, w2) - bath.d_beta(J, 1.0, w1)
+        assert abs(integral - change) <= 1e-9 * max(1.0, abs(change))
+
+    def test_derivative_at_zero_frequency(self):
+        # J/w smooth in w^2: S is smooth through nu = 0 and D'(0) is finite
+        assert np.isfinite(bath.d_beta_deriv(DRUDE, 1.0, 0.0))
+        assert np.isfinite(bath.d_beta_deriv(SUPER, 1.0, 0.0))
+        # Ohmic-class J: the kink of S at nu = 0 makes D' ~ log|omega|, so
+        # the finite-part quadrature raises instead of returning a number
+        for J in (bath.OhmicExp(0.1, 4.0), TAB_OHMIC):
+            with pytest.raises(bath.BathIntegrationError):
+                bath.d_beta_deriv(J, 1.0, 0.0)
+            d = [bath.d_beta_deriv(J, 1.0, w) for w in (1e-1, 1e-2, 1e-3)]
+            assert d[0] > d[1] > d[2]  # the log|omega| growth, here downwards
+
+    def test_discrete_derivative_keeps_collision_check(self):
+        with pytest.raises(bath.BathIntegrationError, match="collides"):
+            bath.d_beta_deriv(DISCRETE, 1.0, -4.5)
 
 
 class TestPolaronKappa:

@@ -1,11 +1,56 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mfgkit import bath, clexact
 from mfgkit.opcore import dag
 
 P_REF = dict(omega_0=1.0, gamma=0.5, omega_D=5.0, beta=2.0)
+DERIV_AGREEMENT_TOL = 1e-5
+
+
+def _richardson_derivative(f, x, h):
+    """Reference: the finite-difference derivative moments() used before the
+    digamma closed form (one Richardson step, checked against step h/2)."""
+    if x - h > 0:
+        def diff(step):
+            return (f(x + step) - f(x - step)) / (2 * step)
+
+        def richardson(step):
+            return (4 * diff(step / 2) - diff(step)) / 3
+    else:
+        def diff(step):
+            return (f(x + step) - f(x)) / step
+
+        def richardson(step):
+            return 2 * diff(step / 2) - diff(step)
+
+    rich1, rich2 = richardson(h), richardson(h / 2)
+    scale = max(abs(rich2), 1e-12)
+    if abs(rich1 - rich2) / scale > DERIV_AGREEMENT_TOL:
+        raise RuntimeError(f"derivative did not converge: {rich1:.8g} vs {rich2:.8g}")
+    return rich2
+
+
+def _reference_moments(p):
+    """(xx, pp) from Richardson differences of log_partition."""
+    dw0 = _richardson_derivative(
+        lambda w0: clexact.log_partition(clexact.CLParams(w0, p.gamma, p.omega_D, p.beta)),
+        p.omega_0, 1e-4 * p.omega_0)
+    dgamma = _richardson_derivative(
+        lambda g: clexact.log_partition(clexact.CLParams(p.omega_0, g, p.omega_D, p.beta)),
+        p.gamma, 1e-4 * max(p.gamma, p.omega_0))
+    xx = -dw0 / p.beta
+    return xx, xx - (2 * p.gamma / (p.beta * p.omega_0)) * dgamma
+
+
+def _discriminant(gamma, omega_0, omega_D):
+    """Discriminant of the cubic; it changes sign where two roots meet."""
+    b, c, d = -omega_D, omega_0**2 + gamma * omega_D, -omega_D * omega_0**2
+    return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
 
 
 class TestCubicRoots:
@@ -74,6 +119,27 @@ class TestMoments:
     def test_coupling_squeezes_position_below_momentum(self):
         m = clexact.moments(clexact.CLParams(**P_REF))
         assert m.xx < m.pp
+
+    @pytest.mark.parametrize("omega_0, gamma, omega_D, beta", list(itertools.product(
+        (0.3, 1.0, 3.0), (0.01, 0.2, 2.0), (1.0, 5.0, 20.0), (0.2, 2.0, 20.0))))
+    def test_closed_form_matches_difference_of_log_partition(self, omega_0, gamma,
+                                                             omega_D, beta):
+        p = clexact.CLParams(omega_0, gamma, omega_D, beta)
+        m = clexact.moments(p)
+        xx, pp = _reference_moments(p)
+        assert m.xx == pytest.approx(xx, rel=1e-8)
+        assert m.pp == pytest.approx(pp, rel=1e-8)
+
+    @pytest.mark.parametrize("offset", [1e-6, -1e-8, 1e-10, -1e-12])
+    def test_accurate_next_to_critical_damping(self, offset):
+        # two real roots 2e-8 apart at the critical damping of (w_0, w_D) =
+        # (1, 20); P' evaluated as a polynomial there is off by up to 4e-6
+        gamma_c = brentq(_discriminant, 1.5, 2.5, args=(1.0, 20.0), xtol=1e-15)
+        p = clexact.CLParams(1.0, gamma_c * (1 + offset), 20.0, 2.0)
+        m = clexact.moments(p)
+        xx, pp = _reference_moments(p)
+        assert m.xx == pytest.approx(xx, rel=1e-8)
+        assert m.pp == pytest.approx(pp, rel=1e-8)
 
     def test_heisenberg_guard(self):
         with pytest.raises(ValueError):

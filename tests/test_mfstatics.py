@@ -97,6 +97,19 @@ class TestWeakCoupling:
         assert res.diagnostics["validity_lambda_max"] == np.inf
         assert np.allclose(res.state, gibbs(0.7 * SZ, 1.0), atol=1e-12)
 
+    def test_ohmic_class_bath_with_zero_mode(self):
+        # sigma_z coupling has an omega = 0 mode, where D' diverges for an
+        # Ohmic-class J; its tau^(2) term vanishes and is never evaluated
+        ohmic = bath.OhmicExp(gamma=0.1, omega_c=4.0)
+        grid = np.linspace(0.0, 60.0, 400)
+        tab = bath.Tabulated(omegas=tuple(grid), values=tuple(ohmic.j(grid)))
+        assert 0.0 in mfstatics.decompose(H_SB, SZ).frequencies
+        states = [mfstatics.mfg_weak(H_SB, SZ, _bp(0.1, J=J)).state for J in (ohmic, tab)]
+        for state in states:
+            require_density_matrix(state)
+            assert trace_distance(state, gibbs(H_SB, 1.0)) > 1e-4
+        assert trace_distance(*states) < 1e-6
+
     def test_correction_is_traceless_and_hermitian(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
