@@ -16,9 +16,8 @@ D'_m its omega-derivative and A = beta sum_m D_m X_m X_m^dag,
     c_mn = D_m/(omega_n - omega_m), zero inside a cluster (|omega_n - omega_m|
            <= degeneracy_tol),
 
-and the validity bound is lambda_max = 1/sqrt(|tr(tau A)|). The omega = 0
-mode drops out of the D' sum (X_0 commutes with tau), so D'(0), which
-diverges for Ohmic-class J, is never asked for.
+and the validity bound is lambda_max = 1/sqrt(|tr(tau A)|). The D' sum skips
+omega = 0 (X_0 commutes with tau), where D' diverges for Ohmic-class J.
 """
 
 import warnings

@@ -85,6 +85,16 @@ def _ref_gamma_asymptotic(J, beta, omega_m):
     return complex(re, im)
 
 
+def _tabulated_j_over_omega_array(tab, omega):
+    """Reference: the masked array form Tabulated.j_over_omega had before its
+    scalar body, J from tab.j and the first grid slope below the grid."""
+    w0 = tab.omegas[0]
+    slope0 = tab.values[0] / w0 if w0 > 0 else tab.values[1] / tab.omegas[1]
+    tiny = omega < max(w0, 1e-12)
+    safe = np.where(tiny, 1.0, omega)
+    return np.where(tiny, slope0, tab.j(safe) / safe)
+
+
 class TestSpectralDensities:
     def test_drude_peak_and_exponent(self):
         # J(omega_D) = gamma omega_D / pi at the Drude peak frequency
@@ -118,14 +128,14 @@ class TestSpectralDensities:
         frac=st.floats(min_value=-0.2, max_value=1.2),
         on_grid=st.booleans(),
     )
-    def test_tabulated_scalar_path_matches_array_path(self, w0, n, frac, on_grid):
+    def test_tabulated_j_over_omega_matches_masked_array_form(self, w0, n, frac, on_grid):
         grid = np.linspace(w0, 40.0, n)
         tab = bath.Tabulated(omegas=tuple(grid), values=tuple(0.1 * grid * np.exp(-grid / 4)))
         idx = int(abs(frac) * (n - 1)) % n
         w = float(grid[idx]) if on_grid else frac * 40.0
         scalar = tab.j_over_omega(w)
         assert type(scalar) is float
-        assert scalar == tab.j_over_omega(np.array([w]))[0]
+        assert scalar == _tabulated_j_over_omega_array(tab, np.array([w]))[0]
         assert tab.j_over_omega(np.float64(w)) == scalar
 
     def test_tabulated_rejects_bad_grids(self):
@@ -453,6 +463,18 @@ class TestDBeta:
                 bath.d_beta_deriv(J, 1.0, 0.0)
             d = [bath.d_beta_deriv(J, 1.0, w) for w in (1e-1, 1e-2, 1e-3)]
             assert d[0] > d[1] > d[2]  # the log|omega| growth, here downwards
+
+    def test_derivative_resolution_floor_for_ohmic_class(self):
+        # the finite part must resolve the kink of S at x = |omega|, where
+        # S(omega + x) + S(omega - x) - 2 S(omega) cancels to its rounding
+        # error; down to 1e-6 it follows D' = c log|omega| + d, and below
+        # the quadrature raises instead of returning a number
+        ohmic = bath.OhmicExp(0.1, 4.0)
+        d4, d5, d6 = (bath.d_beta_deriv(ohmic, 1.0, w) for w in (1e-4, 1e-5, 1e-6))
+        assert d6 - d5 == pytest.approx(d5 - d4, rel=1e-3)
+        for J, w in ((ohmic, 1e-7), (ohmic, 1e-9), (TAB_OHMIC, 1e-7)):
+            with pytest.raises(bath.BathIntegrationError):
+                bath.d_beta_deriv(J, 1.0, w)
 
     def test_discrete_derivative_keeps_collision_check(self):
         with pytest.raises(bath.BathIntegrationError, match="collides"):

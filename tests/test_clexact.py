@@ -130,12 +130,26 @@ class TestMoments:
         assert m.xx == pytest.approx(xx, rel=1e-8)
         assert m.pp == pytest.approx(pp, rel=1e-8)
 
-    @pytest.mark.parametrize("offset", [1e-6, -1e-8, 1e-10, -1e-12])
-    def test_accurate_next_to_critical_damping(self, offset):
-        # two real roots 2e-8 apart at the critical damping of (w_0, w_D) =
-        # (1, 20); P' evaluated as a polynomial there is off by up to 4e-6
-        gamma_c = brentq(_discriminant, 1.5, 2.5, args=(1.0, 20.0), xtol=1e-15)
+    @pytest.mark.parametrize("bracket", [(1.5, 2.5), (4.5, 5.5)])
+    @pytest.mark.parametrize("offset", [0.0, 1e-15, -1e-15, -1e-14, 1e-12, -1e-12,
+                                        1e-10, -1e-8, 1e-6])
+    def test_accurate_next_to_critical_damping(self, bracket, offset):
+        # (w_0, w_D) = (1, 20) damps critically at two gammas; there two roots
+        # meet, np.roots splits them by ~1e-8 (a real or a conjugate pair) and
+        # a plain sum over the roots with P' as a product loses up to 2.5e-8
+        gamma_c = brentq(_discriminant, *bracket, args=(1.0, 20.0), xtol=1e-15)
         p = clexact.CLParams(1.0, gamma_c * (1 + offset), 20.0, 2.0)
+        m = clexact.moments(p)
+        xx, pp = _reference_moments(p)
+        assert m.xx == pytest.approx(xx, rel=1e-9)
+        assert m.pp == pytest.approx(pp, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.2, 2.0, 20.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-9, 1e-6])
+    def test_accurate_next_to_the_triple_root(self, beta, offset):
+        # all three roots meet at w_D = 3 sqrt(3) w_0, gamma = 8 w_0 / (3 sqrt(3)),
+        # where np.roots spreads them by ~1e-5 and differences lose 1e-4
+        p = clexact.CLParams(1.0, 8 / (3 * np.sqrt(3)) * (1 + offset), 3 * np.sqrt(3), beta)
         m = clexact.moments(p)
         xx, pp = _reference_moments(p)
         assert m.xx == pytest.approx(xx, rel=1e-8)
