@@ -230,10 +230,11 @@ class Tabulated(SpectralDensity):
         return out if out.ndim else float(out)
 
     def j_over_omega(self, omega):
-        """Scalar omega only: the grid's first slope below it, 0 above, else one spline call."""
+        """Scalar omega only: the grid's first slope below it (the spline's
+        slope at 0 on a grid starting at 0), 0 above, else one spline call."""
         w, w0 = float(omega), self.omegas[0]
         if w < max(w0, 1e-12):
-            return float(self.values[0] / w0 if w0 > 0 else self.values[1] / self.omegas[1])
+            return float(self.values[0] / w0 if w0 > 0 else max(self._cubic(0.0, 1), 0.0))
         if w > self.omegas[-1]:
             return 0.0
         return max(float(self._spline()(w)), 0.0) / w

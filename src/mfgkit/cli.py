@@ -331,10 +331,11 @@ def _task_statics_all(sc: Scenario, outdir: Path):
     states = {"gibbs": tau}
     diag_rows = []
 
-    lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
-    diag_rows.append(["validity_lambda_max", lam_max])
-    if sc.lam <= 10 * lam_max:
+    try:
         weak = mfstatics.mfg_weak(sc.H_S, sc.X, sc.bath_params)
+    except mfstatics.ValidityError as exc:
+        diag_rows.append(["weak_skipped", str(exc)])
+    else:
         states["mfg_weak"] = weak.state
         for k, v in weak.diagnostics.items():
             diag_rows.append([f"weak_{k}", v])

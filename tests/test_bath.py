@@ -87,9 +87,10 @@ def _ref_gamma_asymptotic(J, beta, omega_m):
 
 def _tabulated_j_over_omega_array(tab, omega):
     """Reference: the masked array form Tabulated.j_over_omega had before its
-    scalar body, J from tab.j and the first grid slope below the grid."""
+    scalar body, J from tab.j and the first grid slope below the grid (the
+    spline's slope at 0 on a grid starting at 0)."""
     w0 = tab.omegas[0]
-    slope0 = tab.values[0] / w0 if w0 > 0 else tab.values[1] / tab.omegas[1]
+    slope0 = tab.values[0] / w0 if w0 > 0 else max(tab._spline()(0.0, 1), 0.0)
     tiny = omega < max(w0, 1e-12)
     safe = np.where(tiny, 1.0, omega)
     return np.where(tiny, slope0, tab.j(safe) / safe)
@@ -137,6 +138,16 @@ class TestSpectralDensities:
         assert type(scalar) is float
         assert scalar == _tabulated_j_over_omega_array(tab, np.array([w]))[0]
         assert tab.j_over_omega(np.float64(w)) == scalar
+
+    def test_tabulated_j_over_omega_continuous_at_zero(self):
+        # on a grid starting at 0, J/w(0) is the spline's slope, the limit
+        # of spline(w)/w, not the first cell's secant
+        assert TAB_OHMIC.j_over_omega(0.0) == pytest.approx(
+            TAB_OHMIC.j_over_omega(1e-12), abs=1e-9)
+        # dephasing rate Re Gamma(inf) at omega = 0 is pi J/w(0)/beta = pi gamma/beta
+        for beta in (0.5, 1.0, 2.0):
+            rate = bath.gamma_m(TAB_OHMIC, beta, 0.0, bath.ASYMPTOTIC).real
+            assert rate == pytest.approx(np.pi * 0.1 / beta, rel=1e-3)
 
     def test_tabulated_rejects_bad_grids(self):
         with pytest.raises(ValueError):

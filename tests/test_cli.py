@@ -5,8 +5,15 @@ import pytest
 import yaml
 
 from mfgkit import bath, cli, mfstatics
+from mfgkit.opcore import gibbs
 
 K_B = 1.380649e-23
+
+
+def _read_rows(path):
+    """Data rows of an artifact CSV, split on commas."""
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
 
 
 def _write_scenario(tmp_path, cfg, name="scenario.yaml"):
@@ -117,6 +124,60 @@ class TestRun:
         assert header == ["generator", "reference", "trace_distance"]
         generators = {r.split(",")[0] for r in rows[1:]}
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
+
+
+    def test_statics_all_computes_weak_state_once(self, tmp_path, monkeypatch):
+        calls = []
+        decompose = mfstatics.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(mfstatics, "decompose", counting)
+        out = tmp_path / "st"
+        assert cli.run_scenario(deepcopy(cli.PRESETS["fig1_strong"]), out) == cli.EXIT_OK
+        assert len(calls) == 1
+        diag = dict(_read_rows(out / "diagnostics.csv"))
+        assert "validity_lambda_max" not in diag
+        lam_max = diag["weak_validity_lambda_max"]
+        assert list(diag.values()).count(lam_max) == 1
+
+    def test_statics_all_far_above_validity_bound_skips_weak(self, tmp_path):
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["task"] = "statics_all"
+        sc = cli.Scenario(cfg)
+        lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
+        cfg["coupling"]["lambda"] = 20.0 * lam_max
+        out = tmp_path / "st"
+        with pytest.warns(UserWarning, match="high-temperature"):
+            assert cli.run_scenario(cfg, out) == cli.EXIT_OK
+        diag = dict(_read_rows(out / "diagnostics.csv"))
+        assert "exceeds the weak-coupling bound" in diag["weak_skipped"]
+        assert not any(q.startswith("weak_validity") for q in diag)
+        assert "mfg_weak" not in {r[0] for r in _read_rows(out / "states.csv")}
+
+    def test_dynamics_four_level_relaxes_to_gibbs(self, tmp_path):
+        h = np.diag([0.0, 0.7, 1.5, 2.6]) + 0.2 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        x = np.array([[0.0, 1.0, 0.3, 0.2], [1.0, 0.5, 1.0, 0.4],
+                      [0.3, 1.0, -0.5, 1.0], [0.2, 0.4, 1.0, 0.0]])
+        cfg = {
+            "name": "four_level", "units": "natural", "task": "dynamics",
+            "system": {"matrix": h.tolist()},
+            "coupling": {"x": x.tolist(), "lambda": 0.3},
+            "bath": {"kind": "drude_lorentz", "gamma": 0.1, "omega_d": 5.0,
+                     "beta": 1.0},
+            "dynamics": {"points": 60},
+        }
+        out = tmp_path / "dyn"
+        assert cli.run_scenario(cfg, out) == cli.EXIT_OK
+        rows = _read_rows(out / "trajectory.csv")
+        assert {r[0] for r in rows} == {"davies", "brme"}
+        final = float([r for r in rows if r[0] == "davies"][-1][2])
+        top = np.linalg.eigh(h)[1][:, -1]
+        gibbs_pop = float((top.conj() @ gibbs(h.astype(complex), 1.0) @ top).real)
+        assert abs(final - gibbs_pop) < 1e-6
+        assert max(float(r[4]) for r in rows) < 1e-12
 
 
 class TestWarnings:

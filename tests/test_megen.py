@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from mfgkit import bath, megen, mfstatics
 from mfgkit.eigenops import decompose
@@ -56,6 +57,70 @@ def _pairwise_reference(H_S, dec, gammas, lam, secular_cutoff=np.inf,
         h_perp[:] = 0.0
     h_eff = H_S + lam**2 * (h_par + h_perp)
     return -1j * (left(h_eff) - right(h_eff)) + lam**2 * diss
+
+
+def _pauli_loop_reference(split, rate_model):
+    """The double loops pauli_ultrastrong had before its array build, kept as its oracle."""
+    eps = np.diag(split.H_eps).real
+    d = len(eps)
+    k = np.zeros((d, d))
+    for m in range(d):
+        for n in range(d):
+            if m != n:
+                k[m, n] = abs(split.H_J[m, n]) ** 2 * float(rate_model(eps[n] - eps[m]))
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    pop_rates = k.sum(axis=0)
+
+    def idx(i, j):
+        return i + d * j
+
+    for m in range(d):
+        for n in range(d):
+            if m != n:
+                mat[idx(m, m), idx(n, n)] += k[m, n]
+                mat[idx(n, n), idx(n, n)] -= k[m, n]
+    deco = max(pop_rates.max(), np.abs(k).max(), 1e-12)
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                mat[idx(i, j), idx(i, j)] = -(deco + 0.5 * (pop_rates[i] + pop_rates[j]))
+    return mat
+
+
+def _admissible_rate_models(beta):
+    """Three KMS-symmetric rate profiles f(-E) = e^(-beta E) f(E)."""
+    return [
+        megen.default_rate_model(beta),
+        megen.default_rate_model(beta, nu0=3.7),
+        lambda E: np.exp(beta * np.asarray(E, dtype=float) / 2),
+    ]
+
+
+def _rk45_reference(L, rho0, t_grid):
+    """The adaptive RK 5(4) integration evolve replaced, at tight tolerances."""
+    sol = solve_ivp(lambda t, y: L.matrix @ y, (t_grid[0], t_grid[-1]),
+                    megen.vec(rho0), t_eval=t_grid, method="RK45",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return [megen.unvec(col) for col in sol.y.T]
+
+
+def _random_generator(kind, rng, dim):
+    h = random_hermitian(rng, dim)
+    x = random_hermitian(rng, dim)
+    bp = _bp(rng.uniform(0.05, 0.5), beta=rng.uniform(0.3, 3.0))
+    if kind == "pauli":
+        return megen.pauli_ultrastrong(mfstatics.pointer_split(h, x), bp)
+    build = megen.davies_generator if kind == "davies" else megen.brme_generator
+    return build(h, x, bp)
+
+
+def _random_grid(kind, rng):
+    """Uniform from 0, non-uniform from 0, or non-uniform from t_0 > 0."""
+    if kind == "uniform":
+        return np.linspace(0.0, 10.0, 21)
+    steps = np.cumsum(rng.exponential(0.5, size=20))
+    return steps - steps[0] if kind == "nonuniform" else rng.uniform(0.5, 3.0) + steps
 
 
 class TestVectorization:
@@ -218,11 +283,7 @@ class TestPauliUltrastrong:
     def test_three_admissible_rate_models_same_steady_state(self):
         split = self._split()
         beta = 1.5
-        models = [
-            megen.default_rate_model(beta),
-            megen.default_rate_model(beta, nu0=3.7),
-            lambda E: np.exp(beta * np.asarray(E, dtype=float) / 2),
-        ]
+        models = _admissible_rate_models(beta)
         states = [
             megen.steady_state(
                 megen.pauli_ultrastrong(split, _bp(1.0, beta=beta), rate_model=f)
@@ -231,6 +292,22 @@ class TestPauliUltrastrong:
         ]
         for s in states[1:]:
             assert trace_distance(states[0], s) < 1e-12
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_loop_reference(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        split = mfstatics.pointer_split(random_hermitian(rng, dim),
+                                        random_hermitian(rng, dim))
+        beta = rng.uniform(0.2, 3.0)
+        for f in _admissible_rate_models(beta):
+            L = megen.pauli_ultrastrong(split, _bp(1.0, beta=beta), rate_model=f)
+            ref = _pauli_loop_reference(split, f)
+            assert np.abs(L.matrix - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 class TestEvolve:
@@ -248,6 +325,51 @@ class TestEvolve:
         assert traj.trace_deviation.max() < 1e-9
         assert traj.hermiticity_deviation.max() < 1e-9
         assert traj.min_eigenvalue.min() > -1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(["davies", "brme", "pauli"]),
+        grid=st.sampled_from(["uniform", "nonuniform", "late_start"]),
+        dim=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_tight_rk45(self, kind, grid, dim, seed):
+        rng = np.random.default_rng(seed)
+        L = _random_generator(kind, rng, dim)
+        rho0 = random_density_matrix(rng, dim)
+        t_grid = _random_grid(grid, rng)
+        traj = megen.evolve(L, rho0, t_grid)
+        assert np.array_equal(traj.times, t_grid)
+        assert np.array_equal(traj.states[0], rho0)
+        for rho, ref in zip(traj.states, _rk45_reference(L, rho0, t_grid), strict=True):
+            assert np.abs(rho - ref).max() < 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(["davies", "brme", "pauli"]),
+        grid=st.sampled_from(["uniform", "nonuniform", "late_start"]),
+        dim=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_eigendecomposition(self, kind, grid, dim, seed):
+        # rho(t) = V e^(Lambda (t - t_0)) V^-1 rho0 where V is well conditioned
+        rng = np.random.default_rng(seed)
+        L = _random_generator(kind, rng, dim)
+        evals, v = np.linalg.eig(L.matrix)
+        assume(np.linalg.cond(v) < 1e3)
+        rho0 = random_density_matrix(rng, dim)
+        t_grid = _random_grid(grid, rng)
+        traj = megen.evolve(L, rho0, t_grid)
+        c = np.linalg.solve(v, megen.vec(rho0))
+        for t, rho in zip(t_grid, traj.states, strict=True):
+            ref = megen.unvec(v @ (np.exp(evals * (t - t_grid[0])) * c))
+            assert np.abs(rho - ref).max() < 1e-10
+
+    def test_non_trace_preserving_generator_aborts(self):
+        L = megen.Liouvillian(kind="leaky", dim=2,
+                              matrix=-0.1 * np.eye(4, dtype=complex), lam=0.0)
+        with pytest.raises(RuntimeError, match="trace drift"):
+            megen.evolve(L, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1.0, 5))
 
     def test_bad_time_grid_rejected(self):
         L = megen.davies_generator(H_SB, SZ, _bp(0.3))
