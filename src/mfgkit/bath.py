@@ -1,8 +1,8 @@
 """Spectral densities and bath-derived scalar functions.
 
 Covers the correlation function G(t), its half-Fourier coefficients
-Gamma_m(t), the principal-value integral D_beta, the polaron factor kappa,
-and reorganization energies. Everything is in natural units (hbar = k_B = 1).
+Gamma_m(t), the principal-value integral D_beta, and reorganization
+energies. Everything is in natural units (hbar = k_B = 1).
 
 Convention: G(t) and Gamma_m exclude the dimensionless coupling lambda;
 the master-equation generators multiply their dissipators by lambda^2
@@ -101,10 +101,6 @@ class SpectralDensity:
         """Characteristic cutoff frequency used to place quadrature nodes."""
         raise NotImplementedError
 
-    def low_freq_exponent(self) -> float:
-        """s in J ~ omega^s as omega -> 0."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class OhmicExp(SpectralDensity):
@@ -126,9 +122,6 @@ class OhmicExp(SpectralDensity):
 
     def scale(self):
         return self.omega_c
-
-    def low_freq_exponent(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,6 @@ class SuperOhmicCubic(SpectralDensity):
     def scale(self):
         return self.omega_c
 
-    def low_freq_exponent(self):
-        return 3.0
-
 
 @dataclass(frozen=True)
 class DrudeLorentz(SpectralDensity):
@@ -182,9 +172,6 @@ class DrudeLorentz(SpectralDensity):
 
     def scale(self):
         return self.omega_d
-
-    def low_freq_exponent(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -244,15 +231,6 @@ class Tabulated(SpectralDensity):
         v = np.asarray(self.values)
         return float(w[np.argmax(v)]) or float(w[-1] / 4)
 
-    def low_freq_exponent(self):
-        w = np.asarray(self.omegas)[:4]
-        v = np.asarray(self.values)[:4]
-        keep = (w > 0) & (v > 0)
-        if keep.sum() < 2:
-            return 1.0
-        p = np.polyfit(np.log(w[keep]), np.log(v[keep]), 1)
-        return float(p[0])
-
     def check_tail(self):
         v = np.asarray(self.values)
         if v[-1] > 1e-3 * v.max():
@@ -293,9 +271,6 @@ class DiscreteModes(SpectralDensity):
     def scale(self):
         w, g2 = self.arrays()
         return float(np.average(w, weights=g2 + 1e-300))
-
-    def low_freq_exponent(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -642,40 +617,6 @@ def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m: float) -> comple
 
     re = np.pi * _thermal_spectrum(J, beta, -omega_m)
     return complex(re, principal_value(h, abs(omega_m), J.scale()))
-
-
-def polaron_kappa(J: SpectralDensity, beta: float, lam: float) -> float:
-    """kappa = exp[-2 lambda^2 int_0^inf J(w)/w^2 coth(beta w/2) dw].
-
-    Only converges for spectral densities steeper than w^2 at the origin;
-    Ohmic-class input raises BathDivergenceError.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if J.discrete:
-        w, g2 = J.arrays()
-        integral = float(np.sum(g2 / w**2 * coth(beta * w / 2)))
-        return float(np.exp(-2 * lam**2 * integral))
-    if isinstance(J, Tabulated):
-        J.check_tail()
-    if J.low_freq_exponent() <= 2.0 + 1e-9:
-        raise BathDivergenceError(
-            "polaron kappa integral diverges: J(omega) must vanish faster "
-            "than omega^2 at low frequency"
-        )
-    if lam == 0.0:
-        return 1.0
-    scale = J.scale()
-
-    def integrand(w):
-        # J/w^2 * coth = (J/w^3) * w coth, finite at 0 for s > 2 (here s = 3)
-        jow = float(J.j_over_omega(w))
-        return jow / max(w, 1e-300)**2 * _w_coth(w, beta)
-
-    integral = semi_infinite_quad(integrand, scale)
-    return float(np.exp(-2 * lam**2 * integral))
 
 
 def reorganization_energy(J: SpectralDensity, lam: float) -> float:

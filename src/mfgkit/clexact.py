@@ -13,12 +13,13 @@ derivatives are closed form: digamma values times mu_j' = -(d_x P)/P' (moments).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import digamma, loggamma, polygamma
 
 from . import bath as bathmod
-from .opcore import dag, matrix_exp
+from .opcore import dag
 
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_PAIR_TOL, TRIPLE_ROOT_TOL = 1e-5, 1e-3  # relative root gaps for moments' Taylor terms
@@ -198,7 +199,7 @@ def gaussian_covariance_state(m: OscillatorMoments, n_max: int | None = None):
     a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1).astype(complex)
     num = dag(a) @ a
     # thermal state of the Bogoliubov mode b = a cosh r + a^dag sinh r
-    squeeze = matrix_exp(0.5 * r * (dag(a) @ dag(a) - a @ a))
+    squeeze = scipy.linalg.expm(0.5 * r * (dag(a) @ dag(a) - a @ a))
     if n_bar <= 0.0:
         rho_th = np.zeros((n_max, n_max), dtype=complex)
         rho_th[0, 0] = 1.0

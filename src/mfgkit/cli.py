@@ -252,16 +252,25 @@ class Scenario:
 
 # -- validation -------------------------------------------------------------
 
+def _build_scenario(cfg: dict) -> Scenario:
+    """The validated scenario; every schema problem raises SchemaError."""
+    try:
+        sc = Scenario(cfg)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"invalid parameter value: {exc}") from exc
+    if sc.task == "oracle" and "oracle" not in cfg:
+        raise SchemaError("oracle task requires an 'oracle' section")
+    return sc
+
+
 def validate_scenario(cfg: dict) -> list:
     """Builds the scenario and returns its schema issues as strings."""
     try:
-        sc = Scenario(cfg)
+        _build_scenario(cfg)
     except SchemaError as exc:
         return [f"schema: {exc}"]
-    except ValueError as exc:
-        return [f"schema: invalid parameter value: {exc}"]
-    if sc.task == "oracle" and "oracle" not in cfg:
-        return ["schema: oracle task requires an 'oracle' section"]
     return []
 
 
@@ -495,16 +504,11 @@ _TASKS = {
 
 
 def run_scenario(cfg: dict, outdir: Path) -> int:
-    issues = validate_scenario(cfg)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_SCHEMA
-    sc = Scenario(cfg)
-    _echo_config(outdir, cfg)
     try:
+        sc = _build_scenario(cfg)
+        _echo_config(outdir, cfg)
         _TASKS[sc.task](sc, outdir)
-    except (SchemaError,) as exc:
+    except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ValueError, RuntimeError, ArithmeticError) as exc:  # numerical failures

@@ -5,12 +5,11 @@ Fock spaces. The global Hamiltonian has two factors, the system and the bath
 of dimension D_B = (n_max+1)^N:
     H_tot = H_S' (x) 1_B + 1_S (x) H_B + lam X (x) B,
 with H_B = sum_k w_k n_k, B = sum_k (g_k a_k^dag + g_k^* a_k) and, with the
-counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. Exact global Gibbs
-states, reduced MFG states and unitary dynamics come from the dense spectrum
-H_tot = sum_i E_i |v_i><v_i|. The reduced state skips the global one: with
-each v_i reshaped to a d_s x D_B matrix and p_i = e^(-beta E_i)/Z,
-rho_S = tr_B sum_i p_i |v_i><v_i| = sum_i p_i v_i v_i^dag. Everything here is
-deterministic: fixed spec in, bit-identical numbers out.
+counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. Reduced MFG states
+come from the dense spectrum H_tot = sum_i E_i |v_i><v_i| without forming the
+global Gibbs state: with each v_i reshaped to a d_s x D_B matrix and
+p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| = sum_i p_i v_i v_i^dag.
+Everything here is deterministic: fixed spec in, bit-identical numbers out.
 """
 
 import warnings
@@ -72,9 +71,7 @@ def _ladder(n_levels: int) -> np.ndarray:
 @dataclass
 class GlobalModel:
     system_dim: int
-    bath_dims: tuple
     H_tot: np.ndarray
-    assembled_from: tuple  # (H_S, X, lam, FiniteBathSpec)
     _eig: tuple | None = field(default=None, repr=False)
 
     def eig(self):
@@ -113,8 +110,7 @@ def assemble(H_S, X, lam: float, spec: FiniteBathSpec) -> GlobalModel:
     h = np.kron((h_sys + dag(h_sys)) / 2, np.eye(bath_dim))
     h += np.kron(np.eye(d_s), H_B)
     h += np.kron(lam * (X + dag(X)) / 2, B)
-    return GlobalModel(system_dim=d_s, bath_dims=(n_levels,) * len(spec.modes), H_tot=h,
-                       assembled_from=(H_S, X, float(lam), spec))
+    return GlobalModel(system_dim=d_s, H_tot=h)
 
 
 def _boltzmann(w, beta):
@@ -125,12 +121,6 @@ def _boltzmann(w, beta):
     return p / p.sum()
 
 
-def global_gibbs(model: GlobalModel, beta: float) -> np.ndarray:
-    """Exact global Gibbs state e^(-beta H_tot)/Z via the cached spectrum."""
-    w, v = model.eig()
-    return (v * _boltzmann(w, beta)) @ dag(v)
-
-
 def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
     """Reduced MFG state tr_B e^(-beta H_tot)/Z from the cached spectrum."""
     w, v = model.eig()
@@ -138,30 +128,6 @@ def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
     rho = np.einsum("aki,bki,i->ab", v, v.conj(), _boltzmann(w, beta), optimize=True)
     rho = (rho + dag(rho)) / 2
     return rho / np.trace(rho).real
-
-
-def log_partition_ratio(model: GlobalModel, beta: float) -> float:
-    """ln(Z_SB/Z_B): the alternative mean-force normalization convention."""
-    w, _ = model.eig()
-    shift = w.min()
-    ln_zsb = np.log(np.sum(np.exp(-beta * (w - shift)))) - beta * shift
-    n_levels = model.bath_dims[0]
-    ln_zb = 0.0
-    for w_k, _ in model.assembled_from[3].modes:
-        levels = -beta * w_k * np.arange(n_levels)
-        ln_zb += float(np.log(np.sum(np.exp(levels))))
-    return float(ln_zsb - ln_zb)
-
-
-def exact_evolve(model: GlobalModel, rho_sb_0: np.ndarray, t: float) -> np.ndarray:
-    """Unitary conjugation e^(-i t H_tot) rho e^(+i t H_tot)."""
-    w, v = model.eig()
-    rho_sb_0 = np.asarray(rho_sb_0, dtype=complex)
-    if rho_sb_0.shape != model.H_tot.shape:
-        raise ValueError("global state dimension mismatch")
-    phases = np.exp(-1j * w * t)
-    rho_e = dag(v) @ rho_sb_0 @ v
-    return (v * phases) @ rho_e @ dag(v * phases)
 
 
 def effective_dimension(rho_sb_0: np.ndarray, model: GlobalModel) -> float:

@@ -38,14 +38,6 @@ from .eigenops import decompose
 from .mfstatics import PointerSplit
 from .opcore import dag, require_density_matrix, require_hermitian
 
-DAVIES = "davies"
-BRME_ASYMPTOTIC = "brme_asymptotic"
-BRME_AT_TIME = "brme_at_time"
-SECULAR_FULL = "secular_full"
-SECULAR_PARTIAL = "secular_partial"
-BRME_REAL_ONLY = "brme_real_only"
-PAULI_ULTRASTRONG = "pauli_ultrastrong"
-
 TRACE_DRIFT_ABORT = 1e-7
 
 
@@ -60,10 +52,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    kind: str
-    dim: int
     matrix: np.ndarray
-    lam: float
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho))
@@ -89,9 +78,9 @@ class Trajectory:
     min_eigenvalue: np.ndarray
 
 
-def _redfield_generator(kind, H_S, X, bath: bathmod.BathParams, *,
-                        time=bathmod.ASYMPTOTIC, cutoff=np.inf, real_only=False,
-                        degeneracy_tol=None) -> Liouvillian:
+def _redfield_generator(H_S, X, bath: bathmod.BathParams, *,
+                        time=bathmod.ASYMPTOTIC, cutoff=np.inf,
+                        real_only=False) -> Liouvillian:
     """Redfield generator with mode pairs masked at |omega_m - omega_n| <= cutoff.
 
     One build over the stacked eigenoperators X (M, d, d): the sandwich term
@@ -99,7 +88,7 @@ def _redfield_generator(kind, H_S, X, bath: bathmod.BathParams, *,
     stack, and the Lamb shift and anticommutator are one contraction each.
     """
     H_S = require_hermitian(H_S)
-    dec = decompose(H_S, X, degeneracy_tol)
+    dec = decompose(H_S, X)
     d, lam, w, X = H_S.shape[0], bath.lam, dec.frequencies, dec.operators
     g = np.array([bathmod.gamma_m(bath.J, bath.beta, w_m, time) for w_m in w],
                  dtype=complex)
@@ -124,46 +113,37 @@ def _redfield_generator(kind, H_S, X, bath: bathmod.BathParams, *,
     right = 1j * h_eff - 0.5 * lam**2 * anti   # rho -> rho right
     eye = np.eye(d)
     mat = np.kron(eye, left) + np.kron(right.T, eye) + lam**2 * sandwich
-    return Liouvillian(kind=kind, dim=d, matrix=mat, lam=lam)
+    return Liouvillian(mat)
 
 
-def davies_generator(H_S, X, bath: bathmod.BathParams,
-                     degeneracy_tol=None) -> Liouvillian:
+def davies_generator(H_S, X, bath: bathmod.BathParams) -> Liouvillian:
     """Secular (GKSL) generator with asymptotic rates gamma_m = 2 Re Gamma_m.
 
     -i[H_S + lam^2 dH_par, .] + lam^2 sum_m gamma_m D[X_m]; steady state is
     the system Gibbs state by detailed balance.
     """
-    return _redfield_generator(DAVIES, H_S, X, bath, cutoff=-1.0,
-                               degeneracy_tol=degeneracy_tol)
+    return _redfield_generator(H_S, X, bath, cutoff=-1.0)
 
 
-def brme_generator(H_S, X, bath: bathmod.BathParams, time=bathmod.ASYMPTOTIC,
-                   degeneracy_tol=None) -> Liouvillian:
+def brme_generator(H_S, X, bath: bathmod.BathParams,
+                   time=bathmod.ASYMPTOTIC) -> Liouvillian:
     """Bloch-Redfield generator with Gamma_m(t) (or the asymptotic values)."""
-    kind = BRME_ASYMPTOTIC if time == bathmod.ASYMPTOTIC else BRME_AT_TIME
-    return _redfield_generator(kind, H_S, X, bath, time=time,
-                               degeneracy_tol=degeneracy_tol)
+    return _redfield_generator(H_S, X, bath, time=time)
 
 
-def secular_filter(H_S, X, bath: bathmod.BathParams, cutoff,
-                   degeneracy_tol=None) -> Liouvillian:
+def secular_filter(H_S, X, bath: bathmod.BathParams, cutoff) -> Liouvillian:
     """Partial-secular BRME: drop cross terms with |omega_m - omega_n| > cutoff.
 
     cutoff = 0 (or "full") removes every m != n pair and the non-commuting
     shift, recovering the Davies/fully-secular generator.
     """
     full = cutoff == "full" or cutoff == 0
-    return _redfield_generator(SECULAR_FULL if full else SECULAR_PARTIAL, H_S, X, bath,
-                               cutoff=-1.0 if full else float(cutoff),
-                               degeneracy_tol=degeneracy_tol)
+    return _redfield_generator(H_S, X, bath, cutoff=-1.0 if full else float(cutoff))
 
 
-def brme_real_only(H_S, X, bath: bathmod.BathParams,
-                   degeneracy_tol=None) -> Liouvillian:
+def brme_real_only(H_S, X, bath: bathmod.BathParams) -> Liouvillian:
     """BRME with Im Gamma_m forced to zero; steady state is the Gibbs state."""
-    return _redfield_generator(BRME_REAL_ONLY, H_S, X, bath, real_only=True,
-                               degeneracy_tol=degeneracy_tol)
+    return _redfield_generator(H_S, X, bath, real_only=True)
 
 
 def default_rate_model(beta: float, nu0: float = 1.0):
@@ -208,7 +188,7 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
     mat = np.diag(vec(-(deco + 0.5 * (pop_rates[:, None] + pop_rates[None, :]))))
     pops = np.arange(d) * (d + 1)
     mat[np.ix_(pops, pops)] = k - np.diag(pop_rates)
-    return Liouvillian(kind=PAULI_ULTRASTRONG, dim=d, matrix=mat, lam=float("inf"))
+    return Liouvillian(mat)
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:

@@ -30,11 +30,6 @@ from . import bath as bathmod
 from .eigenops import BohrDecomposition, decompose
 from .opcore import dag, gibbs, require_hermitian
 
-WEAK = "weak"
-ULTRASTRONG = "ultrastrong"
-HIGH_T = "high_t"
-
-
 class ValidityError(ValueError):
     """Coupling exceeds the weak-coupling validity bound beyond repair."""
 
@@ -42,8 +37,6 @@ class ValidityError(ValueError):
 @dataclass(frozen=True)
 class MfgResult:
     state: np.ndarray
-    regime: str
-    lam: float
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
@@ -72,10 +65,9 @@ def pointer_split(H_S: np.ndarray, X: np.ndarray) -> PointerSplit:
     return PointerSplit(pointer_basis=u, H_eps=h_eps, H_J=h_j)
 
 
-def _weak_ingredients(H_S, X, bath: bathmod.BathParams,
-                      degeneracy_tol: float | None = None):
+def _weak_ingredients(H_S, X, bath: bathmod.BathParams):
     """Bohr modes, tau, D_beta(omega_m) and A = beta sum_m D_m X_m X_m^dag."""
-    dec = decompose(H_S, X, degeneracy_tol)
+    dec = decompose(H_S, X)
     tau = gibbs(H_S, bath.beta)
     d_vals = np.array([bathmod.d_beta(bath.J, bath.beta, w) for w in dec.frequencies])
     x = dec.operators
@@ -90,25 +82,23 @@ def _lambda_max(tau, a) -> float:
     return float(1.0 / np.sqrt(denom))
 
 
-def weak_validity_bound(H_S, X, bath: bathmod.BathParams,
-                        degeneracy_tol: float | None = None) -> float:
+def weak_validity_bound(H_S, X, bath: bathmod.BathParams) -> float:
     """lambda_max = 1/sqrt(|tr(tau A)|), A = beta sum_m D_beta(omega_m) X_m X_m^dag.
 
     Returns +inf when the denominator vanishes (e.g. [H_S, X] = 0).
     """
-    _, tau, _, a = _weak_ingredients(H_S, X, bath, degeneracy_tol)
+    _, tau, _, a = _weak_ingredients(H_S, X, bath)
     return _lambda_max(tau, a)
 
 
-def mfg_weak(H_S, X, bath: bathmod.BathParams,
-             degeneracy_tol: float | None = None) -> MfgResult:
+def mfg_weak(H_S, X, bath: bathmod.BathParams) -> MfgResult:
     """tau + lambda^2 tau^(2), the second-order mean force Gibbs state.
 
     Warns when lambda exceeds the validity bound, errors beyond 10x.
     Eigenvalues pushed slightly negative by the truncation are clamped and
     the state renormalized; the clamp magnitude lands in diagnostics.
     """
-    dec, tau, d_vals, a = _weak_ingredients(H_S, X, bath, degeneracy_tol)
+    dec, tau, d_vals, a = _weak_ingredients(H_S, X, bath)
     lam = bath.lam
     lam_max = _lambda_max(tau, a)
     if lam > 10 * lam_max:
@@ -135,8 +125,6 @@ def mfg_weak(H_S, X, bath: bathmod.BathParams,
     state /= np.trace(state).real
     return MfgResult(
         state=state,
-        regime=WEAK,
-        lam=lam,
         diagnostics={
             "validity_lambda_max": lam_max,
             "clamped_negativity": max(0.0, -lo),
@@ -172,8 +160,7 @@ def mfg_ultrastrong(H_S, X, beta: float) -> MfgResult:
     split = pointer_split(H_S, X)  # rejects degenerate X
     u = split.pointer_basis
     projected = u @ split.H_eps @ dag(u)  # sum_n P_n H_S P_n back in the input basis
-    return MfgResult(state=gibbs(projected, beta), regime=ULTRASTRONG,
-                     lam=float(np.inf), diagnostics={})
+    return MfgResult(state=gibbs(projected, beta))
 
 
 def mfg_high_t(H_S, projectors, baths, beta: float) -> MfgResult:
@@ -224,7 +211,7 @@ def mfg_high_t(H_S, projectors, baths, beta: float) -> MfgResult:
             "of the high-temperature resummation",
             stacklevel=2,
         )
-    return MfgResult(state=state, regime=HIGH_T, lam=float("nan"),
+    return MfgResult(state=state,
                      diagnostics={"ell_beta": ell_beta,
                                   "ell_max": float(np.max(np.abs(ells)))})
 

@@ -2,16 +2,12 @@
 
 Operators and states are plain complex numpy arrays. Validation is explicit:
 inputs that fail the Hermiticity / trace / positivity checks are rejected
-rather than silently repaired, so caller bugs surface early. The only
-repair permitted is clamping eigenvalues in (-PSD_FLOOR, 0) to zero, which
-absorbs integrator round-off.
+rather than silently repaired, so caller bugs surface early.
 """
 
-from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -24,13 +20,6 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -64,20 +53,6 @@ def require_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL) -> np.
     return rho
 
 
-def clamp_to_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues in (-PSD_FLOOR, 0) to zero and renormalize the trace.
-
-    Eigenvalues below -PSD_FLOOR are an error, not round-off, and are rejected.
-    """
-    rho = require_hermitian(rho, tol=1e-10)
-    w, v = np.linalg.eigh((rho + dag(rho)) / 2)
-    if w.min() < -PSD_FLOOR:
-        raise ValueError(f"eigenvalue {w.min():.3e} too negative to clamp")
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ dag(v)
-    return out / np.trace(out).real
-
-
 def gibbs(H: np.ndarray, beta: float) -> np.ndarray:
     """Canonical state e^(-beta H)/Z. H is shifted by its ground energy first."""
     H = require_hermitian(H)
@@ -89,49 +64,21 @@ def gibbs(H: np.ndarray, beta: float) -> np.ndarray:
     return (v * p) @ dag(v)
 
 
-@dataclass(frozen=True)
-class TensorSpace:
-    """Ordered tensor factorization of a Hilbert space."""
-
-    factor_dims: tuple[int, ...]
-    total_dim: int = field(init=False)
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dims must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-        object.__setattr__(self, "total_dim", prod(dims))
-
-
-def partial_trace(rho: np.ndarray, space: TensorSpace, keep: int) -> np.ndarray:
-    """Reduce rho on the tensor space to the kept factor."""
+def partial_trace(rho: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
+    """Reduce rho on the tensor product of factors of size dims to factor keep."""
     rho = np.asarray(rho, dtype=complex)
-    dims = space.factor_dims
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"factor dims must be positive, got {dims}")
     if not 0 <= keep < len(dims):
         raise IndexError(f"keep index {keep} out of range for {len(dims)} factors")
-    if rho.shape != (space.total_dim, space.total_dim):
-        raise ValueError(f"state dim {rho.shape} does not match space dim {space.total_dim}")
-    n = len(dims)
+    if rho.shape != (prod(dims),) * 2:
+        raise ValueError(f"state dim {rho.shape} does not match space dim {prod(dims)}")
     t = rho.reshape(dims + dims)
     # contract every factor except `keep` between the ket and bra sides
-    for ax in reversed([i for i in range(n) if i != keep]):
+    for ax in reversed([i for i in range(len(dims)) if i != keep]):
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     return t
-
-
-def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """e^A. Eigendecomposition for (anti-)Hermitian input, Pade otherwise."""
-    a = np.asarray(a, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    if hermiticity_defect(a) <= HERMITICITY_TOL:
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(w)) @ dag(v)
-    if hermiticity_defect(1j * a) <= HERMITICITY_TOL:
-        w, v = np.linalg.eigh(1j * a)
-        return (v * np.exp(-1j * w)) @ dag(v)
-    return scipy.linalg.expm(a)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -100,7 +100,6 @@ class TestSpectralDensities:
     def test_drude_peak_and_exponent(self):
         # J(omega_D) = gamma omega_D / pi at the Drude peak frequency
         assert DRUDE.j(5.0) == pytest.approx(0.1 * 5.0 / np.pi)
-        assert DRUDE.low_freq_exponent() == 1.0
 
     def test_j_over_omega_matches_j(self):
         w = np.linspace(0.1, 20.0, 50)
@@ -112,7 +111,6 @@ class TestSpectralDensities:
         tab = bath.Tabulated(omegas=tuple(grid), values=tuple(SUPER.j(grid)))
         probe = np.linspace(0.5, 10.0, 23)
         assert np.allclose(tab.j(probe), SUPER.j(probe), rtol=1e-8)
-        assert tab.low_freq_exponent() == pytest.approx(3.0, abs=0.1)
 
     def test_tabulated_spline_built_once(self):
         grid = tuple(np.linspace(0.01, 40.0, 50))
@@ -490,28 +488,3 @@ class TestDBeta:
     def test_discrete_derivative_keeps_collision_check(self):
         with pytest.raises(bath.BathIntegrationError, match="collides"):
             bath.d_beta_deriv(DISCRETE, 1.0, -4.5)
-
-
-class TestPolaronKappa:
-    def test_frozen_value_and_range(self):
-        k = bath.polaron_kappa(SUPER, 2.0, 0.5)
-        assert 0.0 < k <= 1.0
-        assert k == pytest.approx(0.9042984876574, abs=1e-8)
-
-    def test_zero_coupling_is_one(self):
-        assert bath.polaron_kappa(SUPER, 2.0, 0.0) == 1.0
-
-    def test_monotone_in_coupling_and_temperature(self):
-        lams = [0.1, 0.3, 0.6, 1.0]
-        ks = [bath.polaron_kappa(SUPER, 2.0, lam) for lam in lams]
-        assert all(a > b for a, b in zip(ks, ks[1:]))
-        betas = [0.5, 1.0, 2.0, 4.0]
-        ks = [bath.polaron_kappa(SUPER, b, 0.5) for b in betas]
-        # higher temperature (smaller beta) suppresses kappa more
-        assert all(a < b for a, b in zip(ks, ks[1:]))
-
-    def test_ohmic_divergence_rejected(self):
-        with pytest.raises(bath.BathDivergenceError):
-            bath.polaron_kappa(OHMIC, 2.0, 0.5)
-        with pytest.raises(bath.BathDivergenceError):
-            bath.polaron_kappa(DRUDE, 2.0, 0.5)

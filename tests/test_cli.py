@@ -143,6 +143,31 @@ class TestRun:
         lam_max = diag["weak_validity_lambda_max"]
         assert list(diag.values()).count(lam_max) == 1
 
+    def test_run_builds_one_scenario(self, tmp_path, monkeypatch):
+        table = tmp_path / "j.csv"
+        w = np.linspace(0.0, 60.0, 200)
+        table.write_text("".join(f"{wk:.17g},{jk:.17g}\n"
+                                 for wk, jk in zip(w, 0.1 * w * np.exp(-w / 4.0))))
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["task"] = "statics_all"
+        cfg["bath"] = {"kind": "tabulated", "path": str(table), "beta": 1.0}
+        built, loads = [], []
+        load_tabulated = bath.load_tabulated
+
+        class CountingScenario(cli.Scenario):
+            def __init__(self, cfg):
+                built.append(1)
+                super().__init__(cfg)
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return load_tabulated(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Scenario", CountingScenario)
+        monkeypatch.setattr(bath, "load_tabulated", counting_load)
+        assert cli.run_scenario(cfg, tmp_path / "st") == cli.EXIT_OK
+        assert (len(built), len(loads)) == (1, 1)
+
     def test_statics_all_far_above_validity_bound_skips_weak(self, tmp_path):
         cfg = deepcopy(cli.PRESETS["spin_boson"])
         cfg["task"] = "statics_all"

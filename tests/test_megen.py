@@ -366,8 +366,7 @@ class TestEvolve:
             assert np.abs(rho - ref).max() < 1e-10
 
     def test_non_trace_preserving_generator_aborts(self):
-        L = megen.Liouvillian(kind="leaky", dim=2,
-                              matrix=-0.1 * np.eye(4, dtype=complex), lam=0.0)
+        L = megen.Liouvillian(-0.1 * np.eye(4, dtype=complex))
         with pytest.raises(RuntimeError, match="trace drift"):
             megen.evolve(L, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1.0, 5))
 
@@ -380,8 +379,7 @@ class TestEvolve:
 
 class TestSteadyState:
     def test_zero_generator_full_null_space(self):
-        L = megen.Liouvillian(kind="zero", dim=2,
-                              matrix=np.zeros((4, 4), dtype=complex), lam=0.0)
+        L = megen.Liouvillian(np.zeros((4, 4), dtype=complex))
         report = megen.steady_state(L)
         assert not report.unique
         assert len(report.states) >= 2
@@ -472,7 +470,6 @@ class TestSteadyState:
         # L rho = v tr(rho) - rho has the non-positive null vector v
         v = np.diag([1.2, -0.2]).astype(complex)
         mat = np.outer(megen.vec(v), megen.vec(np.eye(2)).conj()) - np.eye(4)
-        report = megen.steady_state(
-            megen.Liouvillian(kind="test", dim=2, matrix=mat, lam=0.0))
+        report = megen.steady_state(megen.Liouvillian(mat))
         assert report.clipped_negativity == pytest.approx(0.2, abs=1e-12)
         assert np.allclose(report.states[0], np.diag([1.0, 0.0]), atol=1e-12)

@@ -1,17 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgkit.opcore import (
-    TensorSpace,
-    clamp_to_density_matrix,
     commutator,
-    dag,
     gibbs,
     hermiticity_defect,
-    kron,
-    matrix_exp,
     partial_trace,
     require_density_matrix,
     require_hermitian,
@@ -98,52 +95,48 @@ class TestTraceDistance:
 
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
-        space = TensorSpace((2, 3))
         rho_a = random_density_matrix(rng, 2)
         rho_b = random_density_matrix(rng, 3)
-        rho = kron(rho_a, rho_b)
-        assert np.allclose(partial_trace(rho, space, keep=0), rho_a, atol=1e-13)
-        assert np.allclose(partial_trace(rho, space, keep=1), rho_b, atol=1e-13)
+        rho = np.kron(rho_a, rho_b)
+        assert np.allclose(partial_trace(rho, (2, 3), keep=0), rho_a, atol=1e-13)
+        assert np.allclose(partial_trace(rho, (2, 3), keep=1), rho_b, atol=1e-13)
 
     def test_trace_preserving_and_linear(self, rng):
-        space = TensorSpace((2, 2, 3))
+        dims = (2, 2, 3)
         x = _complex_matrix(12, 7)
         y = _complex_matrix(12, 8)
         for keep in range(3):
-            red = partial_trace(x, space, keep=keep)
+            red = partial_trace(x, dims, keep=keep)
             assert abs(np.trace(red) - np.trace(x)) < 1e-12
-            lin = partial_trace(2.0 * x + 3.0 * y, space, keep=keep)
+            lin = partial_trace(2.0 * x + 3.0 * y, dims, keep=keep)
             assert np.allclose(
                 lin,
-                2.0 * red + 3.0 * partial_trace(y, space, keep=keep),
+                2.0 * red + 3.0 * partial_trace(y, dims, keep=keep),
                 atol=1e-12,
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_product_reduces_to_each_factor(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        factors = [random_density_matrix(rng, d) for d in dims]
+        rho = reduce(np.kron, factors)
+        for keep, factor in enumerate(factors):
+            assert np.allclose(partial_trace(rho, dims, keep), factor, atol=1e-13)
 
-class TestMatrixExp:
-    def test_block_diagonal_factorizes(self, rng):
-        a = _complex_matrix(2, 3)
-        b = _complex_matrix(3, 4)
-        blocked = np.zeros((5, 5), dtype=complex)
-        blocked[:2, :2] = a
-        blocked[2:, 2:] = b
-        expected = np.zeros((5, 5), dtype=complex)
-        expected[:2, :2] = matrix_exp(a)
-        expected[2:, 2:] = matrix_exp(b)
-        assert np.allclose(matrix_exp(blocked), expected, atol=1e-12)
+    def test_keep_out_of_range_raises(self):
+        for keep in (-1, 2):
+            with pytest.raises(IndexError):
+                partial_trace(np.eye(6) / 6, (2, 3), keep)
 
-    def test_zero_gives_identity(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="does not match"):
+            partial_trace(np.eye(5) / 5, (2, 3), 0)
 
-
-class TestClamp:
-    def test_small_negative_eigenvalue_clamped(self):
-        rho = np.diag([1.0, -1e-11]).astype(complex)
-        out = clamp_to_density_matrix(rho)
-        w = np.linalg.eigvalsh(out)
-        assert w.min() >= 0
-        assert abs(np.trace(out) - 1) < 1e-12
-
-    def test_valid_state_untouched(self, rng):
-        rho = random_density_matrix(rng, 4)
-        assert np.allclose(clamp_to_density_matrix(rho), rho, atol=1e-12)
+    def test_nonpositive_dim_raises(self):
+        for dims in ((2, 0), (3, -1), ()):
+            with pytest.raises(ValueError, match="positive"):
+                partial_trace(np.eye(1), dims, 0)
