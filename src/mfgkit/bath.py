@@ -21,8 +21,15 @@ J (see gamma_m); G(r) is not needed.
 
 Every principal-value integral over a continuous J, the Lamb shift
 Im Gamma_m(infinity), D_beta and the oscillator self-energy in clexact, is
-PV int_0^inf h(w)/(w^2 - a^2) dw evaluated by principal_value, which
-subtracts h(a). Im Gamma(infinity) and D_beta are one integral:
+PV int_0^inf h(w)/(w^2 - a^2) dw evaluated by principal_value over a stack of
+poles a at once, one quad_vec call per half of the range. It subtracts h(a)
+and integrates each pole in its own coordinate x = w - a,
+
+    int_{-a}^0 (h(a + x) - h(a))/(x (2a + x)) dx + int_0^inf (same) dx,
+
+so every pole's removable point x = 0 is a panel edge, where no node falls;
+in w, nodes that land next to some pole lose digits to cancellation.
+Im Gamma(infinity) and D_beta are one integral:
 
     D_beta(omega) = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw.
 
@@ -34,7 +41,8 @@ PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
 For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
-arguments (the spectral densities are frozen dataclasses).
+arguments (the spectral densities are frozen dataclasses). gamma_m and d_beta
+take a float or a tuple of frequencies; a tuple gives a read-only array.
 """
 
 import functools
@@ -42,7 +50,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 ASYMPTOTIC = "asymptotic"
@@ -70,9 +78,11 @@ def coth(x):
 
 
 def _w_coth(w, beta):
-    """w coth(beta w/2) for scalar w, smooth through w = 0."""
-    x = beta * w / 2.0
-    return (2.0 / beta) * (1.0 + x * x / 3.0 if abs(x) < 1e-4 else x / np.tanh(x))
+    """w coth(beta w/2), elementwise, smooth through w = 0."""
+    x = beta * np.asarray(w, dtype=float) / 2.0
+    small = np.abs(x) < 1e-4
+    return (2.0 / beta) * np.where(small, 1.0 + x * x / 3.0,
+                                   x / np.tanh(np.where(small, 1.0, x)))
 
 
 def bose(omega, beta):
@@ -187,6 +197,7 @@ class Tabulated(SpectralDensity):
     values: tuple
     # built once from omegas/values; not part of eq, hash or repr
     _cubic: CubicSpline = field(init=False, repr=False, compare=False)
+    _slope0: float = field(init=False, repr=False, compare=False)  # J/w below the grid
 
     def __post_init__(self):
         w = np.asarray(self.omegas, dtype=float)
@@ -199,8 +210,10 @@ class Tabulated(SpectralDensity):
             raise ValueError("J(omega) must be nonnegative")
         object.__setattr__(self, "omegas", tuple(w))
         object.__setattr__(self, "values", tuple(np.clip(v, 0.0, None)))
-        object.__setattr__(self, "_cubic",
-                           CubicSpline(np.asarray(self.omegas), np.asarray(self.values)))
+        cubic = CubicSpline(np.asarray(self.omegas), np.asarray(self.values))
+        object.__setattr__(self, "_cubic", cubic)
+        object.__setattr__(self, "_slope0", float(
+            self.values[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
 
     def _spline(self):
         return self._cubic
@@ -217,14 +230,20 @@ class Tabulated(SpectralDensity):
         return out if out.ndim else float(out)
 
     def j_over_omega(self, omega):
-        """Scalar omega only: the grid's first slope below it (the spline's
-        slope at 0 on a grid starting at 0), 0 above, else one spline call."""
-        w, w0 = float(omega), self.omegas[0]
-        if w < max(w0, 1e-12):
-            return float(self.values[0] / w0 if w0 > 0 else max(self._cubic(0.0, 1), 0.0))
-        if w > self.omegas[-1]:
-            return 0.0
-        return max(float(self._spline()(w)), 0.0) / w
+        """The grid's first slope below it (the spline's slope at 0 on a grid
+        starting at 0), 0 above, else spline(w)/w. A float takes one spline
+        call; an array one call on its points clipped into the grid."""
+        lo, hi = max(self.omegas[0], 1e-12), self.omegas[-1]
+        if isinstance(omega, float):  # also np.float64
+            if omega < lo:
+                return self._slope0
+            if omega > hi:
+                return 0.0
+            return max(float(self._spline()(omega)), 0.0) / float(omega)
+        w = np.asarray(omega, dtype=float)
+        inside = np.clip(w, lo, hi)
+        return np.where(w < lo, self._slope0,
+                        np.where(w > hi, 0.0, np.maximum(self._cubic(inside), 0.0) / inside))
 
     def scale(self):
         w = np.asarray(self.omegas)
@@ -325,18 +344,22 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 # ---------------------------------------------------------------------------
 
 
-def checked_quad(f, a, b, **opts):
-    """scipy quad that raises BathIntegrationError unless the value is finite
-    and the error estimate is within max(epsabs, epsrel |value|). QAWF (a
-    weight over [a, inf)) takes no epsrel."""
+def checked_quad(f, a, b, vector=False, **opts):
+    """scipy quad (quad_vec under the max norm for a vector f) that raises
+    BathIntegrationError unless the value is finite and the error estimate is
+    within max(epsabs, epsrel max|value|). QAWF (a weight over [a, inf))
+    takes no epsrel."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, **opts)
-    if not np.isfinite(val):
+        if vector:  # gk21 on [a, inf) too: quad_vec's gk15 left 1e-12 errors in D_beta
+            val, err = quad_vec(f, a, b, norm="max", quadrature="gk21", **opts)
+        else:
+            val, err = quad(f, a, b, **opts)
+    if not np.isfinite(val).all():
         raise BathIntegrationError(f"quadrature over [{a}, {b}] returned {val}")
     # QUADPACK stops at its subdivision limit; an error estimate above the
     # requested tolerance is a failure, not a number
-    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * abs(val)):
+    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * np.abs(val).max()):
         raise BathIntegrationError(
             f"quadrature over [{a}, {b}] did not converge (error estimate {err:.2e})")
     return val
@@ -355,26 +378,48 @@ def semi_infinite_quad(f, scale, points=()):
 
 
 def principal_value(h, a, scale):
-    """PV int_0^inf h(w)/(w^2 - a^2) dw for a >= 0.
+    """PV int_0^inf h(w)/(w^2 - a^2) dw for a stack of poles a >= 0.
 
-    Since PV int_0^inf dw/(w^2 - a^2) = 0, subtracting h(a) leaves a regular
-    integrand; at a = 0 it is the plain integral of (h(w) - h(0))/w^2.
-    Dividing by (w - a) and (w + a) in turn keeps tiny a from underflowing
-    their product.
+    h maps an array of points, one per pole, to h at each (elementwise in the
+    stack); the result has the shape of a, a float for a scalar a. Since
+    PV int_0^inf dw/(w^2 - a^2) = 0, subtracting h(a) leaves a regular
+    integrand; at a = 0 it is the plain integral of (h(w) - h(0))/w^2. Each
+    pole is integrated in x = w - a: the lower half w in [0, a] as x = a s,
+    s in [-1, 0], the upper half over x in [0, inf), so x = 0 is a panel
+    edge. Dividing by x (or s) and 2a + x in turn keeps tiny a from
+    underflowing their product.
     """
-    if a < 0:
+    a = np.asarray(a, dtype=float)
+    if (a < 0).any():
         raise ValueError("need a >= 0")
-    ha = h(a)
-    guard = 1e-8 * min(a, scale)
-    if guard > 0:
-        dha = (h(a + guard) - h(a - guard)) / (2.0 * guard)
+    poles = a.reshape(-1)
+    if not poles.size:
+        return np.zeros(a.shape)
+    ha = h(poles)
+    # a pole at 0 has no lower half; its numerator is exactly 0 there
+    lower_span = np.where(poles > 0, 2.0 * poles, 1.0)
 
-    def integrand(w):
-        if abs(w - a) < guard:
-            return dha / (w + a)
-        return (h(w) - ha) / (w - a) / (w + a)
+    def lower(s):
+        x = poles * s
+        return (h(poles + x) - ha) / s / (lower_span + x)
 
-    return semi_infinite_quad(integrand, scale, points=(a, 2 * a))
+    def upper(x):
+        return (h(poles + x) - ha) / x / (2.0 * poles + x)
+
+    pv = checked_quad(upper, 0.0, np.inf, vector=True,
+                      points=(scale, 4 * scale, 16 * scale), **_QUAD_OPTS)
+    if poles.any():
+        pv = pv + checked_quad(lower, -1.0, 0.0, vector=True, **_QUAD_OPTS)
+    return pv.reshape(a.shape) if a.ndim else float(pv[0])
+
+
+def _stacked(values, omega_m):
+    """Results for a tuple of frequencies as a read-only array (they are
+    memoized), for a single frequency as a Python scalar."""
+    if not isinstance(omega_m, tuple):
+        return values[0].item()
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +428,33 @@ def principal_value(h, a, scale):
 
 
 @functools.lru_cache(maxsize=4096)
-def d_beta(J: SpectralDensity, beta: float, omega_m: float) -> float:
+def d_beta(J: SpectralDensity, beta: float, omega_m):
     """The principal-value integral D_beta(omega_m).
 
     D_beta = PV int_0^inf J(w) [ (omega_m coth(beta w/2) + w)/(w^2 - omega_m^2)
                                  - 1/w ] dw; identically zero at omega_m = 0.
-    Values are memoized per process on (J, beta, omega_m).
+    omega_m is a float or a tuple of floats, integrated as one stack of poles
+    |omega_m|. Values are memoized per process on (J, beta, omega_m).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if omega_m == 0.0:
-        return 0.0
+    om = np.atleast_1d(np.asarray(omega_m, dtype=float))
+    out = np.zeros(om.shape)
     if J.discrete:
         w, g2 = J.arrays()
-        if np.any(np.abs(w - abs(omega_m)) < 1e-12):
+        if np.any(np.abs(w - np.abs(om)[:, None]) < 1e-12):
             raise BathIntegrationError("omega_m collides with a discrete bath mode")
-        term = (omega_m * coth(beta * w / 2) + w) / (w**2 - omega_m**2) - 1.0 / w
-        return float(np.sum(g2 * term))
+        o = om[:, None]
+        term = (o * coth(beta * w / 2) + w) / (w**2 - o**2) - 1.0 / w
+        out = np.where(om == 0.0, 0.0, np.sum(g2 * term, axis=1))
+    elif om.any():
+        nz = om[om != 0.0]
 
-    def h(w):
-        return float(J.j_over_omega(w)) * omega_m * (_w_coth(w, beta) + omega_m)
+        def h(w):
+            return J.j_over_omega(w) * nz * (_w_coth(w, beta) + nz)
 
-    return principal_value(h, abs(omega_m), J.scale())
+        out[om != 0.0] = principal_value(h, np.abs(nz), J.scale())
+    return _stacked(out, omega_m)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -512,7 +562,7 @@ def _phase_integral(x, t):
 
 
 @functools.lru_cache(maxsize=4096)
-def gamma_m(J: SpectralDensity, beta: float, omega_m: float, t) -> complex:
+def gamma_m(J: SpectralDensity, beta: float, omega_m, t):
     """Half-Fourier coefficient Gamma_m(t) = int_0^t e^{-i omega_m r} G(r) dr.
 
     In the frequency domain, with Phi(x, t) = int_0^t e^{i x r} dr,
@@ -534,6 +584,9 @@ def gamma_m(J: SpectralDensity, beta: float, omega_m: float, t) -> complex:
     so the result stays accurate as the peak narrows at large t. A summed
     error estimate above the _QUAD_OPTS tolerance raises BathIntegrationError.
 
+    omega_m is a float or a tuple of floats; a tuple at finite t is one
+    quadrature per mode, at ASYMPTOTIC one principal_value call for the stack.
+
     Pass t = ASYMPTOTIC for Gamma_m(infinity). The real part is
     pi S(-omega_m): pi J n at |omega_m| for raising eigenoperators
     (absorption), pi J (n + 1) for lowering ones. The imaginary part is
@@ -548,10 +601,16 @@ def gamma_m(J: SpectralDensity, beta: float, omega_m: float, t) -> complex:
     if beta <= 0:
         raise ValueError("beta must be positive")
     if t == ASYMPTOTIC:
-        return _gamma_asymptotic(J, beta, omega_m)
+        return _stacked(_gamma_asymptotic(J, beta, omega_m), omega_m)
     t = float(t)
     if t < 0:
         raise ValueError("need t >= 0 or ASYMPTOTIC")
+    stack = np.atleast_1d(np.asarray(omega_m, dtype=float))
+    return _stacked(np.array([_gamma_finite(J, beta, w, t) for w in stack.tolist()],
+                             dtype=complex), omega_m)
+
+
+def _gamma_finite(J: SpectralDensity, beta: float, omega_m: float, t: float) -> complex:
     if t == 0.0:
         return 0.0 + 0.0j
 
@@ -605,18 +664,19 @@ def gamma_m(J: SpectralDensity, beta: float, omega_m: float, t) -> complex:
     return complex(total)
 
 
-def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m: float) -> complex:
+def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m) -> np.ndarray:
     if J.discrete:
         raise BathDivergenceError(
             "Gamma_m(infinity) does not exist for a discrete mode set "
             "(no continuum decay)"
         )
+    om = np.atleast_1d(np.asarray(omega_m, dtype=float))
 
     def h(w):
-        return float(J.j_over_omega(w)) * (omega_m * _w_coth(w, beta) - w * w)
+        return J.j_over_omega(w) * (om * _w_coth(w, beta) - w * w)
 
-    re = np.pi * _thermal_spectrum(J, beta, -omega_m)
-    return complex(re, principal_value(h, abs(omega_m), J.scale()))
+    re = np.pi * np.array([_thermal_spectrum(J, beta, -w) for w in om.tolist()])
+    return re + 1j * principal_value(h, np.abs(om), J.scale())
 
 
 def reorganization_energy(J: SpectralDensity, lam: float) -> float:

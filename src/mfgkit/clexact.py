@@ -125,11 +125,16 @@ def moments(p: CLParams) -> OscillatorMoments:
     return OscillatorMoments(xx=float(xx), pp=float(pp))
 
 
-def _self_energy_real(J: bathmod.SpectralDensity, omega: float) -> float:
-    """Re Sigma(w) = w^2 PV int J(xi) / (xi (xi^2 - w^2)) dxi (counter-term included)."""
-    if omega == 0.0:
-        return 0.0
-    return omega**2 * bathmod.principal_value(J.j_over_omega, omega, J.scale())
+def _self_energy_real(J: bathmod.SpectralDensity, omegas) -> np.ndarray:
+    """Re Sigma(w) = w^2 PV int J(xi) / (xi (xi^2 - w^2)) dxi (counter-term
+    included) at an array of w >= 0, one principal_value call for the stack;
+    0 at w = 0, where the integral alone diverges for Ohmic-class J."""
+    w = np.asarray(omegas, dtype=float)
+    out = np.zeros(w.shape)
+    nz = w != 0.0
+    w2 = w[nz] ** 2  # inside h, so the stack's error tolerance is on Re Sigma itself
+    out[nz] = bathmod.principal_value(lambda xi: w2 * J.j_over_omega(xi), w[nz], J.scale())
+    return out
 
 
 def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float,
@@ -151,7 +156,7 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
 
     w_max = max(12 * scale, 8 * omega_0, 40.0 / beta)
     grid = np.linspace(0.0, w_max, 481)
-    sigma_re = CubicSpline(grid, [_self_energy_real(J, w) for w in grid])
+    sigma_re = CubicSpline(grid, _self_energy_real(J, grid))
 
     def denom_re(w):
         return omega_0**2 - w**2 - sigma_re(w)

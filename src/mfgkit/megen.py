@@ -90,8 +90,7 @@ def _redfield_generator(H_S, X, bath: bathmod.BathParams, *,
     H_S = require_hermitian(H_S)
     dec = decompose(H_S, X)
     d, lam, w, X = H_S.shape[0], bath.lam, dec.frequencies, dec.operators
-    g = np.array([bathmod.gamma_m(bath.J, bath.beta, w_m, time) for w_m in w],
-                 dtype=complex)
+    g = bathmod.gamma_m(bath.J, bath.beta, tuple(w.tolist()), time)
     if real_only:
         g = g.real.astype(complex)
     mask = np.eye(w.size, dtype=bool) | (np.abs(w[:, None] - w[None, :]) <= cutoff)

@@ -69,7 +69,7 @@ def _weak_ingredients(H_S, X, bath: bathmod.BathParams):
     """Bohr modes, tau, D_beta(omega_m) and A = beta sum_m D_m X_m X_m^dag."""
     dec = decompose(H_S, X)
     tau = gibbs(H_S, bath.beta)
-    d_vals = np.array([bathmod.d_beta(bath.J, bath.beta, w) for w in dec.frequencies])
+    d_vals = bathmod.d_beta(bath.J, bath.beta, tuple(dec.frequencies.tolist()))
     x = dec.operators
     a = bath.beta * np.einsum("m,mij,mkj->ik", d_vals, x, x.conj())
     return dec, tau, d_vals, a

@@ -239,7 +239,8 @@ class TestPairwiseEquivalence:
         table = dict(zip(dec.frequencies, gammas))
 
         secular = dict(secular_cutoff=-1.0, keep_perp=False)
-        with mock.patch.object(bath, "gamma_m", lambda J, beta, w, t: table[w]):
+        with mock.patch.object(bath, "gamma_m",
+                               lambda J, beta, ws, t: np.array([table[w] for w in ws])):
             cases = [
                 (megen.davies_generator(h, x, bp), secular),
                 (megen.brme_generator(h, x, bp), {}),

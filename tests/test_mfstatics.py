@@ -52,7 +52,8 @@ def _bound_pairwise(dec, tau, d_vals, beta):
 
 # smooth stand-ins for D_beta and its derivative; D > 0 keeps tr(tau A) away
 # from cancellation so the bound can be compared relatively
-def _fake_d(J, beta, w):
+def _fake_d(J, beta, w):  # w: the tuple stack that d_beta takes
+    w = np.asarray(w)
     return 1.0 + 0.3 * np.tanh(w) + 0.1 * np.sin(2.0 * w)
 
 
