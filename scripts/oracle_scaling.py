@@ -10,7 +10,6 @@ per halving until the Fock truncation floor takes over.
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -48,11 +47,9 @@ def main():
         lam = args.lam0 / 2**k
         model = finitebath.assemble(h, SZ, lam, spec)
         exact = finitebath.exact_mfg(model, args.beta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            weak = mfstatics.mfg_weak(
-                h, SZ, bath.BathParams(J=J_disc, beta=args.beta, lam=lam)
-            ).state
+        weak = mfstatics.mfg_weak(
+            h, SZ, bath.BathParams(J=J_disc, beta=args.beta, lam=lam)
+        ).state
         d = trace_distance(exact, weak)
         ratio = "" if prev is None else f"{prev / d:8.2f}"
         print(f"{lam:10.4g} {d:20.6e} {ratio:>8}")

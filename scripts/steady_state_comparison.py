@@ -9,7 +9,6 @@ state, the second-order MFG state, and the ultrastrong MFG state.
 import argparse
 import csv
 import sys
-import warnings
 
 import numpy as np
 
@@ -39,9 +38,7 @@ def main():
     rows = []
     for lam in (float(x) for x in args.lambdas.split(",")):
         bp = bath.BathParams(J=J, beta=args.beta, lam=lam)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            weak = mfstatics.mfg_weak(h, SZ, bp).state
+        weak = mfstatics.mfg_weak(h, SZ, bp).state
         for name, build in (("davies", megen.davies_generator),
                             ("brme", megen.brme_generator),
                             ("brme_real_only", megen.brme_real_only)):

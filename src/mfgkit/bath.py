@@ -4,6 +4,12 @@ Covers the correlation function G(t), its half-Fourier coefficients
 Gamma_m(t), the principal-value integral D_beta, and reorganization
 energies. Everything is in natural units (hbar = k_B = 1).
 
+The bath enters only through J(w)/w and the thermal spectrum S of
+_thermal_spectrum. A continuous density is its J/w (J = w J/w is derived); a
+discrete bath is the atoms (nu, s) of S, and each integral over S is a sum:
+D_beta(w) = w sum s/(nu (nu - w)), D_beta' = sum s/(nu - w)^2,
+G(t) = sum s e^(-i nu t) and Gamma_m(t) = sum s Phi(-(nu + omega_m), t).
+
 Convention: G(t) and Gamma_m exclude the dimensionless coupling lambda;
 the master-equation generators multiply their dissipators by lambda^2
 explicitly. Eigenoperators satisfy [H_S, X_m] = +omega_m X_m, and
@@ -16,8 +22,8 @@ Finite-time Gamma_m(t) is one frequency-domain integral for every bath,
                                  + n(w) Phi(w - omega_m, t)] dw,
     Phi(x, t) = int_0^t e^(i x r) dr = (e^(i x t) - 1)/(i x),
 
-a sum over the modes for a discrete bath and a quadrature for a continuous
-J (see gamma_m); G(r) is not needed.
+a sum over the atoms of S for a discrete bath and a quadrature for a
+continuous J (see gamma_m); G(r) is not needed.
 
 Every principal-value integral over a continuous J, the Lamb shift
 Im Gamma_m(infinity), D_beta and the oscillator self-energy in clexact, is
@@ -54,9 +60,11 @@ from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 ASYMPTOTIC = "asymptotic"
+HBAR = 1.054571817e-34  # J s, for tables and scenarios in SI units
 
 _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-8, limit=400)
 _FOURIER_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class BathIntegrationError(RuntimeError):
@@ -96,12 +104,15 @@ def bose(omega, beta):
 
 
 class SpectralDensity:
-    """Base class; subclasses implement j(), j_over_omega(), scale()."""
+    """A continuous density is its J(omega)/omega: subclasses implement
+    j_over_omega() and scale(), and J is derived. A discrete bath
+    (DiscreteModes) is the atoms of its thermal spectrum instead."""
 
     discrete = False
 
     def j(self, omega):
-        raise NotImplementedError
+        """J(omega) = omega * J(omega)/omega."""
+        return omega * self.j_over_omega(omega)
 
     def j_over_omega(self, omega):
         """J(omega)/omega with its analytic omega -> 0 limit."""
@@ -123,10 +134,6 @@ class OhmicExp(SpectralDensity):
         if self.gamma < 0 or self.omega_c <= 0:
             raise ValueError("need gamma >= 0 and omega_c > 0")
 
-    def j(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return self.gamma * omega * np.exp(-omega / self.omega_c)
-
     def j_over_omega(self, omega):
         return self.gamma * np.exp(-np.asarray(omega, dtype=float) / self.omega_c)
 
@@ -144,11 +151,6 @@ class SuperOhmicCubic(SpectralDensity):
     def __post_init__(self):
         if self.gamma < 0 or self.omega_c <= 0:
             raise ValueError("need gamma >= 0 and omega_c > 0")
-
-    def j(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        u = omega / self.omega_c
-        return 0.5 * self.gamma * u**3 * np.exp(-u)
 
     def j_over_omega(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -170,12 +172,6 @@ class DrudeLorentz(SpectralDensity):
         if self.gamma < 0 or self.omega_d <= 0:
             raise ValueError("need gamma >= 0 and omega_d > 0")
 
-    def j(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return (2 * self.gamma * self.omega_d / np.pi) * omega * self.omega_d / (
-            omega**2 + self.omega_d**2
-        )
-
     def j_over_omega(self, omega):
         omega = np.asarray(omega, dtype=float)
         return (2 * self.gamma * self.omega_d**2 / np.pi) / (omega**2 + self.omega_d**2)
@@ -189,15 +185,18 @@ class Tabulated(SpectralDensity):
     """Cubic-spline interpolation of sampled (omega, J) pairs.
 
     Below the first grid point J is linear through the origin (Ohmic-class
-    small-omega behaviour); above the last grid point J is zero. Grids whose
-    tail has not decayed are rejected by the semi-infinite integrals.
+    small-omega behaviour); above the last grid point J is zero. On a grid
+    starting at 0, J(0) = 0: J(0) above 1e-12 max J is rejected (J/w would
+    diverge) and below it is stored as 0, so spline(w)/w loses no digits as
+    w -> 0. Grids whose tail has not decayed are rejected by the
+    semi-infinite integrals.
     """
 
     omegas: tuple
     values: tuple
     # built once from omegas/values; not part of eq, hash or repr
     _cubic: CubicSpline = field(init=False, repr=False, compare=False)
-    _slope0: float = field(init=False, repr=False, compare=False)  # J/w below the grid
+    _slope0: float = field(init=False, repr=False, compare=False)  # J(w0)/w0, or J'(0) if w0 = 0
 
     def __post_init__(self):
         w = np.asarray(self.omegas, dtype=float)
@@ -208,42 +207,35 @@ class Tabulated(SpectralDensity):
             raise ValueError("omega grid must be ascending and nonnegative")
         if (v < -1e-12 * max(1.0, v.max())).any():
             raise ValueError("J(omega) must be nonnegative")
+        if w[0] == 0 and v[0] > 1e-12 * v.max():
+            raise ValueError("J(0) must be 0 on a grid starting at 0 (J/omega diverges)")
+        v = np.clip(v, 0.0, None) * (w > 0)  # J(0) = 0
         object.__setattr__(self, "omegas", tuple(w))
-        object.__setattr__(self, "values", tuple(np.clip(v, 0.0, None)))
-        cubic = CubicSpline(np.asarray(self.omegas), np.asarray(self.values))
+        object.__setattr__(self, "values", tuple(v))
+        cubic = CubicSpline(w, v)
         object.__setattr__(self, "_cubic", cubic)
         object.__setattr__(self, "_slope0", float(
-            self.values[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
+            v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
 
     def _spline(self):
         return self._cubic
 
-    def j(self, omega):
-        w0, w1, v0 = self.omegas[0], self.omegas[-1], self.values[0]
-        omega = np.asarray(omega, dtype=float)
-        out = np.zeros_like(omega, dtype=float)
-        inside = (omega >= w0) & (omega <= w1)
-        out[inside] = np.clip(self._spline()(omega[inside]), 0.0, None)
-        below = omega < w0
-        if below.any() and w0 > 0:
-            out[below] = v0 * omega[below] / w0
-        return out if out.ndim else float(out)
-
     def j_over_omega(self, omega):
-        """The grid's first slope below it (the spline's slope at 0 on a grid
-        starting at 0), 0 above, else spline(w)/w. A float takes one spline
-        call; an array one call on its points clipped into the grid."""
-        lo, hi = max(self.omegas[0], 1e-12), self.omegas[-1]
+        """spline(w)/w on the grid, 0 above it, and at or below its first point
+        (or a subnormal w, where spline(w) underflows) _slope0. A float takes
+        one spline call, an array one call on its points."""
+        lo, hi = self.omegas[0] or _TINY, self.omegas[-1]
         if isinstance(omega, float):  # also np.float64
-            if omega < lo:
+            if omega <= lo:
                 return self._slope0
             if omega > hi:
                 return 0.0
             return max(float(self._spline()(omega)), 0.0) / float(omega)
         w = np.asarray(omega, dtype=float)
-        inside = np.clip(w, lo, hi)
-        return np.where(w < lo, self._slope0,
-                        np.where(w > hi, 0.0, np.maximum(self._cubic(inside), 0.0) / inside))
+        inside = (w > lo) & (w <= hi)
+        x = np.where(inside, w, hi)
+        return np.where(inside, np.maximum(self._cubic(x), 0.0) / x,
+                        np.where(w > hi, 0.0, self._slope0))
 
     def scale(self):
         w = np.asarray(self.omegas)
@@ -263,8 +255,8 @@ class Tabulated(SpectralDensity):
 class DiscreteModes(SpectralDensity):
     """Delta-comb spectral density sum_k |g_k|^2 delta(omega - omega_k).
 
-    All bath integrals become sums over the modes; pointwise evaluation of
-    J(omega) is undefined and rejected.
+    It enters every bath integral as the atoms of its thermal spectrum
+    (atoms); pointwise evaluation of J(omega) is undefined and rejected.
     """
 
     modes: tuple  # of (omega_k, |g_k|^2)
@@ -281,15 +273,19 @@ class DiscreteModes(SpectralDensity):
         m = np.asarray(self.modes, dtype=float)
         return m[:, 0], m[:, 1]
 
-    def j(self, omega):
-        raise ValueError("pointwise J(omega) is undefined for a discrete mode set")
-
     def j_over_omega(self, omega):
         raise ValueError("pointwise J(omega) is undefined for a discrete mode set")
 
-    def scale(self):
+    def atoms(self, beta, poles=()):
+        """The atoms (nu, s) of the thermal spectrum S(x) = sum s delta(x - nu):
+        nu = omega_k with s = |g_k|^2 (n + 1), nu = -omega_k with s = |g_k|^2 n.
+        Raises BathIntegrationError when a pole lies within 1e-12 of an atom."""
         w, g2 = self.arrays()
-        return float(np.average(w, weights=g2 + 1e-300))
+        n = bose(w, beta)
+        nu, s = np.concatenate([w, -w]), np.concatenate([g2 * (n + 1), g2 * n])
+        if (np.abs(nu - np.reshape(poles, (-1, 1))) < 1e-12).any():
+            raise BathIntegrationError("omega_m collides with a discrete bath mode")
+        return nu, s
 
 
 @dataclass(frozen=True)
@@ -332,8 +328,7 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
     if units == "si":
         if si_reference_energy is None:
             raise ValueError("SI tabulated data needs a reference energy in joules")
-        hbar = 1.054571817e-34
-        t_unit = hbar / si_reference_energy
+        t_unit = HBAR / si_reference_energy
         w = w * t_unit
         v = v * t_unit
     return Tabulated(tuple(w), tuple(v))
@@ -440,13 +435,9 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
         raise ValueError("beta must be positive")
     om = np.atleast_1d(np.asarray(omega_m, dtype=float))
     out = np.zeros(om.shape)
-    if J.discrete:
-        w, g2 = J.arrays()
-        if np.any(np.abs(w - np.abs(om)[:, None]) < 1e-12):
-            raise BathIntegrationError("omega_m collides with a discrete bath mode")
-        o = om[:, None]
-        term = (o * coth(beta * w / 2) + w) / (w**2 - o**2) - 1.0 / w
-        out = np.where(om == 0.0, 0.0, np.sum(g2 * term, axis=1))
+    if J.discrete:  # PV int S(nu) [1/(nu - w) - 1/nu] dnu over the atoms
+        nu, s = J.atoms(beta, om)
+        out = om * np.sum(s / (nu * (nu - om[:, None])), axis=1)
     elif om.any():
         nz = om[om != 0.0]
 
@@ -459,7 +450,7 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
 
 @functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
-    """dD_beta/d omega_m: the mode sum's derivative for a discrete bath, else the
+    """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
     finite part of the module docstring. Its panels split at x = |omega_m| (the
     kink of S at nu = 0) only for |omega_m| >= 1e-2 scale: QUADPACK does not
     converge on a shorter first panel of cancelling differences. For Ohmic-class
@@ -469,11 +460,8 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be positive")
     if J.discrete:
-        w, g2 = J.arrays()
-        if np.any(np.abs(w - abs(omega_m)) < 1e-12):
-            raise BathIntegrationError("omega_m collides with a discrete bath mode")
-        c, gap = coth(beta * w / 2), w**2 - omega_m**2
-        return float(np.sum(g2 * (c * gap + 2 * omega_m * (omega_m * c + w)) / gap**2))
+        nu, s = J.atoms(beta, omega_m)
+        return float(np.sum(s / (nu - omega_m) ** 2))
 
     s0 = _thermal_spectrum(J, beta, omega_m)
 
@@ -526,11 +514,8 @@ def corr_fn_complex_time(J: SpectralDensity, beta: float, tc: complex) -> comple
         raise ValueError("Im(t) must lie in [-beta, 0] (KMS strip)")
     ti = min(0.0, max(-beta, ti))
     if J.discrete:
-        w, g2 = J.arrays()
-        n = bose(w, beta)
-        return complex(np.sum(
-            g2 * ((n + 1) * np.exp(-1j * w * tc) + n * np.exp(1j * w * tc))
-        ))
+        nu, s = J.atoms(beta)
+        return complex(np.sum(s * np.exp(-1j * nu * tc)))
     scale = J.scale()
 
     def a_env(w):  # J (n+1) e^{w ti}
@@ -570,7 +555,8 @@ def gamma_m(J: SpectralDensity, beta: float, omega_m, t):
         Gamma_m(t) = int_0^inf J(w) K_m(w, t) dw,
         K_m(w, t) = (n(w) + 1) Phi(-(w + omega_m), t) + n(w) Phi(w - omega_m, t).
 
-    A discrete bath sums K_m over its modes. For a continuous J, write
+    A discrete bath sums s Phi(-(nu + omega_m), t) over the atoms (nu, s) of
+    its thermal spectrum. For a continuous J, write
     F(x) = S(x - omega_m) with the thermal spectrum S of _thermal_spectrum
     and fold x -> -x onto x > 0:
 
@@ -615,13 +601,8 @@ def _gamma_finite(J: SpectralDensity, beta: float, omega_m: float, t: float) -> 
         return 0.0 + 0.0j
 
     if J.discrete:
-        w, g2 = J.arrays()
-        n = bose(w, beta)
-        val = np.sum(
-            g2 * ((n + 1) * _phase_integral(-(w + omega_m), t)
-                  + n * _phase_integral(w - omega_m, t))
-        )
-        return complex(val)
+        nu, s = J.atoms(beta)
+        return complex(np.sum(s * _phase_integral(-(nu + omega_m), t)))
 
     def F(x):
         return _thermal_spectrum(J, beta, x - omega_m)

@@ -25,10 +25,10 @@ import numpy as np
 import yaml
 
 from . import __version__, bath as bathmod, clexact, finitebath, megen, mfstatics
+from .bath import HBAR
 from .opcore import gibbs, trace_distance
 
 K_BOLTZMANN = 1.380649e-23   # J/K
-HBAR = 1.054571817e-34       # J s
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -129,6 +129,26 @@ def _require(cfg: dict, key: str, context: str = "scenario"):
     return cfg[key]
 
 
+def _parse(cfg: dict, path: str, default, cast, valid, need: str):
+    """cfg[section][key] for path "section.key", default when absent or null."""
+    section, key = path.split(".")
+    fields = cfg.get(section) or {}
+    if not isinstance(fields, dict):
+        raise SchemaError(f"{section} must be a mapping")
+    raw = default if fields.get(key) is None else fields[key]
+    try:
+        value = cast(raw)
+        if valid(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"{path} must be {need}, got {raw!r}")
+
+
+_COUNT = (int, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = (float, lambda x: 0 < x < np.inf, "positive and finite")
+
+
 def _as_matrix(spec) -> np.ndarray:
     if isinstance(spec, str):
         if spec not in _NAMED_OPS:
@@ -183,6 +203,36 @@ class Scenario:
         self.J, self.beta = self._build_bath(_require(cfg, "bath"))
         self.bath_params = bathmod.BathParams(J=self.J, beta=self.beta,
                                               lam=self.lam)
+        if self.task == "oracle":
+            _require(cfg, "oracle")
+            self.n_modes = _parse(cfg, "oracle.n_modes", 4, *_COUNT)
+            self.fock_cutoff = _parse(cfg, "oracle.fock_cutoff", 5, *_COUNT)
+            self.omega_max = _parse(cfg, "oracle.omega_max", 3 * self.J.scale(), *_POSITIVE)
+            self.scheme = _parse(cfg, "oracle.scheme", finitebath.LINEAR, str.lower,
+                                 lambda x: x in (finitebath.LINEAR, finitebath.GAUSS),
+                                 "'linear' or 'gauss'")
+            self.lambdas = _parse(cfg, "oracle.lambdas", [self.lam, self.lam / 2, self.lam / 4],
+                                  lambda xs: [float(x) for x in xs],
+                                  lambda xs: all(x >= 0 for x in xs), "nonnegative numbers")
+        elif self.task == "dynamics":
+            self.points = _parse(cfg, "dynamics.points", 200, int, lambda n: n >= 2,
+                                 "an integer >= 2")
+            dyn = cfg.get("dynamics") or {}  # a mapping, checked by _parse
+            # no t_max: 20 relaxation times of the Davies generator, set when it runs
+            self.t_max = None if dyn.get("t_max") is None else _parse(
+                cfg, "dynamics.t_max", None, *_POSITIVE)
+            self.rho0 = self._initial_state(dyn.get("initial"))
+
+    def _initial_state(self, initial) -> np.ndarray:
+        if initial in (None, "ground"):
+            v = np.linalg.eigh(self.H_S)[1][:, 0]
+            return np.outer(v, v.conj())
+        if initial == "gibbs":
+            return gibbs(self.H_S, self.beta)
+        rho0 = _as_matrix(initial)
+        if rho0.shape != self.H_S.shape:
+            raise SchemaError(f"dynamics.initial has shape {rho0.shape}, H_S {self.H_S.shape}")
+        return rho0
 
     # -- unit conversion -------------------------------------------------
     def energy(self, value: float) -> float:
@@ -236,8 +286,7 @@ class Scenario:
             if bath_cfg.get("reorganization_energy") is not None:
                 # ell = lambda^2 gamma omega_D for this J; solve for gamma
                 ell = self.energy(bath_cfg["reorganization_energy"])
-                lam = float(self.cfg["coupling"].get("lambda", 1.0))
-                gamma = ell / (max(lam, 1e-300) ** 2 * cutoff)
+                gamma = ell / (max(self.lam, 1e-300) ** 2 * cutoff)
             else:
                 gamma = self.energy(_require(bath_cfg, "gamma", "bath"))
             return bathmod.DrudeLorentz(gamma=gamma, omega_d=cutoff), beta
@@ -255,23 +304,11 @@ class Scenario:
 def _build_scenario(cfg: dict) -> Scenario:
     """The validated scenario; every schema problem raises SchemaError."""
     try:
-        sc = Scenario(cfg)
+        return Scenario(cfg)
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(f"invalid parameter value: {exc}") from exc
-    if sc.task == "oracle" and "oracle" not in cfg:
-        raise SchemaError("oracle task requires an 'oracle' section")
-    return sc
-
-
-def validate_scenario(cfg: dict) -> list:
-    """Builds the scenario and returns its schema issues as strings."""
-    try:
-        _build_scenario(cfg)
-    except SchemaError as exc:
-        return [f"schema: {exc}"]
-    return []
 
 
 # -- output plumbing ------------------------------------------------------
@@ -379,27 +416,14 @@ def _task_statics_all(sc: Scenario, outdir: Path):
 
 
 def _task_dynamics(sc: Scenario, outdir: Path):
-    dyn = sc.cfg.get("dynamics", {})
     L = megen.davies_generator(sc.H_S, sc.X, sc.bath_params)
-    report = megen.steady_state(L)
-    gap = max(report.spectral_gap, 1e-12)
-    t_max = float(dyn.get("t_max", 20.0 / gap))
-    n_pts = int(dyn.get("points", 200))
-    t_grid = np.linspace(0.0, t_max, n_pts)
-
-    initial = dyn.get("initial", "ground")
-    if initial == "ground":
-        w, v = np.linalg.eigh(sc.H_S)
-        rho0 = np.outer(v[:, 0], v[:, 0].conj())
-    elif initial == "gibbs":
-        rho0 = gibbs(sc.H_S, sc.beta)
-    else:
-        rho0 = _as_matrix(initial)
+    t_max = sc.t_max or 20.0 / max(megen.steady_state(L).spectral_gap, 1e-12)
+    t_grid = np.linspace(0.0, t_max, sc.points)
 
     rows = []
     for kind, gen in (("davies", L),
                       ("brme", megen.brme_generator(sc.H_S, sc.X, sc.bath_params))):
-        traj = megen.evolve(gen, rho0, t_grid)
+        traj = megen.evolve(gen, sc.rho0, t_grid)
         for k, t in enumerate(traj.times):
             pop, coh = _energy_basis_observables(sc.H_S, traj.states[k])
             rows.append([kind, float(t), pop, coh,
@@ -451,21 +475,14 @@ def _task_steady_compare(sc: Scenario, outdir: Path):
 
 
 def _task_oracle(sc: Scenario, outdir: Path):
-    oc = sc.cfg.get("oracle", {})
-    n_modes = int(oc.get("n_modes", 4))
-    n_max = int(oc.get("fock_cutoff", 5))
-    omega_max = float(oc.get("omega_max", 3 * sc.J.scale()))
-    scheme = str(oc.get("scheme", "linear")).lower()
-    lambdas = [float(x) for x in oc.get("lambdas", [sc.lam, sc.lam / 2, sc.lam / 4])]
-
-    modes = finitebath.discretize(sc.J, n_modes, omega_max, scheme)
-    spec = finitebath.FiniteBathSpec(modes=tuple(modes), fock_cutoff=n_max,
+    modes = finitebath.discretize(sc.J, sc.n_modes, sc.omega_max, sc.scheme)
+    spec = finitebath.FiniteBathSpec(modes=tuple(modes), fock_cutoff=sc.fock_cutoff,
                                      counter_term=True)
     J_disc = bathmod.DiscreteModes(
         modes=tuple((w, abs(g) ** 2) for w, g in modes))
 
     rows = []
-    for lam in lambdas:
+    for lam in sc.lambdas:
         model = finitebath.assemble(sc.H_S, sc.X, lam, spec)
         exact = finitebath.exact_mfg(model, sc.beta)
         weak = mfstatics.mfg_weak(
@@ -578,10 +595,10 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
 
     if args.verb == "validate":
-        issues = validate_scenario(cfg)
-        if issues:
-            for issue in issues:
-                print(issue)
+        try:
+            _build_scenario(cfg)
+        except SchemaError as exc:
+            print(f"schema: {exc}")
             return EXIT_SCHEMA
         print("ok: no issues")
         return EXIT_OK

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import dag, require_hermitian
+from .opcore import boltzmann, dag, require_hermitian
 
 LINEAR = "linear"
 GAUSS = "gauss"
@@ -113,19 +113,11 @@ def assemble(H_S, X, lam: float, spec: FiniteBathSpec) -> GlobalModel:
     return GlobalModel(system_dim=d_s, H_tot=h)
 
 
-def _boltzmann(w, beta):
-    """Gibbs weights e^(-beta E_i)/Z of the spectrum w."""
-    if beta <= 0 or not np.isfinite(beta):
-        raise ValueError("beta must be finite and positive")
-    p = np.exp(-beta * (w - w.min()))
-    return p / p.sum()
-
-
 def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
     """Reduced MFG state tr_B e^(-beta H_tot)/Z from the cached spectrum."""
     w, v = model.eig()
     v = v.reshape(model.system_dim, -1, len(w))  # (system, bath, eigenvector)
-    rho = np.einsum("aki,bki,i->ab", v, v.conj(), _boltzmann(w, beta), optimize=True)
+    rho = np.einsum("aki,bki,i->ab", v, v.conj(), boltzmann(w, beta), optimize=True)
     rho = (rho + dag(rho)) / 2
     return rho / np.trace(rho).real
 

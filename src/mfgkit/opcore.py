@@ -53,15 +53,19 @@ def require_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL) -> np.
     return rho
 
 
+def boltzmann(w: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights e^(-beta E_i)/Z of the spectrum w, shifted by its minimum."""
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    p = np.exp(-beta * (w - w.min()))
+    return p / p.sum()
+
+
 def gibbs(H: np.ndarray, beta: float) -> np.ndarray:
     """Canonical state e^(-beta H)/Z. H is shifted by its ground energy first."""
     H = require_hermitian(H)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
     w, v = np.linalg.eigh(H)
-    p = np.exp(-beta * (w - w.min()))
-    p /= p.sum()
-    return (v * p) @ dag(v)
+    return (v * boltzmann(w, beta)) @ dag(v)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple, keep: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import expi
@@ -136,13 +136,33 @@ def _knot_resolved_pv(tab, h, a, order=20):
 
 def _tabulated_j_over_omega_array(tab, omega):
     """Reference: the masked array form Tabulated.j_over_omega had before its
-    scalar body, J from tab.j and the first grid slope below the grid (the
-    spline's slope at 0 on a grid starting at 0)."""
-    w0 = tab.omegas[0]
-    slope0 = tab.values[0] / w0 if w0 > 0 else max(tab._spline()(0.0, 1), 0.0)
+    scalar body, J the clipped spline on the grid and 0 above it, and the first
+    grid slope below the grid or below 1e-12 (the spline's slope at 0 on a grid
+    starting at 0). Without that threshold J/w differs from it by up to
+    2.3e-14 relative at w = 1e-13."""
+    w0, w1 = tab.omegas[0], tab.omegas[-1]
+    slope0 = tab.values[0] / w0 if w0 > 0 else max(tab._cubic(0.0, 1), 0.0)
     tiny = omega < max(w0, 1e-12)
     safe = np.where(tiny, 1.0, omega)
-    return np.where(tiny, slope0, tab.j(safe) / safe)
+    j = np.where(safe > w1, 0.0, np.maximum(tab._cubic(safe), 0.0))
+    return np.where(tiny, slope0, j / safe)
+
+
+# -- reference: the coth/bose forms of the discrete-mode sums that the atoms
+# of the thermal spectrum replaced
+
+def _ref_discrete_d_beta(J, beta, omega):
+    if omega == 0.0:
+        return 0.0
+    w, g2 = J.arrays()
+    term = (omega * bath.coth(beta * w / 2) + w) / (w**2 - omega**2) - 1.0 / w
+    return float(np.sum(g2 * term))
+
+
+def _ref_discrete_d_beta_deriv(J, beta, omega):
+    w, g2 = J.arrays()
+    c, gap = bath.coth(beta * w / 2), w**2 - omega**2
+    return float(np.sum(g2 * (c * gap + 2 * omega * (omega * c + w)) / gap**2))
 
 
 class TestSpectralDensities:
@@ -151,9 +171,16 @@ class TestSpectralDensities:
         assert DRUDE.j(5.0) == pytest.approx(0.1 * 5.0 / np.pi)
 
     def test_j_over_omega_matches_j(self):
+        # the closed-form J's the densities had before J became w * J/w
         w = np.linspace(0.1, 20.0, 50)
-        for J in (DRUDE, OHMIC, SUPER):
-            assert np.allclose(J.j(w) / w, J.j_over_omega(w), atol=1e-13)
+        closed_form = {
+            DRUDE: (2 * 0.1 * 5.0 / np.pi) * w * 5.0 / (w**2 + 5.0**2),
+            OHMIC: 0.2 * w * np.exp(-w / 3.0),
+            SUPER: 0.5 * 0.7 * (w / 2.0)**3 * np.exp(-w / 2.0),
+        }
+        for J, j in closed_form.items():
+            assert np.allclose(j / w, J.j_over_omega(w), atol=1e-13)
+            assert np.allclose(j, J.j(w), atol=1e-13)
 
     def test_tabulated_roundtrip(self):
         grid = np.linspace(0.01, 40.0, 800)
@@ -183,7 +210,8 @@ class TestSpectralDensities:
         w = float(grid[idx]) if on_grid else frac * 40.0
         scalar = tab.j_over_omega(w)
         assert type(scalar) is float
-        assert scalar == _tabulated_j_over_omega_array(tab, np.array([w]))[0]
+        assert scalar == pytest.approx(_tabulated_j_over_omega_array(tab, np.array([w]))[0],
+                                       rel=1e-13, abs=0.0)
         assert tab.j_over_omega(np.float64(w)) == scalar
 
     @pytest.mark.parametrize("w0", [0.0, 0.05, 0.7])
@@ -195,14 +223,19 @@ class TestSpectralDensities:
                             np.linspace(w0, 40.0, 23), [40.0 + 1e-9, 45.0, 1e3]])
         got = tab.j_over_omega(w)
         assert got.shape == w.shape
-        assert np.array_equal(got, _tabulated_j_over_omega_array(tab, w))
+        assert np.allclose(got, _tabulated_j_over_omega_array(tab, w), rtol=1e-13, atol=0.0)
         assert np.array_equal(got, [tab.j_over_omega(float(x)) for x in w])
 
     def test_tabulated_j_over_omega_continuous_at_zero(self):
         # on a grid starting at 0, J/w(0) is the spline's slope, the limit
-        # of spline(w)/w, not the first cell's secant
-        assert TAB_OHMIC.j_over_omega(0.0) == pytest.approx(
-            TAB_OHMIC.j_over_omega(1e-12), abs=1e-9)
+        # of spline(w)/w, not the first cell's secant. J(0) = 0 makes the
+        # first cell's constant term 0, so spline(w)/w keeps its digits down
+        # to the smallest normal float; subnormal w reads as 0 (spline(w)
+        # underflows there: 0 at w = 2e-322)
+        at_zero = TAB_OHMIC.j_over_omega(0.0)
+        for w in (5e-324, 2e-322, 3e-308, 1e-300, 1e-200, 1e-12):
+            assert abs(TAB_OHMIC.j_over_omega(w) - at_zero) <= 1e-13
+            assert abs(TAB_OHMIC.j_over_omega(np.array([w]))[0] - at_zero) <= 1e-13
         # dephasing rate Re Gamma(inf) at omega = 0 is pi J/w(0)/beta = pi gamma/beta
         for beta in (0.5, 1.0, 2.0):
             rate = bath.gamma_m(TAB_OHMIC, beta, 0.0, bath.ASYMPTOTIC).real
@@ -213,6 +246,14 @@ class TestSpectralDensities:
             bath.Tabulated(omegas=(1.0, 0.5, 2.0, 3.0), values=(0.1,) * 4)
         with pytest.raises(ValueError):
             bath.Tabulated(omegas=(0.5, 1.0, 2.0, 3.0), values=(0.1, -0.5, 0.1, 0.1))
+        # J/w diverges at 0 unless J(0) = 0; rounding-level J(0) is stored as 0
+        with pytest.raises(ValueError, match="J\\(0\\)"):
+            bath.Tabulated(omegas=(0.0, 1.0, 2.0, 3.0), values=(0.01, 0.2, 0.1, 0.0))
+        tab = bath.Tabulated(omegas=(0.0, 1.0, 2.0, 3.0), values=(1e-14, 0.2, 0.1, 0.0))
+        assert tab.values[0] == 0.0
+        # a grid starting above 0 keeps its J(w0) > 0
+        assert bath.Tabulated(omegas=(0.5, 1.0, 2.0, 3.0), values=(0.1, 0.2, 0.1, 0.0)
+                              ).values[0] == 0.1
 
 
 class TestSpecialFunctions:
@@ -625,10 +666,41 @@ class TestDBeta:
         ohmic = bath.OhmicExp(0.1, 4.0)
         d4, d5, d6 = (bath.d_beta_deriv(ohmic, 1.0, w) for w in (1e-4, 1e-5, 1e-6))
         assert d6 - d5 == pytest.approx(d5 - d4, rel=1e-3)
-        for J, w in ((ohmic, 1e-7), (ohmic, 1e-9), (TAB_OHMIC, 1e-7)):
+        for J, w in ((ohmic, 1e-7), (ohmic, 1e-9), (TAB_OHMIC, 1e-7), (TAB_OHMIC, 1e-12)):
             with pytest.raises(bath.BathIntegrationError):
                 bath.d_beta_deriv(J, 1.0, w)
 
     def test_discrete_derivative_keeps_collision_check(self):
         with pytest.raises(bath.BathIntegrationError, match="collides"):
             bath.d_beta_deriv(DISCRETE, 1.0, -4.5)
+        # one check, in DiscreteModes.atoms, for +-omega_k and within 1e-12
+        for w in (7.0, -7.0, 7.0 + 5e-13, -7.0 - 5e-13):
+            with pytest.raises(bath.BathIntegrationError, match="collides"):
+                bath.d_beta.__wrapped__(DISCRETE, 1.0, (0.3, w))
+            with pytest.raises(bath.BathIntegrationError, match="collides"):
+                bath.d_beta_deriv.__wrapped__(DISCRETE, 1.0, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        modes=st.lists(st.tuples(st.floats(min_value=0.5, max_value=10.0),
+                                 st.floats(min_value=0.0, max_value=0.2)),
+                       min_size=1, max_size=6),
+        log_beta=st.floats(min_value=-1.0, max_value=1.0),
+        omega=st.one_of(st.just(0.0), st.floats(min_value=-12.0, max_value=12.0)),
+    )
+    def test_discrete_atoms_match_coth_form(self, modes, log_beta, omega):
+        # D_beta = w sum s/(nu (nu - w)) and D_beta' = sum s/(nu - w)^2 over
+        # the atoms of S, against the coth form of the mode sums. Measured
+        # against a 40-digit sum, the coth form loses digits to w^2 - omega^2
+        # next to a mode (9e-14 at 1.4e-2 from omega_k = 10), and the atoms
+        # cancel their weights n + 1 and n when n is large (2.2e-14 at
+        # beta omega_k = 0.014), so modes stay 10% away from |omega| and
+        # beta omega_k >= 0.05; 60000 random draws there stayed within 3.5e-15
+        J, beta = bath.DiscreteModes(modes=tuple(modes)), 10.0**log_beta
+        assume(all(abs(abs(omega) - w) > 0.1 * w for w, _ in modes))
+        ref = _ref_discrete_d_beta(J, beta, omega)
+        got = bath.d_beta.__wrapped__(J, beta, omega)
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+        ref = _ref_discrete_d_beta_deriv(J, beta, omega)
+        got = bath.d_beta_deriv.__wrapped__(J, beta, omega)
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))

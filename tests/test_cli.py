@@ -37,6 +37,47 @@ class TestSchema:
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_SCHEMA
         assert "beta must be positive" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("preset, section, bad", [
+        ("oracle_spin_boson", "oracle", {"n_modes": "abc"}),
+        ("fig1_weak", "dynamics", {"points": "many"}),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_task_section_exits_2(self, tmp_path, capsys, preset, section, bad, verb):
+        # a bad task field is a schema error before anything runs, not a
+        # numerical failure of the run
+        cfg = deepcopy(cli.PRESETS[preset])
+        cfg[section] = {**cfg.get(section, {}), **bad}
+        path = _write_scenario(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", path, "--out", str(out)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert f"{section}.{next(iter(bad))} must be" in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, bad", [
+        ("oracle", {"fock_cutoff": 0}), ("oracle", {"omega_max": -1.0}),
+        ("oracle", {"scheme": "simpson"}), ("oracle", {"lambdas": [0.1, -0.1]}),
+        ("oracle", {"lambdas": 0.1}), ("dynamics", {"points": 1}),
+        ("dynamics", {"t_max": 0.0}), ("dynamics", {"initial": [[1.0]]}),
+    ])
+    def test_task_section_bounds(self, section, bad):
+        cfg = deepcopy(cli.PRESETS["oracle_spin_boson"])
+        cfg["task"] = section
+        cfg[section] = {**cfg.get(section, {}), **bad}
+        with pytest.raises(cli.SchemaError, match=f"{section}\\."):
+            cli._build_scenario(cfg)
+
+    def test_task_section_defaults(self):
+        sc = cli.Scenario({**deepcopy(cli.PRESETS["spin_boson"]), "task": "oracle",
+                           "oracle": {}})
+        assert (sc.n_modes, sc.fock_cutoff, sc.scheme) == (4, 5, "linear")
+        assert sc.omega_max == 3 * sc.J.scale()
+        assert sc.lambdas == [sc.lam, sc.lam / 2, sc.lam / 4]
+        sc = cli.Scenario({**deepcopy(cli.PRESETS["spin_boson"]), "task": "dynamics"})
+        assert (sc.t_max, sc.points) == (None, 200)
+        ground = np.linalg.eigh(sc.H_S)[1][:, 0]
+        assert np.allclose(sc.rho0, np.outer(ground, ground.conj()))
+
     def test_unknown_scenario_exits_2(self):
         assert cli.main(["validate", "--scenario", "no_such_thing"]) == cli.EXIT_SCHEMA
 
