@@ -49,9 +49,17 @@ For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
 arguments (the spectral densities are frozen dataclasses). gamma_m and d_beta
 take a float or a tuple of frequencies; a tuple gives a read-only array.
+
+QUADPACK calls an integrand once per node with a Python float. The functions
+evaluated at nodes (j_over_omega, _thermal_spectrum, coth, _phase_integral)
+take a Python float and return one (a complex from _phase_integral), computed
+with math; an array goes through numpy. A density writes its J/w once, for
+either library (_backend), so the two paths agree to rounding.
 """
 
+import bisect
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -75,8 +83,17 @@ class BathDivergenceError(ValueError):
     """The requested bath integral diverges for this spectral density."""
 
 
+def _backend(x):
+    """(math, x) for a float, as QUADPACK passes its nodes; else (numpy, array)."""
+    if isinstance(x, float):  # also np.float64
+        return math, x
+    return np, np.asarray(x, dtype=float)
+
+
 def coth(x):
     """Stable coth for positive arguments (series below 1e-4)."""
+    if isinstance(x, float):
+        return 1.0 / x + x / 3.0 if abs(x) < 1e-4 else 1.0 / math.tanh(x)
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
@@ -135,7 +152,8 @@ class OhmicExp(SpectralDensity):
             raise ValueError("need gamma >= 0 and omega_c > 0")
 
     def j_over_omega(self, omega):
-        return self.gamma * np.exp(-np.asarray(omega, dtype=float) / self.omega_c)
+        xp, w = _backend(omega)
+        return self.gamma * xp.exp(-w / self.omega_c)
 
     def scale(self):
         return self.omega_c
@@ -153,9 +171,9 @@ class SuperOhmicCubic(SpectralDensity):
             raise ValueError("need gamma >= 0 and omega_c > 0")
 
     def j_over_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        u = omega / self.omega_c
-        return 0.5 * self.gamma * u * u * np.exp(-u) / self.omega_c
+        xp, w = _backend(omega)
+        u = w / self.omega_c
+        return 0.5 * self.gamma * u * u * xp.exp(-u) / self.omega_c
 
     def scale(self):
         return self.omega_c
@@ -173,8 +191,8 @@ class DrudeLorentz(SpectralDensity):
             raise ValueError("need gamma >= 0 and omega_d > 0")
 
     def j_over_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return (2 * self.gamma * self.omega_d**2 / np.pi) / (omega**2 + self.omega_d**2)
+        _, w = _backend(omega)  # w * w: a float's w**2 raises OverflowError
+        return (2 * self.gamma * self.omega_d**2 / math.pi) / (w * w + self.omega_d**2)
 
     def scale(self):
         return self.omega_d
@@ -196,6 +214,7 @@ class Tabulated(SpectralDensity):
     values: tuple
     # built once from omegas/values; not part of eq, hash or repr
     _cubic: CubicSpline = field(init=False, repr=False, compare=False)
+    _cells: tuple = field(init=False, repr=False, compare=False)  # _cubic.c per cell, as floats
     _slope0: float = field(init=False, repr=False, compare=False)  # J(w0)/w0, or J'(0) if w0 = 0
 
     def __post_init__(self):
@@ -210,10 +229,11 @@ class Tabulated(SpectralDensity):
         if w[0] == 0 and v[0] > 1e-12 * v.max():
             raise ValueError("J(0) must be 0 on a grid starting at 0 (J/omega diverges)")
         v = np.clip(v, 0.0, None) * (w > 0)  # J(0) = 0
-        object.__setattr__(self, "omegas", tuple(w))
-        object.__setattr__(self, "values", tuple(v))
+        object.__setattr__(self, "omegas", tuple(w.tolist()))  # plain floats for the float path
+        object.__setattr__(self, "values", tuple(v.tolist()))
         cubic = CubicSpline(w, v)
         object.__setattr__(self, "_cubic", cubic)
+        object.__setattr__(self, "_cells", tuple(map(tuple, cubic.c.T.tolist())))
         object.__setattr__(self, "_slope0", float(
             v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
 
@@ -222,15 +242,22 @@ class Tabulated(SpectralDensity):
 
     def j_over_omega(self, omega):
         """spline(w)/w on the grid, 0 above it, and at or below its first point
-        (or a subnormal w, where spline(w) underflows) _slope0. A float takes
-        one spline call, an array one call on its points."""
+        (or a subnormal w, where spline(w) underflows) _slope0. A float
+        bisects into the knots and sums its cell's cubic in the order the
+        spline does (Horner's order differs by up to 3 ulp); an array takes
+        one spline call on its points."""
         lo, hi = self.omegas[0] or _TINY, self.omegas[-1]
         if isinstance(omega, float):  # also np.float64
             if omega <= lo:
                 return self._slope0
             if omega > hi:
                 return 0.0
-            return max(float(self._spline()(omega)), 0.0) / float(omega)
+            # the cell x_i <= w < x_(i+1) (the last one for w = hi), as the spline picks it
+            i = min(bisect.bisect_right(self.omegas, omega), len(self._cells)) - 1
+            c3, c2, c1, c0 = self._cells[i]
+            d = omega - self.omegas[i]
+            d2 = d * d
+            return max(c0 + c1 * d + c2 * d2 + c3 * (d2 * d), 0.0) / omega
         w = np.asarray(omega, dtype=float)
         inside = (w > lo) & (w <= hi)
         x = np.where(inside, w, hi)
@@ -463,6 +490,7 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
         nu, s = J.atoms(beta, omega_m)
         return float(np.sum(s / (nu - omega_m) ** 2))
 
+    omega_m = float(omega_m)  # nodes omega_m +- x stay plain floats
     s0 = _thermal_spectrum(J, beta, omega_m)
 
     def integrand(x):
@@ -477,7 +505,7 @@ def _bose_ratio(x):
     """x / (1 - e^(-x)), smooth through x = 0."""
     if abs(x) < 1e-6:
         return 1.0 + x / 2.0 + x * x / 12.0
-    return x / -np.expm1(-x)
+    return x / -math.expm1(-x)
 
 
 def _thermal_spectrum(J: SpectralDensity, beta: float, nu: float) -> float:
@@ -487,8 +515,8 @@ def _thermal_spectrum(J: SpectralDensity, beta: float, nu: float) -> float:
     J(|nu|) n(|nu|) for nu < 0 (absorption); smooth through nu = 0.
     """
     a = abs(nu)
-    s = float(J.j_over_omega(a)) / beta * _bose_ratio(beta * a)
-    return s if nu >= 0 else s * np.exp(-beta * a)
+    s = J.j_over_omega(a) / beta * _bose_ratio(beta * a)
+    return s if nu >= 0 else s * math.exp(-beta * a)
 
 
 def _osc_quad(envelope, t, scale, kind):
@@ -519,10 +547,10 @@ def corr_fn_complex_time(J: SpectralDensity, beta: float, tc: complex) -> comple
     scale = J.scale()
 
     def a_env(w):  # J (n+1) e^{w ti}
-        return _thermal_spectrum(J, beta, w) * np.exp(w * ti)
+        return _thermal_spectrum(J, beta, w) * math.exp(w * ti)
 
     def b_env(w):  # J n e^{-w ti} = J (n+1) e^{-w (beta + ti)}, bounded factors
-        return _thermal_spectrum(J, beta, w) * np.exp(-w * (beta + ti))
+        return _thermal_spectrum(J, beta, w) * math.exp(-w * (beta + ti))
 
     re = _osc_quad(lambda w: a_env(w) + b_env(w), tr, scale, "cos")
     im = _osc_quad(lambda w: b_env(w) - a_env(w), tr, scale, "sin")
@@ -543,6 +571,10 @@ def corr_fn(J: SpectralDensity, beta: float, t: float) -> complex:
 def _phase_integral(x, t):
     """int_0^t e^{i x r} dr = (e^{i x t} - 1)/(i x), stable at x = 0."""
     arg = x * t / 2.0
+    if isinstance(arg, float):  # t e^{i arg} sin(arg)/arg
+        sin = math.sin(arg)
+        f = t * sin / arg if arg else t
+        return complex(f * math.cos(arg), f * sin)
     return t * np.exp(1j * arg) * np.sinc(arg / np.pi)
 
 
@@ -669,4 +701,4 @@ def reorganization_energy(J: SpectralDensity, lam: float) -> float:
         return float(lam**2 * np.sum(g2 / w))
     if isinstance(J, Tabulated):
         J.check_tail()
-    return float(lam**2 * semi_infinite_quad(lambda w: float(J.j_over_omega(w)), J.scale()))
+    return float(lam**2 * semi_infinite_quad(J.j_over_omega, J.scale()))

@@ -10,6 +10,7 @@ ln Z is a sum of ln Gamma over the roots mu_j of a cubic P, so its parameter
 derivatives are closed form: digamma values times mu_j' = -(d_x P)/P' (moments).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,17 +160,18 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     sigma_re = CubicSpline(grid, _self_energy_real(J, grid))
 
     def denom_re(w):
-        return omega_0**2 - w**2 - sigma_re(w)
+        return omega_0**2 - w * w - sigma_re(w)
 
-    def envelope(w):
+    def envelope(w):  # at QUADPACK's float nodes, in plain floats
         if w == 0.0:
             return 0.0
-        im_sigma = np.pi * float(J.j(w)) / 2
-        g_im = im_sigma / (denom_re(w) ** 2 + im_sigma**2)
+        im_sigma = math.pi * J.j(w) / 2
+        d = float(denom_re(w))
+        g_im = im_sigma / (d * d + im_sigma * im_sigma)
         return bathmod.coth(beta * w / 2) * g_im
 
     def integrand(w):
-        return np.cos(w * dt) * envelope(w)
+        return math.cos(w * dt) * envelope(w)
 
     # locate the dressed resonance so the quadrature subdivides around it
     points = []

@@ -129,6 +129,13 @@ def _require(cfg: dict, key: str, context: str = "scenario"):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str) -> dict:
+    fields = _require(cfg, key)
+    if not isinstance(fields, dict):
+        raise SchemaError(f"{key} must be a mapping, got {fields!r}")
+    return fields
+
+
 def _parse(cfg: dict, path: str, default, cast, valid, need: str):
     """cfg[section][key] for path "section.key", default when absent or null."""
     section, key = path.split(".")
@@ -183,7 +190,7 @@ class Scenario:
                 raise SchemaError("reference_energy must be positive (joules)")
 
         if self.task == "oscillator":
-            osc = _require(cfg, "oscillator")
+            osc = _section(cfg, "oscillator")
             self.cl_params = clexact.CLParams(
                 omega_0=float(_require(osc, "omega_0", "oscillator")),
                 gamma=float(_require(osc, "gamma", "oscillator")),
@@ -192,15 +199,15 @@ class Scenario:
             )
             return
 
-        self.H_S = self._build_system(_require(cfg, "system"))
-        coupling = _require(cfg, "coupling")
+        self.H_S = self._build_system(_section(cfg, "system"))
+        coupling = _section(cfg, "coupling")
         self.X = _as_matrix(_require(coupling, "x", "coupling"))
         if self.X.shape != self.H_S.shape:
             raise SchemaError("coupling operator dimension does not match H_S")
         self.lam = float(coupling.get("lambda", 1.0))
         if self.lam < 0:
             raise SchemaError("lambda must be nonnegative")
-        self.J, self.beta = self._build_bath(_require(cfg, "bath"))
+        self.J, self.beta = self._build_bath(_section(cfg, "bath"))
         self.bath_params = bathmod.BathParams(J=self.J, beta=self.beta,
                                               lam=self.lam)
         if self.task == "oracle":
@@ -302,12 +309,14 @@ class Scenario:
 # -- validation -------------------------------------------------------------
 
 def _build_scenario(cfg: dict) -> Scenario:
-    """The validated scenario; every schema problem raises SchemaError."""
+    """The validated scenario; every schema problem raises SchemaError. Scenario
+    converts fields with bare float(...), so a list or mapping where a number
+    belongs raises TypeError, which is a schema problem here too."""
     try:
         return Scenario(cfg)
     except SchemaError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid parameter value: {exc}") from exc
 
 

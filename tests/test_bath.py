@@ -269,6 +269,89 @@ class TestSpecialFunctions:
             )
 
 
+TAB_SUPER = bath.Tabulated(omegas=tuple(np.linspace(0.01, 40.0, 800)),
+                           values=tuple(SUPER.j(np.linspace(0.01, 40.0, 800))))
+CONTINUOUS = [DRUDE, OHMIC, SUPER, TAB_OHMIC, TAB_SUPER]
+CONTINUOUS_IDS = ["drude", "ohmic", "super", "tab_ohmic", "tab_super"]
+
+
+def _ref_thermal_spectrum(J, beta, nu):
+    """Reference: S(nu) as computed before the float path, in numpy (J/w on
+    the array path, np.expm1 and np.exp)."""
+    a = abs(nu)
+    x = beta * a
+    ratio = 1.0 + x / 2.0 + x * x / 12.0 if abs(x) < 1e-6 else x / -np.expm1(-x)
+    s = float(J.j_over_omega(np.array([a]))[0]) / beta * ratio
+    return s if nu >= 0 else s * np.exp(-beta * a)
+
+
+def _ulps(a, b):
+    """Distance of a and b in units of the last place of the larger; nan = nan."""
+    if a == b or (np.isnan(a) and np.isnan(b)):
+        return 0.0
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+class TestFloatPath:
+    """QUADPACK evaluates the bath at float nodes through math; arrays go
+    through numpy. The two paths run one formula."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        J=st.sampled_from(CONTINUOUS),
+        w=st.one_of(
+            # 0, subnormals, the smallest normal, 1e300 and both grids' ends
+            st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+                             60.0, 0.01, 40.0, np.nextafter(40.0, 0.0)]),
+            st.floats(min_value=0.0, max_value=80.0),
+            st.floats(min_value=0.0, max_value=1e300),
+        ),
+    )
+    def test_float_path_equals_array_path(self, J, w):
+        # math and numpy round exp differently, by at most an ulp each; the
+        # spline's float path sums each cell's cubic in the spline's own order.
+        # Super-Ohmic J/w is nan on both paths at 1e300, where u^2 overflows
+        with np.errstate(all="ignore"):
+            array = J.j_over_omega(np.array([w]))[0]
+        assert _ulps(J.j_over_omega(w), array) <= 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        J=st.sampled_from(CONTINUOUS),
+        log_beta=st.floats(min_value=-1.0, max_value=1.0),
+        nu=st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                     st.floats(min_value=-1e-6, max_value=1e-6), st.just(0.0)),
+    )
+    def test_thermal_spectrum_matches_numpy_reference(self, J, log_beta, nu):
+        # nu in [-1e-6, 1e-6] is divided by beta, so |beta nu| < 1e-6 (the
+        # series branch of the Bose ratio) is drawn too. Up to three factors
+        # round differently in math and numpy (J/w, expm1, exp): 8 ulp
+        beta = 10.0**log_beta
+        if abs(nu) <= 1e-6:
+            nu /= beta
+        ref = _ref_thermal_spectrum(J, beta, nu)
+        assert abs(bath._thermal_spectrum(J, beta, nu) - ref) <= 8 * np.spacing(abs(ref))
+
+    @pytest.mark.parametrize("J", CONTINUOUS, ids=CONTINUOUS_IDS)
+    def test_float_in_float_out(self, J):
+        for w in (0.0, 1e-8, 0.3, 7.5, 45.0, 1e3):
+            assert type(J.j_over_omega(w)) is float
+            assert type(bath._thermal_spectrum(J, 0.7, w)) is float
+            assert type(bath._thermal_spectrum(J, 0.7, -w)) is float
+
+    def test_coth_and_phase_integral_float_path(self):
+        for x in (1e-6, 0.3, 2.0, 40.0):
+            assert type(bath.coth(x)) is float
+            assert bath.coth(x) == pytest.approx(bath.coth(np.array([x]))[0], rel=4e-16)
+        for x, t in ((0.0, 2.0), (-0.0, 2.0), (1e-9, 2.0), (0.3, 2.0), (-7.0, 0.5), (40.0, 3.0)):
+            got = bath._phase_integral(x, t)
+            assert type(got) is complex
+            # int_0^t e^{i x r} dr = (sin(x t) + 2i sin^2(x t/2))/x, no cancellation
+            exact = t if x == 0 else complex(np.sin(x * t), 2 * np.sin(x * t / 2)**2) / x
+            assert abs(got - exact) <= 1e-15 * t
+            assert abs(got - bath._phase_integral(np.array([x]), t)[0]) <= 1e-15 * t
+
+
 class TestPrincipalValue:
     def test_exponential_oracle(self):
         # PV int_0^inf e^(-w)(w + a)/(w^2 - a^2) dw = -e^(-a) Ei(a)
@@ -633,6 +716,30 @@ class TestDBeta:
     def test_derivative_frozen_tight_reference(self, J, beta, w, expected, rel):
         assert bath.d_beta_deriv(J, beta, w) == pytest.approx(expected, rel=rel)
 
+    # values before the float path (numpy at every node), frozen at 1e-12: the
+    # float path moves them by at most 6.1e-14 here. Next to the kink of an
+    # Ohmic S (omega = 0.05, beta = 0.1) the finite part's second difference
+    # amplifies rounding, and the value moved by 2.9e-11 (relative 6e-12,
+    # inside the quadrature's epsrel 1e-8), so no frozen value sits there
+    FROZEN_D_BETA_DERIV = {
+        "drude": (DRUDE, {0.1: (-0.1481464897834761, -0.3967568585471022, -0.20087600406510503),
+                          1.0: (0.051955580251322506, -0.015789165949689536, -0.08299239212460496),
+                          10.0: (0.03708241685461017, 0.03430961879508308, -0.1002010185239622)}),
+        "ohmic": (OHMIC, {0.1: (0.05359856780558462, -1.3829926409116562, -0.05451821092696942),
+                          1.0: (0.11151719557188207, -0.1993261680489829, -0.1484871148530272),
+                          10.0: (0.05223642961753876, -0.10669700092088015, -0.1992942168241442)}),
+        "super": (SUPER, {0.1: (-0.5644349096836773, 1.0676785598809249, -0.8737402406843962),
+                          1.0: (0.03264975068606321, 0.2763924933275622, -0.13961988603333259),
+                          10.0: (0.061457378498990335, 0.2797758846937383, -0.12880847456333708)}),
+    }
+
+    @pytest.mark.parametrize("name", FROZEN_D_BETA_DERIV)
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_derivative_frozen_before_float_path(self, name, beta):
+        J, values = self.FROZEN_D_BETA_DERIV[name]
+        for w, expected in zip((-2.3, 0.7, 3.0), values[beta]):
+            assert bath.d_beta_deriv.__wrapped__(J, beta, w) == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER, DISCRETE],
                              ids=["drude", "ohmic", "super", "discrete"])
     @pytest.mark.parametrize("w1, w2", [(0.4, 1.2), (2.5, 3.8), (-2.0, -0.8)])
@@ -662,11 +769,15 @@ class TestDBeta:
         # the finite part must resolve the kink of S at x = |omega|, where
         # S(omega + x) + S(omega - x) - 2 S(omega) cancels to its rounding
         # error; down to 1e-6 it follows D' = c log|omega| + d, and below
-        # the quadrature raises instead of returning a number
+        # the quadrature may raise instead of returning a number
         ohmic = bath.OhmicExp(0.1, 4.0)
         d4, d5, d6 = (bath.d_beta_deriv(ohmic, 1.0, w) for w in (1e-4, 1e-5, 1e-6))
         assert d6 - d5 == pytest.approx(d5 - d4, rel=1e-3)
-        for J, w in ((ohmic, 1e-7), (ohmic, 1e-9), (TAB_OHMIC, 1e-7), (TAB_OHMIC, 1e-12)):
+        # at 1e-9 the quadrature converges again, on the log law extrapolated
+        # from 1e-4...1e-6 (-1.0220989 against -1.0221152)
+        d9 = bath.d_beta_deriv(ohmic, 1.0, 1e-9)
+        assert d9 == pytest.approx(d6 + 3 * (d6 - d5), rel=1e-4)
+        for J, w in ((ohmic, 1e-7), (TAB_OHMIC, 1e-7), (TAB_OHMIC, 1e-12)):
             with pytest.raises(bath.BathIntegrationError):
                 bath.d_beta_deriv(J, 1.0, w)
 

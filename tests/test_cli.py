@@ -54,6 +54,24 @@ class TestSchema:
         assert f"{section}.{next(iter(bad))} must be" in captured.out + captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, bad, message", [
+        ("system", {"preset": "spin_boson", "epsilon": [1.0], "delta": 0.5},
+         "invalid parameter value"),
+        ("bath", 5, "bath must be a mapping"),
+        ("coupling", [1.0], "coupling must be a mapping"),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, section, bad, message, verb):
+        # a list where a number belongs, or a number where a section belongs,
+        # is a schema error, not a TypeError traceback
+        cfg = {**deepcopy(cli.PRESETS["spin_boson"]), section: bad}
+        path = _write_scenario(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", path, "--out", str(out)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, bad", [
         ("oracle", {"fock_cutoff": 0}), ("oracle", {"omega_max": -1.0}),
         ("oracle", {"scheme": "simpson"}), ("oracle", {"lambdas": [0.1, -0.1]}),
