@@ -28,13 +28,22 @@ continuous J (see gamma_m); G(r) is not needed.
 Every principal-value integral over a continuous J, the Lamb shift
 Im Gamma_m(infinity), D_beta and the oscillator self-energy in clexact, is
 PV int_0^inf h(w)/(w^2 - a^2) dw evaluated by principal_value over a stack of
-poles a at once, one quad_vec call per half of the range. It subtracts h(a)
-and integrates each pole in its own coordinate x = w - a,
+poles a at once. It subtracts h(a), which leaves a regular integrand, and
+integrates by one of two rules:
 
-    int_{-a}^0 (h(a + x) - h(a))/(x (2a + x)) dx + int_0^inf (same) dx,
+- an analytic J: one quad_vec call per half of the range, each pole in its
+  own coordinate x = w - a,
 
-so every pole's removable point x = 0 is a panel edge, where no node falls;
-in w, nodes that land next to some pole lose digits to cancellation.
+      int_{-a}^0 (h(a + x) - h(a))/(x (2a + x)) dx + int_0^inf (same) dx,
+
+  so every pole's removable point x = 0 is a panel edge, where no node falls;
+  in w, nodes that land next to some pole lose digits to cancellation;
+- a J with knots (Tabulated: J a cubic on each cell of its grid, 0 beyond
+  the last knot W): fixed Gauss-Legendre sums over cells with edges at
+  0, the knots and the poles (graded toward 0 and the poles), plus the tail
+  beyond W in closed form (Davis & Rabinowitz, Methods of Numerical
+  Integration). reorganization_energy uses the same rule.
+
 Im Gamma(infinity) and D_beta are one integral:
 
     D_beta(omega) = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw.
@@ -54,7 +63,8 @@ QUADPACK calls an integrand once per node with a Python float. The functions
 evaluated at nodes (j_over_omega, _thermal_spectrum, coth, _phase_integral)
 take a Python float and return one (a complex from _phase_integral), computed
 with math; an array goes through numpy. A density writes its J/w once, for
-either library (_backend), so the two paths agree to rounding.
+either library (_backend), so the two paths agree to rounding; a spline takes
+a float through FloatSpline, bit for bit its own value.
 """
 
 import bisect
@@ -73,6 +83,10 @@ HBAR = 1.054571817e-34  # J s, for tables and scenarios in SI units
 _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-8, limit=400)
 _FOURIER_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
 _TINY = np.finfo(float).tiny  # the smallest normal float
+# the cell rule: the order-20 Gauss-Legendre sum, the order-10 one its error estimate
+(_X10, _W10), (_X20, _W20) = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
+_CELL_NODES = np.concatenate([_X10, _X20])
+_CELL_BLOCK = 1 << 18  # nodes x poles per h call in the cell rule, bounding its memory
 
 
 class BathIntegrationError(RuntimeError):
@@ -115,6 +129,31 @@ def bose(omega, beta):
     return 1.0 / np.expm1(beta * np.asarray(omega, dtype=float))
 
 
+class FloatSpline:
+    """A CubicSpline that takes a Python float without its per-call overhead.
+
+    A float bisects into the knots (the cell x_i <= w < x_(i+1), the last one
+    for w at the last knot; the end cells extrapolate) and sums its cell's
+    cubic in the order the spline does, so it returns the spline's value bit
+    for bit (Horner's order differs by up to 3 ulp). An array goes to the
+    spline.
+    """
+
+    def __init__(self, spline: CubicSpline):
+        self.spline = spline
+        self._knots = spline.x.tolist()
+        self._cells = [tuple(c) for c in spline.c.T.tolist()]
+
+    def __call__(self, w):
+        if not isinstance(w, float):  # also np.float64
+            return self.spline(w)
+        i = min(max(bisect.bisect_right(self._knots, w), 1), len(self._cells)) - 1
+        c3, c2, c1, c0 = self._cells[i]
+        d = w - self._knots[i]
+        d2 = d * d
+        return c0 + c1 * d + c2 * d2 + c3 * (d2 * d)
+
+
 # ---------------------------------------------------------------------------
 # spectral density variants
 # ---------------------------------------------------------------------------
@@ -126,6 +165,7 @@ class SpectralDensity:
     (DiscreteModes) is the atoms of its thermal spectrum instead."""
 
     discrete = False
+    knots = ()  # the cell edges of a piecewise J (Tabulated), for principal_value
 
     def j(self, omega):
         """J(omega) = omega * J(omega)/omega."""
@@ -206,16 +246,22 @@ class Tabulated(SpectralDensity):
     small-omega behaviour); above the last grid point J is zero. On a grid
     starting at 0, J(0) = 0: J(0) above 1e-12 max J is rejected (J/w would
     diverge) and below it is stored as 0, so spline(w)/w loses no digits as
-    w -> 0. Grids whose tail has not decayed are rejected by the
-    semi-infinite integrals.
+    w -> 0. Grids whose tail has not decayed are rejected by
+    reorganization_energy.
+
+    J/w is smooth between its knots, the grid and the points inside it where
+    the spline crosses 0 (J is clipped to 0 there), and 0 beyond the grid, so
+    principal_value and reorganization_energy integrate it cell by cell with
+    fixed Gauss-Legendre sums, not by adaptive quadrature.
     """
 
     omegas: tuple
     values: tuple
     # built once from omegas/values; not part of eq, hash or repr
     _cubic: CubicSpline = field(init=False, repr=False, compare=False)
-    _cells: tuple = field(init=False, repr=False, compare=False)  # _cubic.c per cell, as floats
+    _at: FloatSpline = field(init=False, repr=False, compare=False)  # _cubic at a float
     _slope0: float = field(init=False, repr=False, compare=False)  # J(w0)/w0, or J'(0) if w0 = 0
+    knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.omegas, dtype=float)
@@ -233,7 +279,10 @@ class Tabulated(SpectralDensity):
         object.__setattr__(self, "values", tuple(v.tolist()))
         cubic = CubicSpline(w, v)
         object.__setattr__(self, "_cubic", cubic)
-        object.__setattr__(self, "_cells", tuple(map(tuple, cubic.c.T.tolist())))
+        object.__setattr__(self, "_at", FloatSpline(cubic))
+        roots = cubic.roots(extrapolate=False)
+        roots = roots[np.isfinite(roots)]
+        object.__setattr__(self, "knots", tuple(np.union1d(w, roots).tolist()))
         object.__setattr__(self, "_slope0", float(
             v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
 
@@ -242,22 +291,16 @@ class Tabulated(SpectralDensity):
 
     def j_over_omega(self, omega):
         """spline(w)/w on the grid, 0 above it, and at or below its first point
-        (or a subnormal w, where spline(w) underflows) _slope0. A float
-        bisects into the knots and sums its cell's cubic in the order the
-        spline does (Horner's order differs by up to 3 ulp); an array takes
-        one spline call on its points."""
+        (or a subnormal w, where spline(w) underflows) _slope0. A float takes
+        the spline through FloatSpline; an array takes one spline call on its
+        points."""
         lo, hi = self.omegas[0] or _TINY, self.omegas[-1]
         if isinstance(omega, float):  # also np.float64
             if omega <= lo:
                 return self._slope0
             if omega > hi:
                 return 0.0
-            # the cell x_i <= w < x_(i+1) (the last one for w = hi), as the spline picks it
-            i = min(bisect.bisect_right(self.omegas, omega), len(self._cells)) - 1
-            c3, c2, c1, c0 = self._cells[i]
-            d = omega - self.omegas[i]
-            d2 = d * d
-            return max(c0 + c1 * d + c2 * d2 + c3 * (d2 * d), 0.0) / omega
+            return max(self._at(omega), 0.0) / omega
         w = np.asarray(omega, dtype=float)
         inside = (w > lo) & (w <= hi)
         x = np.where(inside, w, hi)
@@ -333,11 +376,18 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 
     A header comment line `# units: si|natural` declares the unit system.
     SI rows are rad/s and are converted with the time unit hbar/E_ref.
+    A file that cannot be read, or a row without two numbers, raises
+    ValueError naming the file (and the line).
     """
     units = "natural"
     rows = []
-    with open(path) as fh:
-        for line in fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read tabulated spectral density {path}: "
+                         f"{exc.strerror or exc}") from None
+    with fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -347,7 +397,11 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
                     units = body.split(":", 1)[1].strip()
                 continue
             parts = line.replace(",", " ").split()
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}, line {lineno}: need two numbers "
+                                 f"(omega, J), got {line!r}") from None
     if units not in ("si", "natural"):
         raise ValueError(f"unknown unit declaration {units!r}")
     w = np.array([r[0] for r in rows])
@@ -399,17 +453,24 @@ def semi_infinite_quad(f, scale, points=()):
     return total
 
 
-def principal_value(h, a, scale):
+def principal_value(h, a, scale, knots=()):
     """PV int_0^inf h(w)/(w^2 - a^2) dw for a stack of poles a >= 0.
 
-    h maps an array of points, one per pole, to h at each (elementwise in the
-    stack); the result has the shape of a, a float for a scalar a. Since
-    PV int_0^inf dw/(w^2 - a^2) = 0, subtracting h(a) leaves a regular
-    integrand; at a = 0 it is the plain integral of (h(w) - h(0))/w^2. Each
-    pole is integrated in x = w - a: the lower half w in [0, a] as x = a s,
-    s in [-1, 0], the upper half over x in [0, inf), so x = 0 is a panel
-    edge. Dividing by x (or s) and 2a + x in turn keeps tiny a from
-    underflowing their product.
+    h maps an array of points whose last axis runs over the stack (an (M,)
+    array, one point per pole, or an (N, 1) array shared by all) to h at each
+    point for its pole, broadcasting against the stack; the result has the
+    shape of a, a float for a scalar a. Since PV int_0^inf dw/(w^2 - a^2) = 0,
+    subtracting h(a) leaves a regular integrand; at a = 0 it is the plain
+    integral of (h(w) - h(0))/w^2.
+
+    Without knots (an analytic J) each pole is integrated by quad_vec in
+    x = w - a: the lower half w in [0, a] as x = a s, s in [-1, 0], the upper
+    half over x in [0, inf), so x = 0 is a panel edge. Dividing by x (or s)
+    and 2a + x in turn keeps tiny a from underflowing their product.
+
+    With knots (a Tabulated J), h must be smooth between them and 0 beyond
+    the last one, W. The integral is then a fixed sum over cells plus a
+    closed-form tail (_cell_rule); no quad_vec or quad call is made.
     """
     a = np.asarray(a, dtype=float)
     if (a < 0).any():
@@ -417,6 +478,12 @@ def principal_value(h, a, scale):
     poles = a.reshape(-1)
     if not poles.size:
         return np.zeros(a.shape)
+    pv = _cell_rule(h, poles, knots) if len(knots) else _adaptive_rule(h, poles, scale)
+    return pv.reshape(a.shape) if a.ndim else float(pv[0])
+
+
+def _adaptive_rule(h, poles, scale):
+    """principal_value for an (M,) stack of poles by quad_vec."""
     ha = h(poles)
     # a pole at 0 has no lower half; its numerator is exactly 0 there
     lower_span = np.where(poles > 0, 2.0 * poles, 1.0)
@@ -432,7 +499,84 @@ def principal_value(h, a, scale):
                       points=(scale, 4 * scale, 16 * scale), **_QUAD_OPTS)
     if poles.any():
         pv = pv + checked_quad(lower, -1.0, 0.0, vector=True, **_QUAD_OPTS)
-    return pv.reshape(a.shape) if a.ndim else float(pv[0])
+    return pv
+
+
+def _cell_edges(knots, poles):
+    """The cells of _cell_rule on [0, W], W the last knot.
+
+    The edges are 0, the knots and every pole below W, graded so that each
+    cell is no wider than its distance from 0 and from any pole that is not
+    one of its edges: of the points c +- d 2^j around each centre c (0 and
+    the poles), d the narrowest gap between edges and poles, those in cells
+    that break this are added. The integrand's singularities, at w = a of a
+    neighbouring cell's piece, at -a, at 0 (J/w on a grid above 0) and on the
+    imaginary axis (thermal poles), then lie at least 3 half-widths from each
+    cell's centre, so the Gauss sums converge as 5.8^(-2n). The first cell
+    is halved 20 times for the thermal poles.
+    """
+    W = knots[-1]
+    edges = np.union1d(np.union1d(0.0, knots), poles[poles < W])
+    centres = np.union1d(0.0, poles)[:, None]
+    step = min(np.diff(edges).min(), np.abs(poles - W).min())
+    steps = step * 2.0 ** np.arange(1, np.ceil(np.log2(max(W, poles.max()) / step)) + 1)
+    graded = [edges[1] * 2.0 ** -np.arange(1, 21)]
+    for points in (centres + steps, centres - steps):
+        cell = np.clip(np.searchsorted(edges, points), 1, len(edges) - 1)
+        lo, hi = edges[cell - 1], edges[cell]
+        near = np.maximum(lo - centres, centres - hi)  # distance from the centre to the cell
+        graded.append(points[(points > 0) & (points < W) & (hi - lo > near)])
+    return np.union1d(edges, np.concatenate(graded))
+
+
+def _cell_rule(h, poles, knots):
+    """principal_value of an h that is smooth between knots and 0 beyond the
+    last one, W, for an (M,) stack of poles.
+
+    The cells (_cell_edges) are shared by the stack, so h is evaluated once
+    per node on an (N, 1) array that its stack broadcasts to (N, M), and
+    every pole below W is an edge: no node falls on one. Over the cells,
+    (h(w) - h(a))/((w - a)(w + a)) is summed by Gauss-Legendre rules of order
+    10 and 20. Beyond W the integrand is -h(a)/(w^2 - a^2), whose integral is
+    -h(a) ln|(W + a)/(W - a)|/(2a), or -h(0)/W at a = 0; it diverges for a
+    pole at W, where h jumps to 0. The order-20 sum is returned; a difference
+    from the order-10 sum above max(epsabs, epsrel |value|) of _QUAD_OPTS
+    raises BathIntegrationError.
+    """
+    W = float(knots[-1])
+    if (poles == W).any():
+        raise BathIntegrationError(
+            f"a pole at the last knot {W} of a piecewise h: the principal value diverges")
+    edges = _cell_edges(knots, poles)
+    half = np.diff(edges) / 2
+    mid = edges[:-1] + half
+    ha = h(poles)
+    sums = np.zeros((len(_CELL_NODES), poles.size))
+    block = max(1, _CELL_BLOCK // (len(_CELL_NODES) * poles.size))
+    for c in range(0, len(half), block):
+        # (nodes, cells, 1), the stack's axis last
+        w = (mid[c:c + block] + half[c:c + block] * _CELL_NODES[:, None])[..., None]
+        f = (h(w.reshape(-1, 1)) - ha).reshape(*w.shape[:2], -1)
+        off = w != poles  # a node rounded onto a pole (cells a few ulp wide) adds 0
+        f = (np.where(off, f, 0.0) / np.where(off, w - poles, 1.0)
+             / np.where(off, w + poles, 1.0))
+        sums += np.einsum("kcm,c->km", f, half[c:c + block])
+    low, high = _W10 @ sums[:len(_W10)], _W20 @ sums[len(_W10):]
+    # |(W + a)/(W - a)| = 1 + u with u = 2 min(a, W)/|W - a|, so the tail's
+    # ln(1 + u)/(2a) = (ln(1 + u)/u) (min(a, W)/a)/|W - a|, which is 1/W at a = 0
+    span = np.abs(W - poles)
+    u = 2.0 * np.minimum(poles, W) / span
+    log_ratio = np.where(u > 0, np.log1p(u) / np.where(u > 0, u, 1.0), 1.0)
+    tail = log_ratio * (W / np.maximum(poles, W)) / span
+    pv = high - ha * tail
+    if not np.isfinite(pv).all():
+        raise BathIntegrationError(f"cell rule over [0, {W}] returned {pv}")
+    err = np.abs(high - low)
+    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(pv))
+    if (err > tol).any():
+        raise BathIntegrationError(
+            f"cell rule over [0, {W}] did not converge (error estimate {err.max():.2e})")
+    return pv
 
 
 def _stacked(values, omega_m):
@@ -471,7 +615,7 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
         def h(w):
             return J.j_over_omega(w) * nz * (_w_coth(w, beta) + nz)
 
-        out[om != 0.0] = principal_value(h, np.abs(nz), J.scale())
+        out[om != 0.0] = principal_value(h, np.abs(nz), J.scale(), J.knots)
     return _stacked(out, omega_m)
 
 
@@ -689,16 +833,18 @@ def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m) -> np.ndarray:
         return J.j_over_omega(w) * (om * _w_coth(w, beta) - w * w)
 
     re = np.pi * np.array([_thermal_spectrum(J, beta, -w) for w in om.tolist()])
-    return re + 1j * principal_value(h, np.abs(om), J.scale())
+    return re + 1j * principal_value(h, np.abs(om), J.scale(), J.knots)
 
 
 def reorganization_energy(J: SpectralDensity, lam: float) -> float:
-    """ell = lambda^2 int_0^inf J(omega)/omega d omega."""
+    """ell = lambda^2 int_0^inf J(omega)/omega d omega. For a J with knots this
+    is principal_value's cell rule at a pole at 0, with h = w J."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if J.discrete:
         w, g2 = J.arrays()
         return float(lam**2 * np.sum(g2 / w))
-    if isinstance(J, Tabulated):
+    if J.knots:  # Tabulated
         J.check_tail()
+        return float(lam**2 * principal_value(lambda w: w * J.j(w), 0.0, J.scale(), J.knots))
     return float(lam**2 * semi_infinite_quad(J.j_over_omega, J.scale()))

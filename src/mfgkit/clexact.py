@@ -134,7 +134,8 @@ def _self_energy_real(J: bathmod.SpectralDensity, omegas) -> np.ndarray:
     out = np.zeros(w.shape)
     nz = w != 0.0
     w2 = w[nz] ** 2  # inside h, so the stack's error tolerance is on Re Sigma itself
-    out[nz] = bathmod.principal_value(lambda xi: w2 * J.j_over_omega(xi), w[nz], J.scale())
+    out[nz] = bathmod.principal_value(lambda xi: w2 * J.j_over_omega(xi), w[nz], J.scale(),
+                                      J.knots)
     return out
 
 
@@ -157,7 +158,7 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
 
     w_max = max(12 * scale, 8 * omega_0, 40.0 / beta)
     grid = np.linspace(0.0, w_max, 481)
-    sigma_re = CubicSpline(grid, _self_energy_real(J, grid))
+    sigma_re = bathmod.FloatSpline(CubicSpline(grid, _self_energy_real(J, grid)))
 
     def denom_re(w):
         return omega_0**2 - w * w - sigma_re(w)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, quad_vec
+from scipy.interpolate import CubicSpline
 from scipy.special import expi
 
 from mfgkit import bath, clexact
@@ -132,6 +133,33 @@ def _knot_resolved_pv(tab, h, a, order=20):
     body = np.sum((hi - lo) / 2 * wt * ((h(w) - ha) / (w - a) / (w + a)))
     W = tab.omegas[-1]
     return body - ha * (np.log((W + a) / (W - a)) / (2 * a) if a > 0 else 1.0 / W)
+
+
+def _adaptive_pv(h, a, scale):
+    """Reference: the adaptive stack the cell rule replaced for a Tabulated J,
+    principal_value's quad_vec rule (each pole in x = w - a, one call per half)
+    for an (M,) stack of poles a >= 0. It runs at epsabs 1e-13, epsrel 1e-12:
+    against a per-cell quad at 1e-15/1e-14, its own error reached 1.8e-8 at
+    the library's 1e-10/1e-8 (a 46-point grid whose spline crosses 0, pole
+    5.65, beta = 3) and 5.5e-9 at 1e-12/1e-10 (a 47-point grid, pole 91.3
+    below W = 120, beta = 1); here both are below 3e-13."""
+    ha = h(a)
+    lower_span = np.where(a > 0, 2.0 * a, 1.0)
+
+    def lower(s):
+        x = a * s
+        return (h(a + x) - ha) / s / (lower_span + x)
+
+    def upper(x):
+        return (h(a + x) - ha) / x / (2.0 * a + x)
+
+    opts = dict(norm="max", quadrature="gk21", epsabs=1e-13, epsrel=1e-12, limit=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        pv = quad_vec(upper, 0.0, np.inf, points=(scale, 4 * scale, 16 * scale), **opts)[0]
+        if a.any():
+            pv = pv + quad_vec(lower, -1.0, 0.0, **opts)[0]
+    return pv
 
 
 def _tabulated_j_over_omega_array(tab, omega):
@@ -392,8 +420,8 @@ class TestPrincipalValue:
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_stacked_tabulated_matches_knot_resolved_reference(self, beta):
-        # 800-point super-Ohmic grid; measured error of the stack <= 1.6e-9,
-        # under the 1e-8 relative tolerance it asks quad_vec for
+        # 800-point super-Ohmic grid; measured error of the cell rule <= 1.3e-15
+        # (the adaptive stack it replaced: 1.6e-9)
         grid = np.linspace(0.01, 40.0, 800)
         tab = bath.Tabulated(omegas=tuple(grid), values=tuple(SUPER.j(grid)))
         stack = (0.4, -1.7, 0.0, 3.3, -0.01, 25.0)
@@ -473,6 +501,99 @@ class TestPrincipalValue:
         # the integral alone diverges at w = 0 for Ohmic-class J; Re Sigma(0) = 0
         sigma = clexact._self_energy_real(TAB_OHMIC, np.array([0.0, 0.5]))
         assert sigma[0] == 0.0 and np.isfinite(sigma[1])
+
+
+@st.composite
+def _tabulated_and_stack(draw):
+    """A random Tabulated J (Ohmic or super-Ohmic, on a stretched grid that
+    starts at 0 or above it and ends where J has decayed) and a stack of poles
+    with 0, a pole on a knot and a pole beyond the last knot W."""
+    s = draw(st.sampled_from([1, 3]))
+    omega_c = draw(st.floats(min_value=0.5, max_value=4.0))
+    w0 = draw(st.sampled_from([0.0, 0.01, 0.3])) * omega_c
+    n = draw(st.integers(min_value=16, max_value=40))
+    stretch = draw(st.floats(min_value=1.0, max_value=2.0))
+    grid = w0 + (40.0 * omega_c - w0) * np.linspace(0.0, 1.0, n) ** stretch
+    tab = bath.Tabulated(omegas=tuple(grid),
+                         values=tuple(0.2 * grid**s * np.exp(-grid / omega_c) / omega_c**(s - 1)))
+    sign = st.sampled_from([1.0, -1.0])
+    on_knot = tab.omegas[draw(st.integers(min_value=1, max_value=n - 2))]
+    beyond = tab.omegas[-1] * draw(st.floats(min_value=1.01, max_value=3.0))
+    inside = draw(st.lists(st.floats(min_value=0.01, max_value=8.0), min_size=1, max_size=2))
+    stack = [draw(sign) * w for w in (on_knot, beyond, *inside)] + [0.0]
+    return tab, tuple(draw(st.permutations(stack)))
+
+
+class TestCellRule:
+    @settings(max_examples=12, deadline=None)
+    @given(case=_tabulated_and_stack(), beta=st.floats(min_value=0.1, max_value=10.0))
+    def test_matches_adaptive_stack(self, case, beta):
+        tab, stack = case
+        om = np.array(stack)
+        d = bath.d_beta.__wrapped__(tab, beta, stack)
+        im = bath.gamma_m.__wrapped__(tab, beta, stack, bath.ASYMPTOTIC).imag
+        nz = om[om != 0.0]
+        ref_d = np.zeros(om.shape)
+        ref_d[om != 0.0] = _adaptive_pv(
+            lambda w: tab.j_over_omega(w) * nz * (bath._w_coth(w, beta) + nz),
+            np.abs(nz), tab.scale())
+        ref_im = _adaptive_pv(
+            lambda w: tab.j_over_omega(w) * (om * bath._w_coth(w, beta) - w * w),
+            np.abs(om), tab.scale())
+        assert np.all(np.abs(d - ref_d) <= 5e-9 * np.maximum(1.0, np.abs(ref_d)))
+        assert np.all(np.abs(im - ref_im) <= 5e-9 * np.maximum(1.0, np.abs(ref_im)))
+
+    def test_pole_at_last_knot_raises(self):
+        # J/w jumps to 0 at W: the principal value diverges logarithmically
+        W = TAB_OHMIC.omegas[-1]
+        with pytest.raises(bath.BathIntegrationError, match="last knot"):
+            bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, (0.5, -W))
+        with pytest.raises(bath.BathIntegrationError, match="last knot"):
+            bath.gamma_m.__wrapped__(TAB_OHMIC, 1.0, W, bath.ASYMPTOTIC)
+
+    def test_kink_inside_a_cell_raises(self):
+        # |sin 50 w| has kinks inside every cell; orders 10 and 20 disagree
+        with pytest.raises(bath.BathIntegrationError, match="did not converge"):
+            bath.principal_value(lambda w: np.abs(np.sin(50.0 * w)), np.array([0.5, 1.5]),
+                                 1.0, knots=(0.0, 1.0, 2.0, 3.0))
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        # the cell rule is a fixed sum: no quad_vec or quad call for a Tabulated J
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature on a Tabulated J")
+
+        monkeypatch.setattr(bath, "quad_vec", refuse)
+        monkeypatch.setattr(bath, "quad", refuse)
+        stack = (-1.118, 0.0, 1.118, 3.0)
+        assert np.isfinite(bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, stack)).all()
+        assert np.isfinite(
+            bath.gamma_m.__wrapped__(TAB_OHMIC, 1.0, stack, bath.ASYMPTOTIC)).all()
+        assert bath.reorganization_energy(TAB_OHMIC, 1.0) > 0.0
+
+    def test_blocks_of_cells_sum_to_the_whole(self, monkeypatch):
+        # a long stack is summed over blocks of cells; the blocks change only rounding
+        grid = np.linspace(0.0, 50.0, 101)
+        monkeypatch.setattr(bath, "_CELL_BLOCK", 1 << 30)
+        whole = clexact._self_energy_real(TAB_OHMIC, grid)
+        monkeypatch.setattr(bath, "_CELL_BLOCK", 5000)
+        blocked = clexact._self_energy_real(TAB_OHMIC, grid)
+        assert np.allclose(blocked, whole, rtol=1e-13, atol=1e-15)
+
+    def test_reorganization_energy_matches_knot_resolved_reference(self):
+        # int J/w = PV int (w J)/w^2: the cell rule at a pole at 0, to rounding
+        ref = _knot_resolved_pv(
+            TAB_OHMIC, lambda w: w * w * _tabulated_j_over_omega_array(TAB_OHMIC, w), 0.0)
+        assert bath.reorganization_energy(TAB_OHMIC, 1.0) == pytest.approx(ref, rel=1e-14)
+
+    def test_float_spline_is_the_spline_bit_for_bit(self):
+        # inside the grid, on its knots, and extrapolated beyond both ends
+        grid = np.linspace(0.0, 60.0, 481)
+        spline = CubicSpline(grid, np.sin(grid / 7.0) * np.exp(-grid / 20.0))
+        at = bath.FloatSpline(spline)
+        for w in (*np.random.default_rng(3).uniform(-5.0, 70.0, 200).tolist(),
+                  0.0, 0.125, 60.0, -1e-3, 61.0):
+            assert at(w) == float(spline(w))
+        assert np.array_equal(at(grid), spline(grid))
 
 
 class TestQuadConvergence:

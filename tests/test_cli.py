@@ -120,6 +120,25 @@ class TestSchema:
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_SCHEMA
         assert "schema:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("rows, message", [
+        ("0.5, 0.1\n1.0\n2.0, 0.3\n4.0, 0.1\n", "j.csv, line 2"),  # one column
+        (None, "cannot read"),  # no such file
+    ])
+    def test_bad_tabulated_file_exits_2(self, tmp_path, capsys, verb, rows, message):
+        table = tmp_path / "j.csv"
+        if rows is not None:
+            table.write_text(rows)
+        cfg = dict(cli.PRESETS["spin_boson"])
+        cfg["bath"] = {"kind": "tabulated", "path": str(table), "beta": 1.0}
+        path = _write_scenario(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", path, "--out", str(out)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert str(table) in captured.out + captured.err
+        assert not out.exists()
+
     def test_named_and_literal_operators(self):
         assert np.array_equal(cli._as_matrix("sigma_x"),
                               np.array([[0, 1], [1, 0]], dtype=complex))
