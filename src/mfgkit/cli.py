@@ -2,20 +2,23 @@
 
 Scenarios are YAML files (or named presets) describing a system, a coupling,
 a bath, and a task; `run` executes the task and writes CSV artifacts, each
-with a `#`-prefixed metadata header; `validate` reports schema and physics
-problems without running; `sweep` re-runs a scenario over a parameter grid.
+with a `#`-prefixed metadata header; `validate` runs the same field checks
+as `run`, before any computation, and stops at the first problem; `sweep`
+re-runs a scenario over a parameter grid.
 
 All physics is computed in natural units (hbar = k_B = 1). SI scenarios
 declare a reference energy E_ref in joules; energies convert as E/E_ref,
 temperatures as beta = E_ref/(k_B T), and times in units of hbar/E_ref.
 
-Exit codes: 0 success, 2 schema violation, 3 numerical failure,
+Exit codes: 0 success, 2 schema violation (the message names the field:
+"bath.gamma must be nonnegative and finite, got -1.0"), 3 numerical failure,
 4 partial sweep failure.
 """
 
 import argparse
 import csv
 import hashlib
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
@@ -26,7 +29,7 @@ import yaml
 
 from . import __version__, bath as bathmod, clexact, finitebath, megen, mfstatics
 from .bath import HBAR
-from .opcore import gibbs, trace_distance
+from .opcore import HERMITICITY_TOL, gibbs, trace_distance
 
 K_BOLTZMANN = 1.380649e-23   # J/K
 
@@ -116,208 +119,206 @@ def _load_scenario(path_or_preset: str) -> dict:
             f"scenario {path_or_preset!r} is neither a file nor a preset "
             f"(presets: {', '.join(sorted(PRESETS))})"
         )
-    with open(p) as fh:
-        cfg = yaml.safe_load(fh)
+    try:
+        with open(p) as fh:
+            cfg = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise SchemaError(f"cannot read scenario {path_or_preset}: {exc}") from None
     if not isinstance(cfg, dict):
         raise SchemaError("scenario file must contain a mapping")
     return cfg
 
 
-def _require(cfg: dict, key: str, context: str = "scenario"):
-    if key not in cfg or cfg[key] is None:
-        raise SchemaError(f"{context} is missing required field {key!r}")
-    return cfg[key]
+_REQUIRED = object()  # the default of a field that must be given
 
 
-def _section(cfg: dict, key: str) -> dict:
-    fields = _require(cfg, key)
-    if not isinstance(fields, dict):
-        raise SchemaError(f"{key} must be a mapping, got {fields!r}")
-    return fields
-
-
-def _parse(cfg: dict, path: str, default, cast, valid, need: str):
-    """cfg[section][key] for path "section.key", default when absent or null."""
-    section, key = path.split(".")
-    fields = cfg.get(section) or {}
-    if not isinstance(fields, dict):
-        raise SchemaError(f"{section} must be a mapping")
-    raw = default if fields.get(key) is None else fields[key]
+def _parse(cfg: dict, path: str, cast, check, need: str, *, default=_REQUIRED):
+    """cast(raw) of the field at a dotted path ("bath.gamma", "task"), if it
+    passes check. An absent or null field takes `default` (None is returned as
+    is). A cast raises ValueError for a value of the wrong kind, and failed
+    arithmetic on a value (a temperature of 0 in 1/T) rejects it too."""
+    *sections, key = path.split(".")
+    node = cfg
+    for depth, section in enumerate(sections, 1):
+        node = {} if node.get(section) is None else node[section]
+        if not isinstance(node, dict):
+            raise SchemaError(f"{'.'.join(sections[:depth])} must be a mapping, "
+                              f"got {reprlib.repr(node)}")
+    raw = default if node.get(key) is None else node[key]
+    if raw is _REQUIRED:
+        raise SchemaError(f"missing required field {path!r} ({need})")
+    if raw is None:
+        return None
     try:
         value = cast(raw)
-        if valid(value):
+        if check(value):
             return value
-    except (TypeError, ValueError):
+    except (ValueError, ArithmeticError):
         pass
-    raise SchemaError(f"{path} must be {need}, got {raw!r}")
+    raise SchemaError(f"{path} must be {need}, got {reprlib.repr(raw)}")
 
 
-_COUNT = (int, lambda n: n >= 1, "an integer >= 1")
-_POSITIVE = (float, lambda x: 0 < x < np.inf, "positive and finite")
+def _word(raw) -> str:
+    return str(raw).lower()  # every caller checks it against a list of words
+
+
+def _real(raw) -> float:
+    """A number, or a numeric string: YAML reads 1e-21 (no dot) as a string."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ValueError(f"not a number: {raw!r}")
+    return float(raw)
+
+
+def _reals(raw) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"not a list: {raw!r}")
+    return [_real(x) for x in raw]
+
+
+def _integer(raw) -> int:
+    """An integral number, 4.0 included: a sweep grid sets floats."""
+    x = _real(raw)
+    if not x.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(x)
+
+
+def _positive(x) -> bool:
+    return 0 < x < np.inf
+
+
+_COUNT = (_integer, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = (_real, _positive, "positive and finite")
+_NONNEGATIVE = (_real, lambda x: 0 <= x < np.inf, "nonnegative and finite")
+_BATH_KINDS = ("drude_lorentz", "ohmic_exp", "super_ohmic_cubic", "tabulated", "none")
 
 
 def _as_matrix(spec) -> np.ndarray:
+    """A named operator, or a finite Hermitian square matrix literal (complex
+    entries as strings such as "1j")."""
     if isinstance(spec, str):
         if spec not in _NAMED_OPS:
             raise SchemaError(f"unknown named operator {spec!r}")
         return _NAMED_OPS[spec].copy()
-    try:
-        m = np.array(spec, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"operator is not a matrix literal: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SchemaError(f"operator must be square, got shape {m.shape}")
+    m = np.asarray(spec)  # ValueError for a ragged literal
+    if m.dtype.kind not in "iufcU" or m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise SchemaError(f"operator must be a square matrix of numbers, got {spec!r}")
+    m = m.astype(complex)  # ValueError for a string that is not a number
+    if not np.isfinite(m).all() or (  # relative defect: the same in joules
+            np.abs(m - m.conj().T).max() > HERMITICITY_TOL * np.abs(m).max()):
+        raise SchemaError("operator must be finite and Hermitian")
     return m
 
 
 class Scenario:
-    """Validated scenario with everything converted to natural units."""
+    """Validated scenario with everything converted to natural units. Every
+    field is read and checked by `_parse` before a library object gets it."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.name = cfg.get("name", "unnamed")
-        self.task = str(_require(cfg, "task")).lower()
-        if self.task not in {"statics_all", "dynamics", "steady_compare",
-                             "oracle", "oscillator"}:
-            raise SchemaError(f"unknown task {self.task!r}")
-        self.units = str(cfg.get("units", "natural")).lower()
-        if self.units not in {"si", "natural"}:
-            raise SchemaError(f"units must be 'si' or 'natural', got {self.units!r}")
-        self.e_ref = None
-        if self.units == "si":
-            self.e_ref = float(_require(cfg, "reference_energy"))
-            if self.e_ref <= 0:
-                raise SchemaError("reference_energy must be positive (joules)")
+        self.task = _parse(cfg, "task", _word, lambda t: t in _TASKS,
+                           f"one of {', '.join(_TASKS)}")
+        self.units = _parse(cfg, "units", _word, lambda u: u in ("si", "natural"),
+                            "'si' or 'natural'", default="natural")
+        self.e_ref = _parse(cfg, "reference_energy", *_POSITIVE) if self.units == "si" else None
 
         if self.task == "oscillator":
-            osc = _section(cfg, "oscillator")
             self.cl_params = clexact.CLParams(
-                omega_0=float(_require(osc, "omega_0", "oscillator")),
-                gamma=float(_require(osc, "gamma", "oscillator")),
-                omega_D=float(_require(osc, "omega_d", "oscillator")),
-                beta=float(_require(osc, "beta", "oscillator")),
-            )
+                *(_parse(cfg, f"oscillator.{key}", *_POSITIVE)
+                  for key in ("omega_0", "gamma", "omega_d", "beta")))
             return
 
-        self.H_S = self._build_system(_section(cfg, "system"))
-        coupling = _section(cfg, "coupling")
-        self.X = _as_matrix(_require(coupling, "x", "coupling"))
-        if self.X.shape != self.H_S.shape:
-            raise SchemaError("coupling operator dimension does not match H_S")
-        self.lam = float(coupling.get("lambda", 1.0))
-        if self.lam < 0:
-            raise SchemaError("lambda must be nonnegative")
-        self.J, self.beta = self._build_bath(_section(cfg, "bath"))
-        self.bath_params = bathmod.BathParams(J=self.J, beta=self.beta,
-                                              lam=self.lam)
+        self.H_S = self._build_system(cfg)
+        d = self.H_S.shape[0]
+        self.X = _parse(cfg, "coupling.x", _as_matrix, lambda x: x.shape == (d, d),
+                        f"a named operator or a finite Hermitian {d}x{d} matrix")
+        self.lam = _parse(cfg, "coupling.lambda", *_NONNEGATIVE, default=1.0)
+        self.J, self.beta = self._build_bath(cfg)
+        self.bath_params = bathmod.BathParams(J=self.J, beta=self.beta, lam=self.lam)
         if self.task == "oracle":
-            _require(cfg, "oracle")
-            self.n_modes = _parse(cfg, "oracle.n_modes", 4, *_COUNT)
-            self.fock_cutoff = _parse(cfg, "oracle.fock_cutoff", 5, *_COUNT)
-            self.omega_max = _parse(cfg, "oracle.omega_max", 3 * self.J.scale(), *_POSITIVE)
-            self.scheme = _parse(cfg, "oracle.scheme", finitebath.LINEAR, str.lower,
+            self.n_modes = _parse(cfg, "oracle.n_modes", *_COUNT, default=4)
+            self.fock_cutoff = _parse(cfg, "oracle.fock_cutoff", *_COUNT, default=5)
+            self.omega_max = _parse(cfg, "oracle.omega_max", *_POSITIVE,
+                                    default=3 * self.J.scale())
+            self.scheme = _parse(cfg, "oracle.scheme", _word,
                                  lambda x: x in (finitebath.LINEAR, finitebath.GAUSS),
-                                 "'linear' or 'gauss'")
-            self.lambdas = _parse(cfg, "oracle.lambdas", [self.lam, self.lam / 2, self.lam / 4],
-                                  lambda xs: [float(x) for x in xs],
-                                  lambda xs: all(x >= 0 for x in xs), "nonnegative numbers")
+                                 "'linear' or 'gauss'", default=finitebath.LINEAR)
+            self.lambdas = _parse(cfg, "oracle.lambdas", _reals,
+                                  lambda xs: len(xs) > 0 and all(0 <= x < np.inf for x in xs),
+                                  "a non-empty list of nonnegative numbers",
+                                  default=[self.lam, self.lam / 2, self.lam / 4])
         elif self.task == "dynamics":
-            self.points = _parse(cfg, "dynamics.points", 200, int, lambda n: n >= 2,
-                                 "an integer >= 2")
-            dyn = cfg.get("dynamics") or {}  # a mapping, checked by _parse
+            self.points = _parse(cfg, "dynamics.points", _integer, lambda n: n >= 2,
+                                 "an integer >= 2", default=200)
             # no t_max: 20 relaxation times of the Davies generator, set when it runs
-            self.t_max = None if dyn.get("t_max") is None else _parse(
-                cfg, "dynamics.t_max", None, *_POSITIVE)
-            self.rho0 = self._initial_state(dyn.get("initial"))
-
-    def _initial_state(self, initial) -> np.ndarray:
-        if initial in (None, "ground"):
-            v = np.linalg.eigh(self.H_S)[1][:, 0]
-            return np.outer(v, v.conj())
-        if initial == "gibbs":
-            return gibbs(self.H_S, self.beta)
-        rho0 = _as_matrix(initial)
-        if rho0.shape != self.H_S.shape:
-            raise SchemaError(f"dynamics.initial has shape {rho0.shape}, H_S {self.H_S.shape}")
-        return rho0
+            self.t_max = _parse(cfg, "dynamics.t_max", *_POSITIVE, default=None)
+            self.rho0 = _parse(cfg, "dynamics.initial",
+                               lambda s: s if s in ("ground", "gibbs") else _as_matrix(s),
+                               lambda s: isinstance(s, str) or s.shape == (d, d),
+                               f"'ground', 'gibbs' or a Hermitian {d}x{d} matrix",
+                               default="ground")
+            if isinstance(self.rho0, str):  # the ground or the Gibbs state of H_S
+                v = np.linalg.eigh(self.H_S)[1][:, 0]
+                self.rho0 = (gibbs(self.H_S, self.beta) if self.rho0 == "gibbs"
+                             else np.outer(v, v.conj()))
 
     # -- unit conversion -------------------------------------------------
     def energy(self, value: float) -> float:
         return float(value) / self.e_ref if self.units == "si" else float(value)
 
-    def _beta_from(self, bath_cfg: dict) -> float:
+    def _beta_from(self, cfg: dict) -> float:
         if self.units == "si":
-            temp = float(_require(bath_cfg, "temperature", "bath"))
-            if temp <= 0:
-                raise SchemaError("temperature must be positive kelvin")
-            return self.e_ref / (K_BOLTZMANN * temp)
-        if "beta" in bath_cfg and bath_cfg["beta"] is not None:
-            beta = float(bath_cfg["beta"])
-        elif "temperature" in bath_cfg and bath_cfg["temperature"] is not None:
-            beta = 1.0 / float(bath_cfg["temperature"])
-        else:
-            raise SchemaError("bath needs 'beta' or 'temperature'")
-        if beta <= 0:
-            raise SchemaError("beta must be positive")
-        return beta
+            return _parse(cfg, "bath.temperature",
+                          lambda t: self.e_ref / (K_BOLTZMANN * _real(t)), _positive,
+                          "positive kelvin")
+        return _parse(cfg, "bath.beta", *_POSITIVE, default=None) or _parse(
+            cfg, "bath.temperature", lambda t: 1.0 / _real(t), _positive,
+            "positive and finite, when bath.beta is not given")
 
     # -- builders --------------------------------------------------------
-    def _build_system(self, sys_cfg: dict) -> np.ndarray:
-        if "matrix" in sys_cfg:
-            m = _as_matrix(sys_cfg["matrix"])
+    def _build_system(self, cfg: dict) -> np.ndarray:
+        m = _parse(cfg, "system.matrix", _as_matrix, lambda m: True,
+                   "a finite Hermitian square matrix", default=None)
+        if m is not None:
             return self.energy(1.0) * m if self.units == "si" else m
-        preset = str(_require(sys_cfg, "preset", "system")).lower()
-        if preset != "spin_boson":
-            raise SchemaError(f"unknown system preset {preset!r}")
-        eps = self.energy(_require(sys_cfg, "epsilon", "system"))
-        delta = self.energy(_require(sys_cfg, "delta", "system"))
+        _parse(cfg, "system.preset", _word, lambda p: p == "spin_boson",
+               "'spin_boson' (or give system.matrix)")
+        eps, delta = (self.energy(_parse(cfg, f"system.{key}", _real, np.isfinite,
+                                         "a finite number"))
+                      for key in ("epsilon", "delta"))
         return (eps / 2) * _NAMED_OPS["sigma_z"] + (delta / 2) * _NAMED_OPS["sigma_x"]
 
-    def _build_bath(self, bath_cfg: dict):
-        beta = self._beta_from(bath_cfg)
-        kind = str(_require(bath_cfg, "kind", "bath")).lower()
+    def _build_bath(self, cfg: dict):
+        kind = _parse(cfg, "bath.kind", _word, lambda k: k in _BATH_KINDS,
+                      f"one of {', '.join(_BATH_KINDS)}")
+        beta = self._beta_from(cfg)
         if kind == "none":
             return bathmod.DrudeLorentz(gamma=0.0, omega_d=1.0), beta
         if kind == "tabulated":
-            path = _require(bath_cfg, "path", "bath")
-            return bathmod.load_tabulated(path, si_reference_energy=self.e_ref), beta
-        if "relaxation_time_ps" in bath_cfg and bath_cfg["relaxation_time_ps"]:
-            if self.units != "si":
-                raise SchemaError("relaxation_time_ps requires SI units")
-            t_rel = float(bath_cfg["relaxation_time_ps"]) * 1e-12
-            cutoff = HBAR / (t_rel * self.e_ref)
-        else:
+            path = _parse(cfg, "bath.path", str, bool, "a file path")
+            try:  # the file's contents are user input too
+                return bathmod.load_tabulated(path, si_reference_energy=self.e_ref), beta
+            except ValueError as exc:
+                raise SchemaError(f"bath.path: {exc}") from None
+        si = self.units == "si"  # without SI units the nan cutoff fails the check
+        cutoff = _parse(cfg, "bath.relaxation_time_ps",
+                        lambda t: HBAR / (_real(t) * 1e-12 * self.e_ref) if si else np.nan,
+                        _positive, "positive picoseconds, with units: si", default=None)
+        if cutoff is None:
             key = "omega_d" if kind == "drude_lorentz" else "omega_c"
-            cutoff = self.energy(_require(bath_cfg, key, "bath"))
-        if kind == "drude_lorentz":
-            if bath_cfg.get("reorganization_energy") is not None:
-                # ell = lambda^2 gamma omega_D for this J; solve for gamma
-                ell = self.energy(bath_cfg["reorganization_energy"])
-                gamma = ell / (max(self.lam, 1e-300) ** 2 * cutoff)
-            else:
-                gamma = self.energy(_require(bath_cfg, "gamma", "bath"))
-            return bathmod.DrudeLorentz(gamma=gamma, omega_d=cutoff), beta
-        if kind == "ohmic_exp":
-            gamma = self.energy(_require(bath_cfg, "gamma", "bath"))
-            return bathmod.OhmicExp(gamma=gamma, omega_c=cutoff), beta
-        if kind == "super_ohmic_cubic":
-            gamma = self.energy(_require(bath_cfg, "gamma", "bath"))
-            return bathmod.SuperOhmicCubic(gamma=gamma, omega_c=cutoff), beta
-        raise SchemaError(f"unknown bath kind {kind!r}")
-
-
-# -- validation -------------------------------------------------------------
-
-def _build_scenario(cfg: dict) -> Scenario:
-    """The validated scenario; every schema problem raises SchemaError. Scenario
-    converts fields with bare float(...), so a list or mapping where a number
-    belongs raises TypeError, which is a schema problem here too."""
-    try:
-        return Scenario(cfg)
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid parameter value: {exc}") from exc
+            cutoff = self.energy(_parse(cfg, f"bath.{key}", *_POSITIVE))
+        gamma = None
+        if kind == "drude_lorentz":  # ell = lambda^2 gamma omega_D for this J; solve for gamma
+            gamma = _parse(cfg, "bath.reorganization_energy",
+                           lambda ell: self.energy(_real(ell)) / (self.lam ** 2 * cutoff),
+                           lambda g: 0 <= g < np.inf,
+                           "nonnegative and finite, with coupling.lambda > 0",
+                           default=None)
+        if gamma is None:
+            gamma = self.energy(_parse(cfg, "bath.gamma", *_NONNEGATIVE))
+        J = {"drude_lorentz": bathmod.DrudeLorentz, "ohmic_exp": bathmod.OhmicExp,
+             "super_ohmic_cubic": bathmod.SuperOhmicCubic}[kind]
+        return J(gamma, cutoff), beta
 
 
 # -- output plumbing ------------------------------------------------------
@@ -463,11 +464,9 @@ def _task_steady_compare(sc: Scenario, outdir: Path):
         "davies": megen.davies_generator(sc.H_S, sc.X, sc.bath_params),
         "brme": megen.brme_generator(sc.H_S, sc.X, sc.bath_params),
         "brme_real_only": megen.brme_real_only(sc.H_S, sc.X, sc.bath_params),
-        "secular_full": megen.secular_filter(sc.H_S, sc.X, sc.bath_params, "full"),
     }
-    steadies = {}
-    for name, L in generators.items():
-        steadies[name] = megen.steady_state(L).states[0]
+    steadies = {name: megen.steady_state(L).states[0] for name, L in generators.items()}
+    steadies["secular_full"] = steadies["davies"]  # secular_filter(..., "full") is Davies
     try:
         split = mfstatics.pointer_split(sc.H_S, sc.X)
         Lp = megen.pauli_ultrastrong(split, sc.bath_params)
@@ -531,7 +530,7 @@ _TASKS = {
 
 def run_scenario(cfg: dict, outdir: Path) -> int:
     try:
-        sc = _build_scenario(cfg)
+        sc = Scenario(cfg)
         _echo_config(outdir, cfg)
         _TASKS[sc.task](sc, outdir)
     except SchemaError as exc:
@@ -599,13 +598,17 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_scenario(args.scenario)
+        if args.verb == "sweep":
+            grid = _parse({"--grid": args.grid}, "--grid",
+                          lambda s: _reals([x for x in s.split(",") if x.strip()]),
+                          bool, "comma-separated numbers")
     except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
     if args.verb == "validate":
         try:
-            _build_scenario(cfg)
+            Scenario(cfg)
         except SchemaError as exc:
             print(f"schema: {exc}")
             return EXIT_SCHEMA
@@ -613,10 +616,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.verb == "run":
         return run_scenario(cfg, Path(args.out))
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
-    if not grid:
-        print("error: schema: empty --grid", file=sys.stderr)
-        return EXIT_SCHEMA
     return sweep_scenario(cfg, args.param, grid, Path(args.out), jobs=args.jobs)
 
 

@@ -23,7 +23,110 @@ def _write_scenario(tmp_path, cfg, name="scenario.yaml"):
     return str(path)
 
 
+# every kind of YAML value, most of them wrong for any given field
+_ODD_VALUES = [None, [1.0], {"a": 1}, "abc", -1.0, 0.0, float("nan"), float("inf"),
+               True, [[1, 2], [3, 4]]]
+
+
+def _field_paths(cfg, prefix=()):
+    """The key path of every field of cfg, sections and leaves alike."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
 class TestSchema:
+    @pytest.mark.parametrize("value", _ODD_VALUES, ids=repr)
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_any_field_value_gives_a_scenario_or_a_schema_error(self, preset, value):
+        leaks = []
+        for path in _field_paths(cli.PRESETS[preset]):
+            cfg = deepcopy(cli.PRESETS[preset])
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = deepcopy(value)
+            try:
+                cli.Scenario(cfg)
+            except cli.SchemaError:
+                pass
+            except Exception as exc:  # any other error is a leak
+                leaks.append(f"{'.'.join(path)}: {type(exc).__name__}: {exc}")
+        assert not leaks
+
+    @pytest.mark.parametrize("preset, path, value, message", [
+        ("spin_boson", "coupling.lambda", float("nan"), "coupling.lambda must be"),
+        ("spin_boson", "system.epsilon", float("inf"), "system.epsilon must be"),
+        ("spin_boson", "coupling.x", [[0.0, 1.0], [0.0, 0.0]], "coupling.x must be"),
+        ("spin_boson", "coupling.x", [[float("nan"), 0.0], [0.0, 1.0]], "coupling.x must be"),
+        ("spin_boson", "system", {"matrix": [[1.0, 1.0], [0.0, -1.0]]},
+         "system.matrix must be"),
+        ("fig1_weak", "coupling.lambda", 0.0, "with coupling.lambda > 0"),
+        ("oracle_spin_boson", "oracle.n_modes", float("inf"), "oracle.n_modes must be"),
+        ("fig1_weak", "bath.relaxation_time_ps", -0.1, "bath.relaxation_time_ps must be"),
+        ("fig1_weak", "bath.kind", ["drude_lorentz"], "bath.kind must be"),
+        ("fig1_weak", "dynamics", {"initial": [[1.0, 1.0], [0.0, 0.0]]},
+         "dynamics.initial must be"),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_value_exits_2_naming_its_field(self, tmp_path, capsys, verb, preset, path,
+                                                value, message):
+        # validate runs the checks of run, so it cannot say "ok" to what run rejects
+        cfg = deepcopy(cli.PRESETS[preset])
+        section, _, key = path.rpartition(".")
+        (cfg[section] if section else cfg)[key] = value
+        out = tmp_path / "out"
+        code = cli.main([verb, "--scenario", _write_scenario(tmp_path, cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SCHEMA
+        assert message in captured.out + captured.err
+        assert not out.exists()
+
+    def test_type_error_in_a_builder_propagates(self, tmp_path, monkeypatch):
+        # a programming error is not a schema problem, on validate or on run
+        def broken(*args, **kwargs):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(bath, "DrudeLorentz", broken)
+        with pytest.raises(TypeError, match="a programming error"):
+            cli.Scenario(deepcopy(cli.PRESETS["spin_boson"]))
+        with pytest.raises(TypeError, match="a programming error"):
+            cli.run_scenario(deepcopy(cli.PRESETS["spin_boson"]), tmp_path / "out")
+
+    def test_parse_required_default_and_optional_fields(self):
+        cfg = {"bath": {"gamma": 0.1, "beta": None}}
+        assert cli._parse(cfg, "bath.gamma", *cli._POSITIVE) == 0.1
+        assert cli._parse(cfg, "bath.beta", *cli._POSITIVE, default=2) == 2.0
+        assert cli._parse(cfg, "bath.beta", *cli._POSITIVE, default=None) is None
+        with pytest.raises(cli.SchemaError, match="missing required field 'bath.beta'"):
+            cli._parse(cfg, "bath.beta", *cli._POSITIVE)
+        with pytest.raises(TypeError):  # a default is never taken by position
+            cli._parse(cfg, "bath.beta", *cli._POSITIVE, 2.0)
+        with pytest.raises(cli.SchemaError, match="bath.gamma must be positive"):
+            cli._parse({"bath": {"gamma": "1/2"}}, "bath.gamma", *cli._POSITIVE)
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("text", [b"task: [statics_all\n", b"task: [\xff\n"],
+                             ids=["unclosed", "not_utf8"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, verb, text):
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "schema:" in err and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_unreadable_scenario_path_exits_2(self, tmp_path, capsys, verb):
+        # a directory exists but cannot be opened as a file
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", str(tmp_path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "schema:" in err and str(tmp_path) in err
+        assert not out.exists()
+
     def test_presets_validate_clean(self, capsys):
         for preset in cli.PRESETS:
             code = cli.main(["validate", "--scenario", preset])
@@ -56,7 +159,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("section, bad, message", [
         ("system", {"preset": "spin_boson", "epsilon": [1.0], "delta": 0.5},
-         "invalid parameter value"),
+         "system.epsilon must be"),
         ("bath", 5, "bath must be a mapping"),
         ("coupling", [1.0], "coupling must be a mapping"),
     ])
@@ -77,13 +180,14 @@ class TestSchema:
         ("oracle", {"scheme": "simpson"}), ("oracle", {"lambdas": [0.1, -0.1]}),
         ("oracle", {"lambdas": 0.1}), ("dynamics", {"points": 1}),
         ("dynamics", {"t_max": 0.0}), ("dynamics", {"initial": [[1.0]]}),
+        ("oracle", {"lambdas": []}),
     ])
     def test_task_section_bounds(self, section, bad):
         cfg = deepcopy(cli.PRESETS["oracle_spin_boson"])
         cfg["task"] = section
         cfg[section] = {**cfg.get(section, {}), **bad}
         with pytest.raises(cli.SchemaError, match=f"{section}\\."):
-            cli._build_scenario(cfg)
+            cli.Scenario(cfg)
 
     def test_task_section_defaults(self):
         sc = cli.Scenario({**deepcopy(cli.PRESETS["spin_boson"]), "task": "oracle",
@@ -337,3 +441,11 @@ class TestSweep:
                          "--param", "oscillator.beta", "--grid", ",",
                          "--out", str(tmp_path / "sw")])
         assert code == cli.EXIT_SCHEMA
+
+    def test_non_numeric_grid_exits_2(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--scenario", "oscillator_drude",
+                         "--param", "oscillator.beta", "--grid", "0.1,abc",
+                         "--out", str(tmp_path / "sw")])
+        assert code == cli.EXIT_SCHEMA
+        assert "abc" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
