@@ -54,10 +54,19 @@ PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
     D_beta'(omega) = int_0^inf [S(omega + x) + S(omega - x) - 2 S(omega)] / x^2 dx.
 
 For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
+d_beta_deriv integrates it by one of two rules:
+
+- |omega| >= 1e-2 scale on a J without knots: fixed Gauss-Legendre sums over
+  cells of x on [0, |omega|] and [|omega|, X], X = |omega| + 16 scale, graded
+  toward the kink at x = |omega| and the thermal poles beside it, plus the
+  tail x >= X mapped onto t = X/x in (0, 1]; S is evaluated once on the
+  (nodes, cells) array of the whole stack of poles (_finite_part_cells);
+- below 1e-2 scale, where the kink sinks toward rounding, and on a J with
+  knots: one semi_infinite_quad per pole (_finite_part_quad).
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
-arguments (the spectral densities are frozen dataclasses). gamma_m and d_beta
-take a float or a tuple of frequencies; a tuple gives a read-only array.
+arguments (the spectral densities are frozen dataclasses), and take a float
+or a tuple of frequencies; a tuple gives a read-only array.
 
 QUADPACK calls an integrand once per node with a Python float. The functions
 evaluated at nodes (j_over_omega, _thermal_spectrum, coth, _phase_integral)
@@ -568,15 +577,19 @@ def _cell_rule(h, poles, knots):
     u = 2.0 * np.minimum(poles, W) / span
     log_ratio = np.where(u > 0, np.log1p(u) / np.where(u > 0, u, 1.0), 1.0)
     tail = log_ratio * (W / np.maximum(poles, W)) / span
-    pv = high - ha * tail
-    if not np.isfinite(pv).all():
-        raise BathIntegrationError(f"cell rule over [0, {W}] returned {pv}")
-    err = np.abs(high - low)
-    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(pv))
+    return _checked_cells(high - ha * tail, np.abs(high - low), f"cell rule over [0, {W}]")
+
+
+def _checked_cells(value, err, rule):
+    """value, after raising BathIntegrationError unless it is finite and the
+    error estimate err is within max(epsabs, epsrel |value|) of _QUAD_OPTS."""
+    if not np.isfinite(value).all():
+        raise BathIntegrationError(f"{rule} returned {value}")
+    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(value))
     if (err > tol).any():
         raise BathIntegrationError(
-            f"cell rule over [0, {W}] did not converge (error estimate {err.max():.2e})")
-    return pv
+            f"{rule} did not converge (error estimate {err.max():.2e})")
+    return value
 
 
 def _stacked(values, omega_m):
@@ -620,24 +633,39 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
 
 
 @functools.lru_cache(maxsize=4096)
-def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
+def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
-    finite part of the module docstring. Its panels split at x = |omega_m| (the
-    kink of S at nu = 0) only for |omega_m| >= 1e-2 scale: QUADPACK does not
-    converge on a shorter first panel of cancelling differences. For Ohmic-class
-    J (OhmicExp, Tabulated) D_beta'(0) diverges and the quadrature raises
-    BathIntegrationError; it converges for |omega_m| >= 3e-5 scale (measured at
-    beta = 0.1 to 10) and may raise below, where the kink sinks into rounding."""
+    finite part of the module docstring, by one of its two rules. A pole with
+    |omega_m| >= 1e-2 scale of a J without knots takes the cell rule
+    (_finite_part_cells), the whole stack in one sum; the others, and every
+    pole of a J with knots (Tabulated), take one semi_infinite_quad each
+    (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated) D_beta'(0)
+    diverges and the quadrature raises BathIntegrationError; it converges for
+    |omega_m| >= 3e-5 scale (measured at beta = 0.1 to 10) and may raise below,
+    where the kink sinks into rounding.
+
+    omega_m is a float or a tuple of floats; a tuple gives a read-only array.
+    Values are memoized per process on (J, beta, omega_m)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
+    om = np.atleast_1d(np.asarray(omega_m, dtype=float))
     if J.discrete:
-        nu, s = J.atoms(beta, omega_m)
-        return float(np.sum(s / (nu - omega_m) ** 2))
+        nu, s = J.atoms(beta, om)
+        return _stacked(np.sum(s / (nu - om[:, None]) ** 2, axis=1), omega_m)
+    cells = (np.abs(om) >= 1e-2 * J.scale()) & (not J.knots)
+    out = np.empty(om.shape)
+    out[cells] = _finite_part_cells(J, beta, om[cells])
+    out[~cells] = [_finite_part_quad(J, beta, w) for w in om[~cells].tolist()]
+    return _stacked(out, omega_m)
 
-    omega_m = float(omega_m)  # nodes omega_m +- x stay plain floats
+
+def _finite_part_quad(J: SpectralDensity, beta: float, omega_m: float) -> float:
+    """D_beta'(omega_m) by semi_infinite_quad. Its panels split at x = |omega_m|
+    (the kink of S at nu = 0) only for |omega_m| >= 1e-2 scale: QUADPACK does
+    not converge on a shorter first panel of cancelling differences."""
     s0 = _thermal_spectrum(J, beta, omega_m)
 
-    def integrand(x):
+    def integrand(x):  # nodes omega_m +- x stay plain floats
         return (_thermal_spectrum(J, beta, omega_m + x)
                 + _thermal_spectrum(J, beta, omega_m - x) - 2.0 * s0) / (x * x)
 
@@ -645,22 +673,74 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m: float) -> float:
     return semi_infinite_quad(integrand, scale, points=(a,) if a >= 1e-2 * scale else ())
 
 
+def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
+    """D_beta' for an (M,) stack of omega with |omega| >= 1e-2 scale and a J
+    without knots, by fixed Gauss-Legendre sums over cells of x; S is
+    evaluated once on the (nodes, cells) array.
+
+    Each pole's x-range is [0, a] and [a, X], a = |omega| (the kink of S) and
+    X = a + 16 scale, each cell bisected until its half-width is at most a
+    third of its centre's distance to a +- i delta, delta = min(2 pi/beta,
+    scale) (the thermal poles of S and the density's own scale); above a, also
+    to 0, where the analytic continuation of the kinked branch has a 1/x^2
+    pole. The tail x >= X is x = X/t over two cells of t in (0, 1]. The
+    order-20 sum is returned; a difference from the order-10 sum above
+    max(epsabs, epsrel |value|) of _QUAD_OPTS raises BathIntegrationError.
+    """
+    a, scale = np.abs(omega), J.scale()
+    far = a + 16 * scale
+    delta = min(2 * math.pi / beta, scale)
+    poles = np.arange(a.size)
+    lo, hi = np.concatenate([np.zeros_like(a), a]), np.concatenate([a, far])
+    pole = np.tile(poles, 2)  # the pole each cell belongs to
+    while True:
+        half = (hi - lo) / 2
+        mid = lo + half
+        reach = np.hypot(mid - a[pole], delta)
+        reach = np.where(mid > a[pole], np.minimum(reach, mid), reach)
+        wide = half > reach / 3
+        if not wide.any():
+            break
+        lo = np.concatenate([lo[~wide], lo[wide], mid[wide]])
+        hi = np.concatenate([hi[~wide], mid[wide], hi[wide]])
+        pole = np.concatenate([pole[~wide], pole[wide], pole[wide]])
+    # the tail x >= X as x = X/t: cells [0, 1/2] and [1/2, 1] of t for every pole
+    nodes = _CELL_NODES[:, None]
+    t = np.repeat([0.25, 0.75], a.size) + 0.25 * nodes
+    far = np.tile(far, 2)
+    x = np.concatenate([mid + half * nodes, far / t], axis=1)  # (nodes, cells)
+    dx = np.concatenate([half * np.ones_like(nodes), 0.25 * far / (t * t)], axis=1)
+    pole = np.concatenate([pole, np.tile(poles, 2)])
+    w = omega[pole]
+    f = (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
+         - 2.0 * _thermal_spectrum(J, beta, omega)[pole]) * (dx / (x * x))
+    # summed per pole in cell order, so a pole's value does not depend on the stack
+    low = np.bincount(pole, (_W10[:, None] * f[:len(_W10)]).sum(axis=0), a.size)
+    high = np.bincount(pole, (_W20[:, None] * f[len(_W10):]).sum(axis=0), a.size)
+    return _checked_cells(high, np.abs(high - low), "cell rule for D_beta'")
+
+
 def _bose_ratio(x):
-    """x / (1 - e^(-x)), smooth through x = 0."""
-    if abs(x) < 1e-6:
-        return 1.0 + x / 2.0 + x * x / 12.0
-    return x / -math.expm1(-x)
+    """x / (1 - e^(-x)), smooth through x = 0 (series below 1e-6)."""
+    if isinstance(x, float):  # a QUADPACK node: math, as in _backend
+        return 1.0 + x / 2.0 + x * x / 12.0 if abs(x) < 1e-6 else x / -math.expm1(-x)
+    small = np.abs(x) < 1e-6
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x / 2.0 + x * x / 12.0, safe / -np.expm1(-safe))
 
 
-def _thermal_spectrum(J: SpectralDensity, beta: float, nu: float) -> float:
+def _thermal_spectrum(J: SpectralDensity, beta: float, nu):
     """S(nu) = J(nu) (n(nu) + 1) with J odd, so that G(r) = int S(nu) e^{-i nu r} dnu.
 
     S(nu) = J(nu) (n(nu) + 1) for nu > 0 (emission into the bath) and
-    J(|nu|) n(|nu|) for nu < 0 (absorption); smooth through nu = 0.
+    J(|nu|) n(|nu|) for nu < 0 (absorption); smooth through nu = 0. nu is a
+    float or an array, evaluated by math or numpy as in _backend.
     """
     a = abs(nu)
     s = J.j_over_omega(a) / beta * _bose_ratio(beta * a)
-    return s if nu >= 0 else s * math.exp(-beta * a)
+    if isinstance(nu, float):
+        return s if nu >= 0 else s * math.exp(-beta * a)
+    return np.where(nu >= 0, s, s * np.exp(-beta * a))
 
 
 def _osc_quad(envelope, t, scale, kind):

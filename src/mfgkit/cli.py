@@ -552,11 +552,17 @@ def _set_by_path(cfg: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
+def _shortest(value: float) -> str:
+    """The shortest %g string, of 6 digits or more, that reads back as value."""
+    return next((s for s in (f"{value:.{n}g}" for n in range(6, 18)) if float(s) == value),
+                repr(value))
+
+
 def _sweep_point(args):
     cfg, param, value, outdir = args
     point_cfg = deepcopy(cfg)
     _set_by_path(point_cfg, param, value)
-    point_dir = Path(outdir) / f"{param.replace('.', '_')}_{value:.6g}"
+    point_dir = Path(outdir) / f"{param.replace('.', '_')}_{_shortest(value)}"
     code = run_scenario(point_cfg, point_dir)
     return value, code, str(point_dir)
 

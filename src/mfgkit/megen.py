@@ -273,32 +273,48 @@ def _degenerate_candidates(basis: list) -> list:
     return candidates
 
 
-def steady_state(L: Liouvillian) -> SteadyStateReport:
-    """Null space of the generator via full eigendecomposition.
-
-    The tolerance ladder 1e-10 -> 1e-8 (relative to ||L||) guards against an
-    empty numerical null space; the spectral gap is taken over the
-    eigenvalues outside the accepted null space. The steady state is unique
-    when the Hermitian matrices in the null space span one dimension; that
-    null vector is Hermitized, positivity-projected and trace-normalized.
-    A degenerate null space gives the candidates of _degenerate_candidates.
-    The negative weight the projection removes is reported as
-    clipped_negativity.
-    """
-    mat = L.matrix
-    norm = max(np.linalg.norm(mat, 2), 1e-300)
-    evals, evecs = np.linalg.eig(mat)
-
-    null_idx = []
+def _null_index(evals, norm):
+    """Indices of the eigenvalues in the numerical null space. The tolerance
+    ladder 1e-10 -> 1e-8 (relative to ||L||) guards against an empty one."""
     for tol in (1e-10, 1e-9, 1e-8):
         null_idx = np.flatnonzero(np.abs(evals) < tol * norm)
         if null_idx.size:
-            break
-    if not null_idx.size:
-        raise RuntimeError(
-            f"no numerical null space (min |eigenvalue| = {np.abs(evals).min():.3e})"
-        )
-    basis = _hermitian_null_basis(evecs[:, null_idx])
+            return null_idx
+    raise RuntimeError(
+        f"no numerical null space (min |eigenvalue| = {np.abs(evals).min():.3e})")
+
+
+def steady_state(L: Liouvillian) -> SteadyStateReport:
+    """Null space of the generator from its eigenvalues.
+
+    The eigenvalues (np.linalg.eigvals) give the null space by _null_index;
+    the spectral gap is taken over the eigenvalues outside it. A
+    one-dimensional null space gives the unique steady state from the
+    bordered system [L; tr] v = [0; 1], one least-squares solve (QuTiP's
+    direct solver adds the trace condition to L likewise: Johansson, Nation &
+    Nori, Comput. Phys. Commun. 184, 1234 (2013)). A larger one takes the
+    eigenvectors of np.linalg.eig: the steady state is unique when the
+    Hermitian matrices in the null space span one dimension, and a
+    degenerate null space gives the candidates of _degenerate_candidates. A
+    unique null vector is Hermitized, positivity-projected and
+    trace-normalized; the negative weight the projection removes is reported
+    as clipped_negativity.
+    """
+    mat = L.matrix
+    norm = max(np.linalg.norm(mat, 2), 1e-300)
+    evals = np.linalg.eigvals(mat)
+    null_idx = _null_index(evals, norm)
+    if null_idx.size == 1:
+        trace_row = vec(np.eye(int(round(np.sqrt(len(mat))))))  # tr rho = trace_row . vec(rho)
+        rhs = np.zeros(len(mat) + 1, dtype=complex)
+        rhs[-1] = 1.0
+        v = scipy.linalg.lstsq(np.vstack([mat, trace_row]), rhs, lapack_driver="gelsy",
+                               check_finite=False)[0]
+        basis = _hermitian_null_basis(v[:, None])
+    else:
+        evals, evecs = np.linalg.eig(mat)  # eigenvalues may differ from eigvals' by rounding
+        null_idx = _null_index(evals, norm)
+        basis = _hermitian_null_basis(evecs[:, null_idx])
     unique = len(basis) == 1
     if unique:
         found = [_clip_to_state(basis[0], orient=True)]

@@ -138,7 +138,7 @@ def _tau2(dec: BohrDecomposition, tau, d_vals, a, bath: bathmod.BathParams):
     w, x = dec.frequencies, dec.operators
     xd = x.conj().transpose(0, 2, 1)  # X_m^dag
     nz = w != 0.0  # the omega = 0 term vanishes identically
-    d_prime = np.array([bathmod.d_beta_deriv(bath.J, bath.beta, w_m) for w_m in w[nz]])
+    d_prime = bathmod.d_beta_deriv(bath.J, bath.beta, tuple(w[nz].tolist()))
     out = tau @ (a - np.trace(tau @ a).real * np.eye(len(tau)))
     out += np.einsum("m,mij->ij", d_prime, xd[nz] @ tau @ x[nz] - tau @ x[nz] @ xd[nz])
 

@@ -193,6 +193,18 @@ def _ref_discrete_d_beta_deriv(J, beta, omega):
     return float(np.sum(g2 * (c * gap + 2 * omega * (omega * c + w)) / gap**2))
 
 
+def _quad_finite_part(J, beta, omega):
+    """Reference: D_beta'(omega) by the per-pole semi_infinite_quad that the
+    cell rule replaced for |omega| >= 1e-2 scale, panels split at |omega|."""
+    s0 = bath._thermal_spectrum(J, beta, omega)
+
+    def integrand(x):
+        return (bath._thermal_spectrum(J, beta, omega + x)
+                + bath._thermal_spectrum(J, beta, omega - x) - 2.0 * s0) / (x * x)
+
+    return bath.semi_infinite_quad(integrand, J.scale(), points=(abs(omega),))
+
+
 class TestSpectralDensities:
     def test_drude_peak_and_exponent(self):
         # J(omega_D) = gamma omega_D / pi at the Drude peak frequency
@@ -359,6 +371,23 @@ class TestFloatPath:
             nu /= beta
         ref = _ref_thermal_spectrum(J, beta, nu)
         assert abs(bath._thermal_spectrum(J, beta, nu) - ref) <= 8 * np.spacing(abs(ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        J=st.sampled_from(CONTINUOUS),
+        log_beta=st.floats(min_value=-1.0, max_value=1.0),
+        nu=st.lists(st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                              st.floats(min_value=-1e-6, max_value=1e-6), st.just(0.0)),
+                    min_size=1, max_size=8),
+    )
+    def test_thermal_spectrum_array_path(self, J, log_beta, nu):
+        # an array of nu takes the numpy path of the same formula, element by element
+        beta = 10.0**log_beta
+        got = bath._thermal_spectrum(J, beta, np.array(nu).reshape(-1, 1))
+        assert got.shape == (len(nu), 1)
+        for g, n in zip(got[:, 0], nu):
+            ref = _ref_thermal_spectrum(J, beta, n)
+            assert abs(g - ref) <= 8 * np.spacing(abs(ref))
 
     @pytest.mark.parametrize("J", CONTINUOUS, ids=CONTINUOUS_IDS)
     def test_float_in_float_out(self, J):
@@ -936,3 +965,103 @@ class TestDBeta:
         ref = _ref_discrete_d_beta_deriv(J, beta, omega)
         got = bath.d_beta_deriv.__wrapped__(J, beta, omega)
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@st.composite
+def _finite_part_stack(draw):
+    """An analytic J, beta in [0.1, 10] and a stack of 1-12 poles with |omega|
+    in [1e-2, 10] scale, the range of the cell rule."""
+    J = draw(st.sampled_from([DRUDE, OHMIC, SUPER]))
+    beta = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.0))
+    size = st.floats(min_value=-2.0, max_value=1.0)
+    poles = draw(st.lists(st.tuples(st.sampled_from([1.0, -1.0]), size), min_size=1, max_size=12))
+    return J, beta, tuple(sign * 10.0**e * J.scale() for sign, e in poles)
+
+
+class TestFinitePartCells:
+    """D_beta' of an analytic J at |omega| >= 1e-2 scale: one Gauss-Legendre
+    sum over cells for the whole stack (bath._finite_part_cells)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_finite_part_stack())
+    def test_matches_per_pole_quad(self, case):
+        # the reference is only as good as its tolerances (epsabs 1e-10,
+        # epsrel 1e-8): over 5892 random poles it differed from the cell rule
+        # by at most 1.9e-10 max(1, |D'|), and on the largest differences the
+        # quad was the one off (test_frozen_thirty_digit_values)
+        J, beta, stack = case
+        got = bath.d_beta_deriv.__wrapped__(J, beta, stack)
+        for w, g in zip(stack, got):
+            try:
+                ref = _quad_finite_part(J, beta, w)
+            except bath.BathIntegrationError:
+                continue  # the quad raised on 1 of those 5892 poles; the cell rule on none
+            assert abs(g - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    # 30-digit values of the finite part (mpmath, S at 250 digits); the first
+    # is where the per-pole quad is off by 1.9e-10, the cell rule by 1e-16
+    @pytest.mark.parametrize("J, beta, w, expected", [
+        (SUPER, 4.5687, 0.0218206, 0.1847474087589572),
+        (OHMIC, 0.10014, -0.0304228, -5.316560136458771),
+        (OHMIC, 0.115936, 0.0661549, -3.7457329015576644),
+        (OHMIC, 3.0, 0.5, -0.04083784260044504),
+        (DRUDE, 0.109045, 0.0522882, -0.3602423506551804),
+        (DRUDE, 10.0, -47.0, 0.0010845620466081688),
+        (SUPER, 0.1, 15.0, 0.1266009326351908),
+    ])
+    def test_frozen_thirty_digit_values(self, J, beta, w, expected):
+        # measured within 4.6e-12 (relative 1.2e-12)
+        got = bath.d_beta_deriv.__wrapped__(J, beta, (w,))[0]
+        assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER], ids=["drude", "ohmic", "super"])
+    def test_stack_entry_is_the_float_call(self, J):
+        # each pole is summed over its own cells in their own order
+        stack = (-2.3, 0.7, 3.0, 0.05, -11.0, 20.0)
+        got = bath.d_beta_deriv.__wrapped__(J, 1.0, stack)
+        for w, g in zip(stack, got):
+            one = bath.d_beta_deriv.__wrapped__(J, 1.0, w)
+            assert type(one) is float
+            assert abs(g - one) <= 1e-15 * abs(one)
+
+    def test_stack_is_read_only_and_memoized(self):
+        stack = (-2.3, 0.7)
+        got = bath.d_beta_deriv(DRUDE, 1.0, stack)
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert bath.d_beta_deriv(DRUDE, 1.0, stack) is got
+        assert bath.d_beta_deriv.__wrapped__(DRUDE, 1.0, ()).shape == (0,)
+
+    def test_no_quadpack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK on an eligible stack")
+
+        monkeypatch.setattr(bath, "quad", refuse)
+        monkeypatch.setattr(bath, "quad_vec", refuse)
+        for J in (DRUDE, OHMIC, SUPER):
+            stack = (-2.3, 0.7, 3.0, 0.01 * J.scale())
+            assert np.isfinite(bath.d_beta_deriv.__wrapped__(J, 1.0, stack)).all()
+
+    def test_small_poles_and_knots_keep_the_quad(self, monkeypatch):
+        # below 1e-2 scale (the Ohmic rounding floor) and on a J with knots
+        # each pole is one semi_infinite_quad, as before
+        calls, quad_rule = [], bath.semi_infinite_quad
+
+        def spy(f, scale, points=()):
+            calls.append(points)
+            return quad_rule(f, scale, points)
+
+        monkeypatch.setattr(bath, "semi_infinite_quad", spy)
+        small = 0.005 * OHMIC.scale()
+        got = bath.d_beta_deriv.__wrapped__(OHMIC, 1.0, (0.7, small, -small, 2.0))
+        assert calls == [(), ()]
+        assert got[1] == bath.d_beta_deriv.__wrapped__(OHMIC, 1.0, small)
+        calls.clear()
+        got = bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, (0.7, -2.0))
+        assert calls == [(0.7,), (2.0,)]
+        assert got[0] == bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, 0.7)
+
+    def test_discrete_bath_sums_the_stack(self):
+        stack = (0.3, -2.0, 5.5)
+        got = bath.d_beta_deriv.__wrapped__(DISCRETE, 1.0, stack)
+        for w, g in zip(stack, got):
+            assert g == pytest.approx(_ref_discrete_d_beta_deriv(DISCRETE, 1.0, w), rel=1e-14)

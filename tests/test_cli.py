@@ -1,4 +1,5 @@
 from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +436,21 @@ class TestSweep:
                          "--grid", "1.0,2.0", "--out", str(out)])
         assert code == cli.EXIT_OK
         assert (out / "sweep.csv").exists()
+        # a value that 6 significant digits already read back keeps its %.6g name
+        assert (out / "oscillator_beta_1").is_dir() and (out / "oscillator_beta_2").is_dir()
+
+    def test_close_grid_values_get_their_own_directories(self, tmp_path):
+        # equal to 6 significant digits: each point is named by the shortest
+        # string that reads back as its value, so neither overwrites the other
+        out = tmp_path / "sw"
+        code = cli.main(["sweep", "--scenario", "oscillator_drude",
+                         "--param", "oscillator.beta",
+                         "--grid", "2.0000001,2.0000002", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert dirs == ["oscillator_beta_2.0000001", "oscillator_beta_2.0000002"]
+        rows = (out / "sweep.csv").read_text().splitlines()[4:]  # after the # lines and header
+        assert sorted(Path(row.split(",")[-1]).name for row in rows) == dirs
 
     def test_empty_grid_exits_2(self, tmp_path):
         code = cli.main(["sweep", "--scenario", "oscillator_drude",

@@ -378,7 +378,55 @@ class TestEvolve:
             megen.evolve(L, rho0, [0.0, 2.0, 1.0])
 
 
+def _eig_steady_state(L):
+    """Reference: steady_state's full-eigendecomposition path, which the
+    bordered solve replaced for a one-dimensional null space."""
+    mat = L.matrix
+    norm = max(np.linalg.norm(mat, 2), 1e-300)
+    evals, evecs = np.linalg.eig(mat)
+    null_idx = megen._null_index(evals, norm)
+    basis = megen._hermitian_null_basis(evecs[:, null_idx])
+    if len(basis) == 1:
+        found = [megen._clip_to_state(basis[0], orient=True)]
+    else:
+        found = [megen._clip_to_state(m) for m in megen._degenerate_candidates(basis)]
+    states = [rho for rho, _ in found if rho is not None]
+    live = np.delete(evals, null_idx)
+    return megen.SteadyStateReport(
+        states=states, residual=max(float(np.linalg.norm(mat @ megen.vec(r))) for r in states),
+        spectral_gap=float(-live.real.max()) if live.size else 0.0, unique=len(basis) == 1,
+        clipped_negativity=float(max(neg for _, neg in found)))
+
+
 class TestSteadyState:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["davies", "brme", "real_only", "pauli"]),
+        dim=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+        lam=st.floats(min_value=0.3, max_value=1.0),
+        beta=st.floats(min_value=0.3, max_value=3.0),
+    )
+    def test_bordered_solve_matches_eig_path(self, kind, dim, seed, lam, beta):
+        # lambda up to 1 takes in BRME generators with a negative gap and a
+        # clipped state: the two paths must agree there too
+        rng = np.random.default_rng(seed)
+        h, x = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        bp = _bp(lam, beta=beta)
+        if kind == "pauli":
+            L = megen.pauli_ultrastrong(mfstatics.pointer_split(h, x), bp)
+        else:
+            L = {"davies": megen.davies_generator, "brme": megen.brme_generator,
+                 "real_only": megen.brme_real_only}[kind](h, x, bp)
+        got, ref = megen.steady_state(L), _eig_steady_state(L)
+        assert got.unique == ref.unique
+        assert len(got.states) == len(ref.states)
+        for a, b in zip(got.states, ref.states):
+            assert trace_distance(a, b) <= 1e-12
+        assert got.spectral_gap == pytest.approx(ref.spectral_gap, rel=1e-10)
+        assert got.residual == pytest.approx(ref.residual, rel=1e-9, abs=1e-12)
+        assert got.clipped_negativity == pytest.approx(ref.clipped_negativity, rel=1e-9, abs=1e-12)
+
     def test_zero_generator_full_null_space(self):
         L = megen.Liouvillian(np.zeros((4, 4), dtype=complex))
         report = megen.steady_state(L)

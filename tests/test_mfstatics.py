@@ -57,7 +57,8 @@ def _fake_d(J, beta, w):  # w: the tuple stack that d_beta takes
     return 1.0 + 0.3 * np.tanh(w) + 0.1 * np.sin(2.0 * w)
 
 
-def _fake_d_prime(J, beta, w):
+def _fake_d_prime(J, beta, w):  # w: the tuple stack that d_beta_deriv takes
+    w = np.asarray(w)
     return 0.3 / np.cosh(w) ** 2 + 0.2 * np.cos(2.0 * w)
 
 
@@ -120,6 +121,18 @@ class TestWeakCoupling:
             tau2 = mfstatics._tau2(*ing, _bp(0.0))
             assert abs(np.trace(tau2)) < 1e-12
             assert np.linalg.norm(tau2 - dag(tau2)) < 1e-12
+
+    def test_derivatives_are_one_stacked_call(self):
+        # tau^(2) takes D' at every nonzero Bohr frequency from one tuple call
+        r = np.random.default_rng(7)
+        h, x = random_hermitian(r, 4), random_hermitian(r, 4)
+        ing = mfstatics._weak_ingredients(h, x, _bp(0.0))
+        with mock.patch.object(bath, "d_beta_deriv", wraps=bath.d_beta_deriv) as spy:
+            mfstatics._tau2(*ing, _bp(0.0))
+        assert spy.call_count == 1
+        stack = spy.call_args.args[2]
+        w = ing[0].frequencies
+        assert isinstance(stack, tuple) and stack == tuple(w[w != 0.0].tolist())
 
     def test_series_structure(self):
         # trace_distance(mfg_weak, tau)/lam^2 approaches a constant
