@@ -20,6 +20,7 @@ import csv
 import hashlib
 import reprlib
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from pathlib import Path
@@ -29,7 +30,7 @@ import yaml
 
 from . import __version__, bath as bathmod, clexact, finitebath, megen, mfstatics
 from .bath import HBAR
-from .opcore import HERMITICITY_TOL, gibbs, trace_distance
+from .opcore import HERMITICITY_TOL, PSD_FLOOR, gibbs, trace_distance
 
 K_BOLTZMANN = 1.380649e-23   # J/K
 
@@ -450,6 +451,15 @@ def _task_dynamics(sc: Scenario, outdir: Path):
                [["excited_population", pop], ["abs_coherence", coh]])
 
 
+def _steady_state(name: str, L) -> np.ndarray:
+    """The first steady state of L; warns when L is not a stable generator."""
+    report = megen.steady_state(L)
+    if report.spectral_gap <= 0 or report.clipped_negativity > PSD_FLOOR:
+        warnings.warn(f"{name} generator is unstable (spectral gap {report.spectral_gap:.3g}, "
+                      f"clipped negativity {report.clipped_negativity:.3g})", stacklevel=2)
+    return report.states[0]
+
+
 def _task_steady_compare(sc: Scenario, outdir: Path):
     tau = gibbs(sc.H_S, sc.beta)
     references = {"gibbs": tau}
@@ -465,12 +475,11 @@ def _task_steady_compare(sc: Scenario, outdir: Path):
         "brme": megen.brme_generator(sc.H_S, sc.X, sc.bath_params),
         "brme_real_only": megen.brme_real_only(sc.H_S, sc.X, sc.bath_params),
     }
-    steadies = {name: megen.steady_state(L).states[0] for name, L in generators.items()}
+    steadies = {name: _steady_state(name, L) for name, L in generators.items()}
     steadies["secular_full"] = steadies["davies"]  # secular_filter(..., "full") is Davies
     try:
         split = mfstatics.pointer_split(sc.H_S, sc.X)
-        Lp = megen.pauli_ultrastrong(split, sc.bath_params)
-        ss = megen.steady_state(Lp).states[0]
+        ss = _steady_state("pauli_ultrastrong", megen.pauli_ultrastrong(split, sc.bath_params))
         u = split.pointer_basis
         steadies["pauli_ultrastrong"] = u @ ss @ u.conj().T
     except ValueError:
@@ -489,14 +498,14 @@ def _task_oracle(sc: Scenario, outdir: Path):
     J_disc = bathmod.DiscreteModes(
         modes=tuple((w, abs(g) ** 2) for w, g in modes))
 
+    tau = gibbs(sc.H_S, sc.beta)
     rows = []
     for lam in sc.lambdas:
-        model = finitebath.assemble(sc.H_S, sc.X, lam, spec)
-        exact = finitebath.exact_mfg(model, sc.beta)
+        # the model is a temporary: its H_tot and eigenvectors go before the next lam
+        exact = finitebath.exact_mfg(finitebath.assemble(sc.H_S, sc.X, lam, spec), sc.beta)
         weak = mfstatics.mfg_weak(
             sc.H_S, sc.X, bathmod.BathParams(J=J_disc, beta=sc.beta, lam=lam)).state
-        rows.append([lam, trace_distance(exact, weak),
-                     trace_distance(exact, gibbs(sc.H_S, sc.beta))])
+        rows.append([lam, trace_distance(exact, weak), trace_distance(exact, tau)])
     _write_csv(outdir / "oracle.csv", sc.cfg, sc.units,
                ["lambda", "dist_exact_vs_weak", "dist_exact_vs_gibbs"], rows)
 

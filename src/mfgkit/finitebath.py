@@ -3,12 +3,14 @@
 Discretizes a continuous spectral density into N bosonic modes with truncated
 Fock spaces. The global Hamiltonian has two factors, the system and the bath
 of dimension D_B = (n_max+1)^N:
-    H_tot = H_S' (x) 1_B + 1_S (x) H_B + lam X (x) B,
-with H_B = sum_k w_k n_k, B = sum_k (g_k a_k^dag + g_k^* a_k) and, with the
-counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. Reduced MFG states
-come from the dense spectrum H_tot = sum_i E_i |v_i><v_i| without forming the
-global Gibbs state: with each v_i reshaped to a d_s x D_B matrix and
-p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| = sum_i p_i v_i v_i^dag.
+    H_tot = H_S' (x) 1_B + 1_S (x) H_B + x (x) B,  x = lam (X + X^dag)/2,
+with H_B = sum_k w_k n_k (diagonal), B = sum_k (g_k a_k^dag + g_k^* a_k) and,
+with the counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. It is built
+as x (x) B plus H_S' on the diagonal of each (i, j) bath block plus the bath
+energies on the main diagonal, in float64 when H_S, X and every g_k are real
+and in complex128 otherwise. With V's columns v_i reshaped to d_s x D_B and
+p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| is one GEMM (V p) V^dag
+over V reshaped to d_s x (D_B D), so the global Gibbs state is never formed.
 Everything here is deterministic: fixed spec in, bit-identical numbers out.
 """
 
@@ -64,10 +66,6 @@ class FiniteBathSpec:
         object.__setattr__(self, "modes", tuple(sorted(modes)))
 
 
-def _ladder(n_levels: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1).astype(complex)
-
-
 @dataclass
 class GlobalModel:
     system_dim: int
@@ -77,13 +75,7 @@ class GlobalModel:
     def eig(self):
         """Cached eigendecomposition of H_tot (the expensive step)."""
         if self._eig is None:
-            h = self.H_tot
-            if np.abs(h.imag).max() == 0.0:
-                w, v = np.linalg.eigh(h.real)
-                v = v.astype(complex)
-            else:
-                w, v = np.linalg.eigh(h)
-            self._eig = (w, v)
+            self._eig = tuple(np.linalg.eigh(self.H_tot))
         return self._eig
 
 
@@ -98,26 +90,30 @@ def assemble(H_S, X, lam: float, spec: FiniteBathSpec) -> GlobalModel:
     if d_s * bath_dim > DIM_CAP:
         raise ValueError(f"global dimension {d_s * bath_dim} exceeds the cap {DIM_CAP}")
 
-    a = _ladder(n_levels)
-    H_B = B = np.zeros((1, 1))
+    real = not (H_S.imag.any() or X.imag.any() or any(g.imag for _, g in spec.modes))
+    a = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1)
+    # energies: the diagonal of (w_k a^dag) a, not w_k n, which rounds differently
+    energies, B = np.zeros(1), np.zeros((1, 1))
     for w_k, g_k in spec.modes:  # each mode appends one factor on the right
-        one_b, one_k = np.eye(len(B)), np.eye(n_levels)
-        H_B = np.kron(H_B, one_k) + np.kron(one_b, w_k * dag(a) @ a)
-        B = np.kron(B, one_k) + np.kron(one_b, g_k * dag(a) + np.conj(g_k) * a)
+        g_k = g_k.real if real else g_k
+        energies = np.add.outer(energies, np.diag((w_k * a.T) @ a)).ravel()
+        B = np.kron(B, np.eye(n_levels)) + np.kron(np.eye(len(B)), g_k * a.T + np.conj(g_k) * a)
     coupling_sq = sum(abs(g) ** 2 / w for w, g in spec.modes) if spec.counter_term else 0.0
     h_sys = H_S + lam**2 * coupling_sq * (X @ X)
-    # Hermitian factors make the Kronecker sum exactly Hermitian
-    h = np.kron((h_sys + dag(h_sys)) / 2, np.eye(bath_dim))
-    h += np.kron(np.eye(d_s), H_B)
-    h += np.kron(lam * (X + dag(X)) / 2, B)
+    # Hermitian factors make the sum exactly Hermitian
+    h_sys, x = (h_sys + dag(h_sys)) / 2, lam * (X + dag(X)) / 2
+    h = np.kron(x.real if real else x, B)
+    b = np.arange(bath_dim)
+    h.reshape(d_s, bath_dim, d_s, bath_dim)[:, b, :, b] += h_sys.real if real else h_sys
+    h.flat[::len(h) + 1] += np.tile(energies, d_s)
     return GlobalModel(system_dim=d_s, H_tot=h)
 
 
 def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
     """Reduced MFG state tr_B e^(-beta H_tot)/Z from the cached spectrum."""
     w, v = model.eig()
-    v = v.reshape(model.system_dim, -1, len(w))  # (system, bath, eigenvector)
-    rho = np.einsum("aki,bki,i->ab", v, v.conj(), boltzmann(w, beta), optimize=True)
+    rows = v.reshape(model.system_dim, -1)  # (system, bath x eigenvector)
+    rho = (v * boltzmann(w, beta)).reshape(rows.shape) @ dag(rows)
     rho = (rho + dag(rho)) / 2
     return rho / np.trace(rho).real
 
@@ -125,7 +121,7 @@ def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
 def effective_dimension(rho_sb_0: np.ndarray, model: GlobalModel) -> float:
     """d_eff = 1/tr[rho_bar^2] with rho_bar the eigenbasis-dephased state."""
     w, v = model.eig()
-    gaps = np.diff(np.sort(w))
+    gaps = np.diff(w)  # eigh returns w ascending
     if len(gaps) and gaps.min() < 1e-10 * max(1.0, np.abs(w).max()):
         warnings.warn("near-degenerate global spectrum: d_eff dephasing is "
                       "basis-sensitive", stacklevel=2)

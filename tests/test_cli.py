@@ -395,8 +395,34 @@ class TestWarnings:
         sc = cli.Scenario(cfg)
         lam_max = mfstatics.weak_validity_bound(sc.H_S, sc.X, sc.bath_params)
         cfg["coupling"]["lambda"] = 3.0 * lam_max
-        with pytest.warns(UserWarning, match="validity bound"):
+        with pytest.warns(UserWarning) as record:
             assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
+        messages = [str(w.message) for w in record]
+        assert any("validity bound" in m for m in messages)
+        # this far above the bound the BRME generator is unstable, and says so
+        assert any(m.startswith("brme generator is unstable") for m in messages)
+
+    def test_unstable_generator_warns_and_still_writes(self, tmp_path):
+        # random d = 4 system (rng 0, entries rounded to 2 decimals) at lambda = 1:
+        # the BRME generator has spectral gap -0.10 and clipped negativity 2.5
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["system"] = {"matrix": [
+            ["0.13", "-0.33-0.09j", "-0.03-0.25j", "-1.11+0.75j"],
+            ["-0.33+0.09j", "0.36", "0.02-0.38j", "0.36+0.07j"],
+            ["-0.03+0.25j", "0.02+0.38j", "-0.62", "-0.6+0.04j"],
+            ["-1.11-0.75j", "0.36-0.07j", "-0.6-0.04j", "-0.73"]]}
+        cfg["coupling"] = {"lambda": 1.0, "x": [
+            ["-0.16", "-0.06+0.66j", "-0.52-0.04j", "0.31-0.39j"],
+            ["-0.06-0.66j", "-0.13", "1.15-0.99j", "0.59+0.78j"],
+            ["-0.52+0.04j", "1.15+0.99j", "1.35", "1.12-1.2j"],
+            ["0.31+0.39j", "0.59-0.78j", "1.12+1.2j", "1.96"]]}
+        cfg["bath"]["beta"] = 2.0
+        with pytest.warns(UserWarning) as record:
+            assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
+        unstable = [str(w.message) for w in record if "unstable" in str(w.message)]
+        assert len(unstable) == 1 and unstable[0].startswith("brme generator")
+        generators = {row[0] for row in _read_rows(tmp_path / "out" / "steady_compare.csv")}
+        assert "brme" in generators
 
 
 class TestExitCodes:

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mfgkit import bath, finitebath
-from mfgkit.opcore import dag, gibbs, partial_trace, trace_distance
+from mfgkit.opcore import boltzmann, dag, gibbs, partial_trace, trace_distance
 
 from conftest import random_density_matrix, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]])
 H_SB = 0.5 * SZ + 0.25 * SX
 
 DRUDE = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
@@ -57,14 +58,46 @@ def _embed_reference(H_S, X, lam, spec):
     return (h + dag(h)) / 2
 
 
-def _random_model(seed, d_s, n_modes, n_max, counter_term):
+def _kron_reference(H_S, X, lam, spec):
+    """H_tot as three full complex Kronecker products (the former assembly)."""
+    H_S, X = np.asarray(H_S, dtype=complex), np.asarray(X, dtype=complex)
+    d_s = H_S.shape[0]
+    n_levels = spec.fock_cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1).astype(complex)
+    H_B = B = np.zeros((1, 1))
+    for w_k, g_k in spec.modes:
+        one_b, one_k = np.eye(len(B)), np.eye(n_levels)
+        H_B = np.kron(H_B, one_k) + np.kron(one_b, w_k * dag(a) @ a)
+        B = np.kron(B, one_k) + np.kron(one_b, g_k * dag(a) + np.conj(g_k) * a)
+    coupling_sq = sum(abs(g) ** 2 / w for w, g in spec.modes) if spec.counter_term else 0.0
+    h_sys = H_S + lam**2 * coupling_sq * (X @ X)
+    h = np.kron((h_sys + dag(h_sys)) / 2, np.eye(len(B)))
+    h += np.kron(np.eye(d_s), H_B)
+    h += np.kron(lam * (X + dag(X)) / 2, B)
+    return h
+
+
+def _einsum_reference(model, beta):
+    """Reduced MFG state by the three-operand einsum (the former reduction)."""
+    w, v = model.eig()
+    v = v.reshape(model.system_dim, -1, len(w))
+    rho = np.einsum("aki,bki,i->ab", v, v.conj(), boltzmann(w, beta), optimize=True)
+    rho = (rho + dag(rho)) / 2
+    return rho / np.trace(rho).real
+
+
+def _random_model(seed, d_s, n_modes, n_max, counter_term, real):
+    """A random model; real=True draws real H_S, X and g_k."""
     rng = np.random.default_rng(seed)
     modes = tuple((rng.uniform(0.2, 4.0), complex(*rng.normal(scale=0.5, size=2)))
                   for _ in range(n_modes))
-    spec = finitebath.FiniteBathSpec(modes=modes, fock_cutoff=n_max,
-                                     counter_term=counter_term)
     H_S = random_hermitian(rng, d_s)
     X = random_hermitian(rng, d_s)
+    if real:
+        modes = tuple((w, g.real) for w, g in modes)
+        H_S, X = H_S.real, X.real
+    spec = finitebath.FiniteBathSpec(modes=modes, fock_cutoff=n_max,
+                                     counter_term=counter_term)
     lam = rng.uniform(0.0, 1.0)
     return rng, (H_S, X, lam, spec)
 
@@ -75,6 +108,7 @@ MODELS = dict(
     n_modes=st.integers(min_value=1, max_value=3),
     n_max=st.integers(min_value=1, max_value=3),
     counter_term=st.booleans(),
+    real=st.booleans(),
 )
 
 
@@ -84,17 +118,40 @@ class TestSystemBathSplitEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(**MODELS)
     def test_assemble_matches_per_slot_embedding(self, seed, d_s, n_modes, n_max,
-                                                 counter_term):
-        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+                                                 counter_term, real):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         h = finitebath.assemble(*args).H_tot
         ref = _embed_reference(*args)
         assert np.abs(h - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
 
     @settings(max_examples=40, deadline=None)
+    @given(**MODELS)
+    def test_structured_assembly_is_the_kronecker_sum_bit_for_bit(
+            self, seed, d_s, n_modes, n_max, counter_term, real):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
+        h = finitebath.assemble(*args).H_tot
+        ref = _kron_reference(*args)
+        assert h.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(h, ref.real if real else ref)
+        if real:
+            assert not ref.imag.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(min_value=0.1, max_value=5.0), **MODELS)
+    def test_gemm_reduction_matches_einsum(self, seed, d_s, n_modes, n_max,
+                                           counter_term, real, beta):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
+        model = finitebath.assemble(*args)
+        rho = finitebath.exact_mfg(model, beta)
+        # the same products summed in another order: a few eps apart (10 eps
+        # was the worst of 3000 random models), so allow 64 eps
+        assert np.abs(rho - _einsum_reference(model, beta)).max() <= 64 * np.finfo(float).eps
+
+    @settings(max_examples=40, deadline=None)
     @given(beta=st.floats(min_value=0.1, max_value=5.0), **MODELS)
     def test_exact_mfg_matches_partial_trace_of_global_gibbs(
-            self, seed, d_s, n_modes, n_max, counter_term, beta):
-        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+            self, seed, d_s, n_modes, n_max, counter_term, real, beta):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         model = finitebath.assemble(*args)
         dim = model.H_tot.shape[0]
         ref = partial_trace(_global_gibbs(model, beta), (d_s, dim // d_s), keep=0)
@@ -103,8 +160,8 @@ class TestSystemBathSplitEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(**MODELS)
     def test_effective_dimension_matches_three_operand_einsum(
-            self, seed, d_s, n_modes, n_max, counter_term):
-        rng, args = _random_model(seed, d_s, n_modes, n_max, counter_term)
+            self, seed, d_s, n_modes, n_max, counter_term, real):
+        rng, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         model = finitebath.assemble(*args)
         _, v = model.eig()
         rho = random_density_matrix(rng, model.H_tot.shape[0])
@@ -156,6 +213,20 @@ class TestAssemble:
         bath_dim = h_on.shape[0] // 2
         expected = lam**2 * ell * np.kron(SZ @ SZ, np.eye(bath_dim, dtype=complex))
         assert np.allclose(h_on - h_off, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("x, g_phase", [(SY, 1.0), (SZ, np.exp(0.7j))])
+    def test_complex_input_assembles_in_complex128(self, x, g_phase):
+        spec = finitebath.FiniteBathSpec(
+            modes=tuple((w, g_phase * g) for w, g in _spec().modes), fock_cutoff=3)
+        h = finitebath.assemble(H_SB, x, 0.3, spec).H_tot
+        assert h.dtype == np.complex128 and h.imag.any()
+        ref = _embed_reference(H_SB, x, 0.3, spec)
+        assert np.abs(h - ref).max() <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_real_input_assembles_in_float64(self):
+        model = finitebath.assemble(H_SB, SZ, 0.3, _spec())
+        assert model.H_tot.dtype == np.float64
+        assert model.eig()[1].dtype == np.float64
 
     def test_deterministic(self):
         a = finitebath.assemble(H_SB, SZ, 0.2, _spec()).H_tot
