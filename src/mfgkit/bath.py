@@ -26,23 +26,19 @@ a sum over the atoms of S for a discrete bath and a quadrature for a
 continuous J (see gamma_m); G(r) is not needed.
 
 Every principal-value integral over a continuous J, the Lamb shift
-Im Gamma_m(infinity), D_beta and the oscillator self-energy in clexact, is
-PV int_0^inf h(w)/(w^2 - a^2) dw evaluated by principal_value over a stack of
-poles a at once. It subtracts h(a), which leaves a regular integrand, and
-integrates by one of two rules:
+Im Gamma_m(infinity), D_beta, the oscillator self-energy in clexact and the
+reorganization energy (a pole at 0), is PV int_0^inf h(w)/(w^2 - a^2) dw,
+evaluated by principal_value over a stack of poles a at once. It subtracts
+h(a), which leaves a regular integrand, and sums it by fixed Gauss-Legendre
+rules of order 20 and 10, their difference the error estimate (Davis &
+Rabinowitz, Methods of Numerical Integration), over one of two kinds of cells:
 
-- an analytic J: one quad_vec call per half of the range, each pole in its
-  own coordinate x = w - a,
-
-      int_{-a}^0 (h(a + x) - h(a))/(x (2a + x)) dx + int_0^inf (same) dx,
-
-  so every pole's removable point x = 0 is a panel edge, where no node falls;
-  in w, nodes that land next to some pole lose digits to cancellation;
-- a J with knots (Tabulated: J a cubic on each cell of its grid, 0 beyond
-  the last knot W): fixed Gauss-Legendre sums over cells with edges at
-  0, the knots and the poles (graded toward 0 and the poles), plus the tail
-  beyond W in closed form (Davis & Rabinowitz, Methods of Numerical
-  Integration). reorganization_energy uses the same rule.
+- graded cells, for an analytic J: each pole's own cells on [0, a] and
+  [a, a + 16 scale], bisected until each is narrow beside its distance from
+  the singularities of the integrand, plus the tail w = X/t (_graded_rule);
+- knot cells, for a J with knots (Tabulated: J a cubic on each cell of its
+  grid, 0 beyond the last knot W): edges at 0, the knots and the poles,
+  shared by the stack, plus the tail beyond W in closed form (_cell_rule).
 
 Im Gamma(infinity) and D_beta are one integral:
 
@@ -56,13 +52,15 @@ PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
 For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
 d_beta_deriv integrates it by one of two rules:
 
-- |omega| >= 1e-2 scale on a J without knots: fixed Gauss-Legendre sums over
-  cells of x on [0, |omega|] and [|omega|, X], X = |omega| + 16 scale, graded
-  toward the kink at x = |omega| and the thermal poles beside it, plus the
-  tail x >= X mapped onto t = X/x in (0, 1]; S is evaluated once on the
-  (nodes, cells) array of the whole stack of poles (_finite_part_cells);
+- |omega| >= 1e-2 scale on a J without knots: graded cells of x on
+  [0, |omega|] and [|omega|, |omega| + 16 scale], toward the kink at
+  x = |omega| and the thermal poles beside it, plus the tail x = X/t, summed
+  by the engine of the principal value (_finite_part_cells, _cell_sum);
 - below 1e-2 scale, where the kink sinks toward rounding, and on a J with
   knots: one semi_infinite_quad per pole (_finite_part_quad).
+
+QUADPACK is left for that per-pole D_beta', for G(t) and finite-time
+Gamma_m(t) (its Fourier rules) and for the oscillator's correlation in clexact.
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
 arguments (the spectral densities are frozen dataclasses), and take a float
@@ -83,7 +81,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, quad_vec
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 ASYMPTOTIC = "asymptotic"
@@ -95,7 +93,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 # the cell rule: the order-20 Gauss-Legendre sum, the order-10 one its error estimate
 (_X10, _W10), (_X20, _W20) = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _CELL_NODES = np.concatenate([_X10, _X20])
-_CELL_BLOCK = 1 << 18  # nodes x poles per h call in the cell rule, bounding its memory
+_CELL_BLOCK = 1 << 14  # points per h call of the cell rules, bounding their memory
 
 
 class BathIntegrationError(RuntimeError):
@@ -429,22 +427,18 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 # ---------------------------------------------------------------------------
 
 
-def checked_quad(f, a, b, vector=False, **opts):
-    """scipy quad (quad_vec under the max norm for a vector f) that raises
-    BathIntegrationError unless the value is finite and the error estimate is
-    within max(epsabs, epsrel max|value|). QAWF (a weight over [a, inf))
-    takes no epsrel."""
+def checked_quad(f, a, b, **opts):
+    """scipy quad that raises BathIntegrationError unless the value is finite
+    and the error estimate is within max(epsabs, epsrel |value|). QAWF (a
+    weight over [a, inf)) takes no epsrel."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        if vector:  # gk21 on [a, inf) too: quad_vec's gk15 left 1e-12 errors in D_beta
-            val, err = quad_vec(f, a, b, norm="max", quadrature="gk21", **opts)
-        else:
-            val, err = quad(f, a, b, **opts)
-    if not np.isfinite(val).all():
+        val, err = quad(f, a, b, **opts)
+    if not np.isfinite(val):
         raise BathIntegrationError(f"quadrature over [{a}, {b}] returned {val}")
     # QUADPACK stops at its subdivision limit; an error estimate above the
     # requested tolerance is a failure, not a number
-    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * np.abs(val).max()):
+    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * abs(val)):
         raise BathIntegrationError(
             f"quadrature over [{a}, {b}] did not converge (error estimate {err:.2e})")
     return val
@@ -453,8 +447,7 @@ def checked_quad(f, a, b, vector=False, **opts):
 def semi_infinite_quad(f, scale, points=()):
     """Integrate f over [0, inf) with panel splits at multiples of scale."""
     splits = sorted({s for s in (*points, scale, 4 * scale, 16 * scale) if s > 0})
-    total = 0.0
-    lo = 0.0
+    total = lo = 0.0
     for s in splits:
         total += checked_quad(f, lo, s, **_QUAD_OPTS)
         lo = s
@@ -462,53 +455,86 @@ def semi_infinite_quad(f, scale, points=()):
     return total
 
 
-def principal_value(h, a, scale, knots=()):
-    """PV int_0^inf h(w)/(w^2 - a^2) dw for a stack of poles a >= 0.
+def principal_value(h, a, scale, knots=(), delta=None):
+    """PV int_0^inf h(w)/(w^2 - a^2) dw for a stack of poles a >= 0, by fixed
+    Gauss-Legendre sums; the result has the shape of a, a float for a scalar a.
 
-    h maps an array of points whose last axis runs over the stack (an (M,)
-    array, one point per pole, or an (N, 1) array shared by all) to h at each
-    point for its pole, broadcasting against the stack; the result has the
-    shape of a, a float for a scalar a. Since PV int_0^inf dw/(w^2 - a^2) = 0,
-    subtracting h(a) leaves a regular integrand; at a = 0 it is the plain
-    integral of (h(w) - h(0))/w^2.
-
-    Without knots (an analytic J) each pole is integrated by quad_vec in
-    x = w - a: the lower half w in [0, a] as x = a s, s in [-1, 0], the upper
-    half over x in [0, inf), so x = 0 is a panel edge. Dividing by x (or s)
-    and 2a + x in turn keeps tiny a from underflowing their product.
-
-    With knots (a Tabulated J), h must be smooth between them and 0 beyond
-    the last one, W. The integral is then a fixed sum over cells plus a
-    closed-form tail (_cell_rule); no quad_vec or quad call is made.
+    h(w, k) is h at points w of the poles k, an index array into the stack
+    that broadcasts against w, so h takes a per-pole constant c as c[k].
+    Subtracting h(a) leaves a regular integrand, as PV int dw/(w^2 - a^2) = 0.
+    Without knots (an analytic J) each pole has its own graded cells
+    (_graded_rule); delta (default scale) is the distance of the singularities
+    of h from the real axis, as min(2 pi/beta, scale) for coth(beta w/2). With
+    knots (a Tabulated J) h is smooth between them and 0 beyond the last one,
+    and the stack shares its cells (_cell_rule).
     """
     a = np.asarray(a, dtype=float)
     if (a < 0).any():
         raise ValueError("need a >= 0")
-    poles = a.reshape(-1)
+    poles = np.where(a < _TINY, 0.0, a).reshape(-1)  # a subnormal pole's cells underflow
     if not poles.size:
         return np.zeros(a.shape)
-    pv = _cell_rule(h, poles, knots) if len(knots) else _adaptive_rule(h, poles, scale)
+    pv = (_cell_rule(h, poles, knots) if len(knots)
+          else _graded_rule(h, poles, scale, scale if delta is None else delta))
     return pv.reshape(a.shape) if a.ndim else float(pv[0])
 
 
-def _adaptive_rule(h, poles, scale):
-    """principal_value for an (M,) stack of poles by quad_vec."""
-    ha = h(poles)
-    # a pole at 0 has no lower half; its numerator is exactly 0 there
-    lower_span = np.where(poles > 0, 2.0 * poles, 1.0)
+def _graded_rule(h, poles, scale, delta):
+    """principal_value of an analytic h for an (M,) stack of poles by _cell_sum:
+    pole a's cells are [0, a] (none at a = 0) and [a, a + 16 scale], each
+    bisected to a half-width of at most 2/3 of its reach, the least of
+    hypot(mid, delta) (h's singularities at +-i delta), mid + a (the pole at
+    -a, removable at a = 0) and max(|mid - a|, delta) (h(w) - h(a) cancels)."""
+    k = np.arange(poles.size)
+    ha = h(poles, k)
+    far = poles + 16 * scale
+    lower = poles > 0
 
-    def lower(s):
-        x = poles * s
-        return (h(poles + x) - ha) / s / (lower_span + x)
+    def bound(mid, k):
+        a = poles[k]
+        reach = np.minimum(np.hypot(mid, delta), np.maximum(np.abs(mid - a), delta))
+        return 2 * np.where(a > 0, np.minimum(reach, mid + a), reach) / 3
 
-    def upper(x):
-        return (h(poles + x) - ha) / x / (2.0 * poles + x)
+    def integrand(w, dw, k):
+        a = poles[k]
+        return (h(w, k) - ha[k]) / (w - a) / (w + a) * dw
 
-    pv = checked_quad(upper, 0.0, np.inf, vector=True,
-                      points=(scale, 4 * scale, 16 * scale), **_QUAD_OPTS)
-    if poles.any():
-        pv = pv + checked_quad(lower, -1.0, 0.0, vector=True, **_QUAD_OPTS)
-    return pv
+    return _cell_sum(np.concatenate([np.zeros(lower.sum()), poles]),
+                     np.concatenate([poles[lower], far]), np.concatenate([k[lower], k]),
+                     far, bound, integrand, "graded cell rule")
+
+
+def _cell_sum(lo, hi, pole, far, bound, integrand, rule):
+    """The graded-cell engine: for each pole k of a stack, the integral over
+    its cells [lo, hi] (pole[i] is cell i's pole), each bisected until its
+    half-width is at most bound(mid, pole), and over its tail x = far[k]/t,
+    two cells of t in (0, 1]. integrand(x, dx, k) is the integrand times dx at
+    nodes x (nodes, cells) of the poles k. Nodes go in blocks of _CELL_BLOCK;
+    each cell's node sum and each pole's cell sum runs in a fixed order, so a
+    pole's value does not depend on the rest of the stack (_checked_cells)."""
+    cells = []
+    while lo.size:
+        half = (hi - lo) / 2
+        mid = lo + half
+        wide = half > bound(mid, pole)
+        cells.append((mid[~wide], half[~wide], pole[~wide]))
+        lo, hi = np.concatenate([lo[wide], mid[wide]]), np.concatenate([mid[wide], hi[wide]])
+        pole = np.concatenate([pole[wide], pole[wide]])
+    body = [np.concatenate(c) for c in zip(*cells)]
+    tail = [np.repeat([0.25, 0.75], far.size), np.full(2 * far.size, 0.25),
+            np.tile(np.arange(far.size), 2)]
+    step = max(1, _CELL_BLOCK // len(_CELL_NODES))
+    low, high = [], []
+    for in_tail, (mid, half, pole) in enumerate((body, tail)):
+        for c in range(0, mid.size, step):
+            m, d, p = mid[c:c + step], half[c:c + step], pole[c:c + step]
+            u = m + d * _CELL_NODES[:, None]  # x, or t in the tail x = far/t
+            f = integrand(far[p] / u, d * far[p] / (u * u), p) if in_tail else integrand(u, d, p)
+            low.append(sum(wt * row for wt, row in zip(_W10, f)))
+            high.append(sum(wt * row for wt, row in zip(_W20, f[len(_W10):])))
+    pole = np.concatenate([body[2], tail[2]])
+    low, high = (np.bincount(pole, np.concatenate(s), far.size) for s in (low, high))
+    return _checked_cells(high, np.abs(high - low), rule)
 
 
 def _cell_edges(knots, poles):
@@ -543,14 +569,12 @@ def _cell_rule(h, poles, knots):
     last one, W, for an (M,) stack of poles.
 
     The cells (_cell_edges) are shared by the stack, so h is evaluated once
-    per node on an (N, 1) array that its stack broadcasts to (N, M), and
-    every pole below W is an edge: no node falls on one. Over the cells,
+    per node, as h(w, arange(M)) on an (N, 1) array w, and every pole below W
+    is an edge: no node falls on one. Over the cells,
     (h(w) - h(a))/((w - a)(w + a)) is summed by Gauss-Legendre rules of order
-    10 and 20. Beyond W the integrand is -h(a)/(w^2 - a^2), whose integral is
-    -h(a) ln|(W + a)/(W - a)|/(2a), or -h(0)/W at a = 0; it diverges for a
-    pole at W, where h jumps to 0. The order-20 sum is returned; a difference
-    from the order-10 sum above max(epsabs, epsrel |value|) of _QUAD_OPTS
-    raises BathIntegrationError.
+    10 and 20 (_checked_cells). Beyond W the integrand is -h(a)/(w^2 - a^2),
+    whose integral is -h(a) ln|(W + a)/(W - a)|/(2a), or -h(0)/W at a = 0; it
+    diverges for a pole at W, where h jumps to 0.
     """
     W = float(knots[-1])
     if (poles == W).any():
@@ -559,13 +583,14 @@ def _cell_rule(h, poles, knots):
     edges = _cell_edges(knots, poles)
     half = np.diff(edges) / 2
     mid = edges[:-1] + half
-    ha = h(poles)
+    k = np.arange(poles.size)
+    ha = h(poles, k)
     sums = np.zeros((len(_CELL_NODES), poles.size))
     block = max(1, _CELL_BLOCK // (len(_CELL_NODES) * poles.size))
     for c in range(0, len(half), block):
         # (nodes, cells, 1), the stack's axis last
         w = (mid[c:c + block] + half[c:c + block] * _CELL_NODES[:, None])[..., None]
-        f = (h(w.reshape(-1, 1)) - ha).reshape(*w.shape[:2], -1)
+        f = (h(w.reshape(-1, 1), k) - ha).reshape(*w.shape[:2], -1)
         off = w != poles  # a node rounded onto a pole (cells a few ulp wide) adds 0
         f = (np.where(off, f, 0.0) / np.where(off, w - poles, 1.0)
              / np.where(off, w + poles, 1.0))
@@ -581,8 +606,9 @@ def _cell_rule(h, poles, knots):
 
 
 def _checked_cells(value, err, rule):
-    """value, after raising BathIntegrationError unless it is finite and the
-    error estimate err is within max(epsabs, epsrel |value|) of _QUAD_OPTS."""
+    """value, the order-20 sum of a cell rule, after raising
+    BathIntegrationError unless it is finite and its difference err from the
+    order-10 sum is within max(epsabs, epsrel |value|) of _QUAD_OPTS."""
     if not np.isfinite(value).all():
         raise BathIntegrationError(f"{rule} returned {value}")
     tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(value))
@@ -618,31 +644,26 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
     if beta <= 0:
         raise ValueError("beta must be positive")
     om = np.atleast_1d(np.asarray(omega_m, dtype=float))
-    out = np.zeros(om.shape)
     if J.discrete:  # PV int S(nu) [1/(nu - w) - 1/nu] dnu over the atoms
         nu, s = J.atoms(beta, om)
-        out = om * np.sum(s / (nu * (nu - om[:, None])), axis=1)
-    elif om.any():
-        nz = om[om != 0.0]
+        return _stacked(om * np.sum(s / (nu * (nu - om[:, None])), axis=1), omega_m)
 
-        def h(w):
-            return J.j_over_omega(w) * nz * (_w_coth(w, beta) + nz)
+    def h(w, k):  # exactly 0 at omega_m = 0, and so is the integral
+        return J.j_over_omega(w) * om[k] * (_w_coth(w, beta) + om[k])
 
-        out[om != 0.0] = principal_value(h, np.abs(nz), J.scale(), J.knots)
-    return _stacked(out, omega_m)
+    return _stacked(principal_value(h, np.abs(om), J.scale(), J.knots,
+                                    delta=min(2 * math.pi / beta, J.scale())), omega_m)
 
 
 @functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
-    finite part of the module docstring, by one of its two rules. A pole with
-    |omega_m| >= 1e-2 scale of a J without knots takes the cell rule
-    (_finite_part_cells), the whole stack in one sum; the others, and every
-    pole of a J with knots (Tabulated), take one semi_infinite_quad each
-    (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated) D_beta'(0)
-    diverges and the quadrature raises BathIntegrationError; it converges for
-    |omega_m| >= 3e-5 scale (measured at beta = 0.1 to 10) and may raise below,
-    where the kink sinks into rounding.
+    finite part of the module docstring by one of its two rules, graded cells
+    for the whole stack (_finite_part_cells) or one semi_infinite_quad per
+    pole (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated)
+    D_beta'(0) diverges and the quadrature raises BathIntegrationError; it
+    converges for |omega_m| >= 3e-5 scale (measured at beta = 0.1 to 10) and
+    may raise below, where the kink sinks into rounding.
 
     omega_m is a float or a tuple of floats; a tuple gives a read-only array.
     Values are memoized per process on (J, beta, omega_m)."""
@@ -654,7 +675,8 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
         return _stacked(np.sum(s / (nu - om[:, None]) ** 2, axis=1), omega_m)
     cells = (np.abs(om) >= 1e-2 * J.scale()) & (not J.knots)
     out = np.empty(om.shape)
-    out[cells] = _finite_part_cells(J, beta, om[cells])
+    if cells.any():
+        out[cells] = _finite_part_cells(J, beta, om[cells])
     out[~cells] = [_finite_part_quad(J, beta, w) for w in om[~cells].tolist()]
     return _stacked(out, omega_m)
 
@@ -675,49 +697,28 @@ def _finite_part_quad(J: SpectralDensity, beta: float, omega_m: float) -> float:
 
 def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
     """D_beta' for an (M,) stack of omega with |omega| >= 1e-2 scale and a J
-    without knots, by fixed Gauss-Legendre sums over cells of x; S is
-    evaluated once on the (nodes, cells) array.
-
-    Each pole's x-range is [0, a] and [a, X], a = |omega| (the kink of S) and
-    X = a + 16 scale, each cell bisected until its half-width is at most a
-    third of its centre's distance to a +- i delta, delta = min(2 pi/beta,
-    scale) (the thermal poles of S and the density's own scale); above a, also
-    to 0, where the analytic continuation of the kinked branch has a 1/x^2
-    pole. The tail x >= X is x = X/t over two cells of t in (0, 1]. The
-    order-20 sum is returned; a difference from the order-10 sum above
-    max(epsabs, epsrel |value|) of _QUAD_OPTS raises BathIntegrationError.
-    """
+    without knots, by _cell_sum: pole a = |omega| (the kink of S) has cells
+    [0, a] and [a, a + 16 scale] of x, each bisected to a half-width of at
+    most a third of its distance to a +- i delta, delta = min(2 pi/beta, scale)
+    (the thermal poles of S and the density's own); above a, also to 0, where
+    the continuation of the kinked branch has a 1/x^2 pole."""
     a, scale = np.abs(omega), J.scale()
     far = a + 16 * scale
     delta = min(2 * math.pi / beta, scale)
-    poles = np.arange(a.size)
-    lo, hi = np.concatenate([np.zeros_like(a), a]), np.concatenate([a, far])
-    pole = np.tile(poles, 2)  # the pole each cell belongs to
-    while True:
-        half = (hi - lo) / 2
-        mid = lo + half
-        reach = np.hypot(mid - a[pole], delta)
-        reach = np.where(mid > a[pole], np.minimum(reach, mid), reach)
-        wide = half > reach / 3
-        if not wide.any():
-            break
-        lo = np.concatenate([lo[~wide], lo[wide], mid[wide]])
-        hi = np.concatenate([hi[~wide], mid[wide], hi[wide]])
-        pole = np.concatenate([pole[~wide], pole[wide], pole[wide]])
-    # the tail x >= X as x = X/t: cells [0, 1/2] and [1/2, 1] of t for every pole
-    nodes = _CELL_NODES[:, None]
-    t = np.repeat([0.25, 0.75], a.size) + 0.25 * nodes
-    far = np.tile(far, 2)
-    x = np.concatenate([mid + half * nodes, far / t], axis=1)  # (nodes, cells)
-    dx = np.concatenate([half * np.ones_like(nodes), 0.25 * far / (t * t)], axis=1)
-    pole = np.concatenate([pole, np.tile(poles, 2)])
-    w = omega[pole]
-    f = (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
-         - 2.0 * _thermal_spectrum(J, beta, omega)[pole]) * (dx / (x * x))
-    # summed per pole in cell order, so a pole's value does not depend on the stack
-    low = np.bincount(pole, (_W10[:, None] * f[:len(_W10)]).sum(axis=0), a.size)
-    high = np.bincount(pole, (_W20[:, None] * f[len(_W10):]).sum(axis=0), a.size)
-    return _checked_cells(high, np.abs(high - low), "cell rule for D_beta'")
+    s0 = _thermal_spectrum(J, beta, omega)
+
+    def bound(mid, k):
+        reach = np.hypot(mid - a[k], delta)
+        return np.where(mid > a[k], np.minimum(reach, mid), reach) / 3
+
+    def integrand(x, dx, k):
+        w = omega[k]
+        return (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
+                - 2.0 * s0[k]) * (dx / (x * x))
+
+    return _cell_sum(np.concatenate([np.zeros_like(a), a]), np.concatenate([a, far]),
+                     np.tile(np.arange(a.size), 2), far, bound, integrand,
+                     "cell rule for D_beta'")
 
 
 def _bose_ratio(x):
@@ -909,16 +910,17 @@ def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m) -> np.ndarray:
         )
     om = np.atleast_1d(np.asarray(omega_m, dtype=float))
 
-    def h(w):
-        return J.j_over_omega(w) * (om * _w_coth(w, beta) - w * w)
+    def h(w, k):
+        return J.j_over_omega(w) * (om[k] * _w_coth(w, beta) - w * w)
 
     re = np.pi * np.array([_thermal_spectrum(J, beta, -w) for w in om.tolist()])
-    return re + 1j * principal_value(h, np.abs(om), J.scale(), J.knots)
+    return re + 1j * principal_value(h, np.abs(om), J.scale(), J.knots,
+                                     delta=min(2 * math.pi / beta, J.scale()))
 
 
 def reorganization_energy(J: SpectralDensity, lam: float) -> float:
-    """ell = lambda^2 int_0^inf J(omega)/omega d omega. For a J with knots this
-    is principal_value's cell rule at a pole at 0, with h = w J."""
+    """ell = lambda^2 int_0^inf J(omega)/omega d omega: for a continuous J,
+    principal_value at a pole at 0 with h = w J."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if J.discrete:
@@ -926,5 +928,4 @@ def reorganization_energy(J: SpectralDensity, lam: float) -> float:
         return float(lam**2 * np.sum(g2 / w))
     if J.knots:  # Tabulated
         J.check_tail()
-        return float(lam**2 * principal_value(lambda w: w * J.j(w), 0.0, J.scale(), J.knots))
-    return float(lam**2 * semi_infinite_quad(J.j_over_omega, J.scale()))
+    return float(lam**2 * principal_value(lambda w, k: w * J.j(w), 0.0, J.scale(), J.knots))

@@ -131,12 +131,9 @@ def _self_energy_real(J: bathmod.SpectralDensity, omegas) -> np.ndarray:
     included) at an array of w >= 0, one principal_value call for the stack;
     0 at w = 0, where the integral alone diverges for Ohmic-class J."""
     w = np.asarray(omegas, dtype=float)
-    out = np.zeros(w.shape)
-    nz = w != 0.0
-    w2 = w[nz] ** 2  # inside h, so the stack's error tolerance is on Re Sigma itself
-    out[nz] = bathmod.principal_value(lambda xi: w2 * J.j_over_omega(xi), w[nz], J.scale(),
-                                      J.knots)
-    return out
+    w2 = w**2  # inside h, so the tolerance is on Re Sigma itself, and h = 0 at w = 0
+    return bathmod.principal_value(lambda xi, k: w2[k] * J.j_over_omega(xi), w, J.scale(),
+                                   J.knots)
 
 
 def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float,

@@ -216,7 +216,7 @@ class Scenario:
     field is read and checked by `_parse` before a library object gets it."""
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
+        self.config_hash = None  # of the run's one YAML dump, set by run_scenario
         self.task = _parse(cfg, "task", _word, lambda t: t in _TASKS,
                            f"one of {', '.join(_TASKS)}")
         self.units = _parse(cfg, "units", _word, lambda u: u in ("si", "natural"),
@@ -324,28 +324,23 @@ class Scenario:
 
 # -- output plumbing ------------------------------------------------------
 
-def _config_hash(cfg: dict) -> str:
+def _config_hash(cfg: dict) -> tuple[str, str]:
+    """The canonical YAML of cfg (the run's one dump) and its sha256 prefix."""
     canonical = yaml.safe_dump(cfg, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return canonical, hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _write_csv(path: Path, cfg: dict, units: str, header: list, rows: list):
+def _write_csv(path: Path, config_hash: str, units: str, header: list, rows: list):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# mfgkit {__version__}\n")
-        fh.write(f"# config_hash: {_config_hash(cfg)}\n")
+        fh.write(f"# config_hash: {config_hash}\n")
         fh.write(f"# units: {units}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.12g}" if isinstance(v, float) else v
                              for v in row])
-
-
-def _echo_config(outdir: Path, cfg: dict):
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "expanded_config.yaml", "w") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True)
 
 
 def _state_rows(label: str, rho: np.ndarray):
@@ -410,18 +405,18 @@ def _task_statics_all(sc: Scenario, outdir: Path):
     rows = []
     for label, rho in states.items():
         rows.extend(_state_rows(label, rho))
-    _write_csv(outdir / "states.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "states.csv", sc.config_hash, sc.units,
                ["state", "row", "col", "value_re", "value_im"], rows)
 
     labels = list(states)
     dist_rows = [[a, b, trace_distance(states[a], states[b])]
                  for i, a in enumerate(labels) for b in labels[i + 1:]]
-    _write_csv(outdir / "distances.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "distances.csv", sc.config_hash, sc.units,
                ["state_a", "state_b", "trace_distance"], dist_rows)
-    _write_csv(outdir / "diagnostics.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "diagnostics.csv", sc.config_hash, sc.units,
                ["quantity", "value"], diag_rows)
     pop, coh = _energy_basis_observables(sc.H_S, tau)
-    _write_csv(outdir / "gibbs_observables.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "gibbs_observables.csv", sc.config_hash, sc.units,
                ["quantity", "value"],
                [["excited_population", pop], ["abs_coherence", coh]])
 
@@ -441,20 +436,24 @@ def _task_dynamics(sc: Scenario, outdir: Path):
                          float(traj.trace_deviation[k]),
                          float(traj.hermiticity_deviation[k]),
                          float(traj.min_eigenvalue[k])])
-    _write_csv(outdir / "trajectory.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "trajectory.csv", sc.config_hash, sc.units,
                ["generator", "time", "excited_population", "abs_coherence",
                 "trace_deviation", "hermiticity_deviation", "min_eigenvalue"],
                rows)
     pop, coh = _energy_basis_observables(sc.H_S, gibbs(sc.H_S, sc.beta))
-    _write_csv(outdir / "gibbs_observables.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "gibbs_observables.csv", sc.config_hash, sc.units,
                ["quantity", "value"],
                [["excited_population", pop], ["abs_coherence", coh]])
 
 
 def _steady_state(name: str, L) -> np.ndarray:
-    """The first steady state of L; warns when L is not a stable generator."""
+    """The first steady state of L; warns when it is not unique, or when L is
+    not a stable generator."""
     report = megen.steady_state(L)
-    if report.spectral_gap <= 0 or report.clipped_negativity > PSD_FLOOR:
+    if not report.unique:
+        warnings.warn(f"{name} generator has no unique steady state "
+                      f"({len(report.states)} candidates)", stacklevel=2)
+    elif report.spectral_gap <= 0 or report.clipped_negativity > PSD_FLOOR:
         warnings.warn(f"{name} generator is unstable (spectral gap {report.spectral_gap:.3g}, "
                       f"clipped negativity {report.clipped_negativity:.3g})", stacklevel=2)
     return report.states[0]
@@ -487,7 +486,7 @@ def _task_steady_compare(sc: Scenario, outdir: Path):
 
     rows = [[g, r, trace_distance(steadies[g], references[r])]
             for g in sorted(steadies) for r in sorted(references)]
-    _write_csv(outdir / "steady_compare.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "steady_compare.csv", sc.config_hash, sc.units,
                ["generator", "reference", "trace_distance"], rows)
 
 
@@ -506,7 +505,7 @@ def _task_oracle(sc: Scenario, outdir: Path):
         weak = mfstatics.mfg_weak(
             sc.H_S, sc.X, bathmod.BathParams(J=J_disc, beta=sc.beta, lam=lam)).state
         rows.append([lam, trace_distance(exact, weak), trace_distance(exact, tau)])
-    _write_csv(outdir / "oracle.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "oracle.csv", sc.config_hash, sc.units,
                ["lambda", "dist_exact_vs_weak", "dist_exact_vs_gibbs"], rows)
 
 
@@ -524,7 +523,7 @@ def _task_oscillator(sc: Scenario, outdir: Path):
         ["cross_route_residual", abs(m.xx - xx_route2) / m.xx],
         ["log_partition", clexact.log_partition(p)],
     ]
-    _write_csv(outdir / "oscillator.csv", sc.cfg, sc.units,
+    _write_csv(outdir / "oscillator.csv", sc.config_hash, sc.units,
                ["quantity", "value"], rows)
 
 
@@ -540,7 +539,9 @@ _TASKS = {
 def run_scenario(cfg: dict, outdir: Path) -> int:
     try:
         sc = Scenario(cfg)
-        _echo_config(outdir, cfg)
+        canonical, sc.config_hash = _config_hash(cfg)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "expanded_config.yaml").write_text(canonical)
         _TASKS[sc.task](sc, outdir)
     except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)
@@ -585,7 +586,7 @@ def sweep_scenario(cfg: dict, param: str, grid, outdir: Path, jobs: int = 1) -> 
         results = [_sweep_point(t) for t in tasks]
     rows = [[v, code, "ok" if code == EXIT_OK else "failed", d]
             for v, code, d in results]
-    _write_csv(Path(outdir) / "sweep.csv", cfg, cfg.get("units", "natural"),
+    _write_csv(Path(outdir) / "sweep.csv", _config_hash(cfg)[1], cfg.get("units", "natural"),
                [param, "exit_code", "status", "artifact_dir"], rows)
     if any(code != EXIT_OK for _, code, _ in results):
         return EXIT_PARTIAL

@@ -195,7 +195,8 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
 
     Exact propagation: one scaling-and-squaring matrix exponential per grid
     point (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)).
-    A trace drift above TRACE_DRIFT_ABORT means L is not trace preserving.
+    A trace drift above TRACE_DRIFT_ABORT raises: L is not trace preserving,
+    or the rounding of e^(L t), about ||L|| t eps, outgrew it at a long t.
     """
     rho0 = require_density_matrix(rho0)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -136,9 +136,10 @@ def _knot_resolved_pv(tab, h, a, order=20):
 
 
 def _adaptive_pv(h, a, scale):
-    """Reference: the adaptive stack the cell rule replaced for a Tabulated J,
+    """Reference: the adaptive stack that the cell rules replaced,
     principal_value's quad_vec rule (each pole in x = w - a, one call per half)
-    for an (M,) stack of poles a >= 0. It runs at epsabs 1e-13, epsrel 1e-12:
+    for an (M,) stack of poles a >= 0, h(w) taking one point per pole. It runs
+    at epsabs 1e-13, epsrel 1e-12:
     against a per-cell quad at 1e-15/1e-14, its own error reached 1.8e-8 at
     the library's 1e-10/1e-8 (a 46-point grid whose spline crosses 0, pole
     5.65, beta = 3) and 5.5e-9 at 1e-12/1e-10 (a 47-point grid, pole 91.3
@@ -413,17 +414,17 @@ class TestPrincipalValue:
     def test_exponential_oracle(self):
         # PV int_0^inf e^(-w)(w + a)/(w^2 - a^2) dw = -e^(-a) Ei(a)
         for a in (0.5, 1.0, 2.0):
-            got = bath.principal_value(lambda w: np.exp(-w) * (w + a), a, 1.0)
+            got = bath.principal_value(lambda w, k: np.exp(-w) * (w + a), a, 1.0)
             assert got == pytest.approx(-np.exp(-a) * expi(a), abs=1e-8)
         with pytest.raises(ValueError):
-            bath.principal_value(np.exp, -1.0, 1.0)
-        # the same three poles as one stack, h elementwise in the stack
+            bath.principal_value(lambda w, k: np.exp(w), -1.0, 1.0)
+        # the same three poles as one stack, h(w, k) taking pole k's a as a[k]
         a = np.array([0.5, 1.0, 2.0])
-        got = bath.principal_value(lambda w: np.exp(-w) * (w + a), a, 1.0)
+        got = bath.principal_value(lambda w, k: np.exp(-w) * (w + a[k]), a, 1.0)
         assert got.shape == (3,)
         assert np.allclose(got, -np.exp(-a) * expi(a), rtol=0, atol=1e-8)
         with pytest.raises(ValueError):
-            bath.principal_value(np.exp, np.array([1.0, -1.0]), 1.0)
+            bath.principal_value(lambda w, k: np.exp(w), np.array([1.0, -1.0]), 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -583,15 +584,14 @@ class TestCellRule:
     def test_kink_inside_a_cell_raises(self):
         # |sin 50 w| has kinks inside every cell; orders 10 and 20 disagree
         with pytest.raises(bath.BathIntegrationError, match="did not converge"):
-            bath.principal_value(lambda w: np.abs(np.sin(50.0 * w)), np.array([0.5, 1.5]),
+            bath.principal_value(lambda w, k: np.abs(np.sin(50.0 * w)), np.array([0.5, 1.5]),
                                  1.0, knots=(0.0, 1.0, 2.0, 3.0))
 
     def test_no_adaptive_quadrature(self, monkeypatch):
-        # the cell rule is a fixed sum: no quad_vec or quad call for a Tabulated J
+        # the cell rule is a fixed sum: no quad call for a Tabulated J
         def refuse(*args, **kwargs):
             raise AssertionError("adaptive quadrature on a Tabulated J")
 
-        monkeypatch.setattr(bath, "quad_vec", refuse)
         monkeypatch.setattr(bath, "quad", refuse)
         stack = (-1.118, 0.0, 1.118, 3.0)
         assert np.isfinite(bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, stack)).all()
@@ -625,17 +625,83 @@ class TestCellRule:
         assert np.array_equal(at(grid), spline(grid))
 
 
+@st.composite
+def _graded_stack(draw):
+    """An analytic J, beta in [0.02, 50] and a stack of poles with 0, a tiny
+    pole (1e-300 to 1e-3), 40 scale and up to three poles in [1e-2, 10] scale."""
+    J = draw(st.sampled_from([DRUDE, OHMIC, SUPER]))
+    beta = 10.0 ** draw(st.floats(min_value=np.log10(0.02), max_value=np.log10(50.0)))
+    tiny = 10.0 ** draw(st.floats(min_value=-300.0, max_value=-3.0))
+    inside = draw(st.lists(st.floats(min_value=0.01, max_value=10.0), max_size=3))
+    sign = st.sampled_from([1.0, -1.0])
+    stack = [draw(sign) * w * J.scale() for w in (40.0, *inside)] + [draw(sign) * tiny, 0.0]
+    return J, beta, tuple(draw(st.permutations(stack)))
+
+
+class TestGradedRule:
+    """principal_value of an analytic J: graded cells per pole (bath._graded_rule)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_graded_stack())
+    def test_matches_adaptive_stack(self, case):
+        # the D_beta, Im Gamma(infinity) and self-energy integrands, against the
+        # quad_vec stack that the rule replaced
+        J, beta, stack = case
+        om = np.array(stack)
+        nz, a = om[om != 0.0], np.abs(om)
+        ref_d, ref_self = np.zeros(om.shape), np.zeros(om.shape)
+        ref_d[om != 0.0] = _adaptive_pv(
+            lambda w: J.j_over_omega(w) * nz * (bath._w_coth(w, beta) + nz), np.abs(nz),
+            J.scale())
+        ref_im = _adaptive_pv(
+            lambda w: J.j_over_omega(w) * (om * bath._w_coth(w, beta) - w * w), a, J.scale())
+        ref_self[a != 0.0] = _adaptive_pv(
+            lambda w: nz**2 * J.j_over_omega(w), np.abs(nz), J.scale())
+        for got, ref in ((bath.d_beta.__wrapped__(J, beta, stack), ref_d),
+                         (bath.gamma_m.__wrapped__(J, beta, stack, bath.ASYMPTOTIC).imag, ref_im),
+                         (clexact._self_energy_real(J, a), ref_self)):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER], ids=["drude", "ohmic", "super"])
+    def test_stack_entry_is_the_float_call(self, J):
+        # each pole has its own cells, summed in their own order: bit for bit
+        # (a subnormal pole is taken as 0: its own cells would underflow)
+        stack = (-2.3, 0.7, 0.0, 3.0, 1e-200, 5e-324, -11.0, 40.0 * J.scale())
+        d = bath.d_beta.__wrapped__(J, 20.0, stack)
+        g = bath.gamma_m.__wrapped__(J, 20.0, stack, bath.ASYMPTOTIC)
+        for w, d_w, g_w in zip(stack, d, g):
+            assert d_w == bath.d_beta.__wrapped__(J, 20.0, w)
+            assert g_w == bath.gamma_m.__wrapped__(J, 20.0, w, bath.ASYMPTOTIC)
+
+    def test_blocks_of_cells_change_no_bit(self, monkeypatch):
+        grid = np.linspace(0.0, 60.0, 481)
+        whole = clexact._self_energy_real(DRUDE, grid)
+        monkeypatch.setattr(bath, "_CELL_BLOCK", 7 * len(bath._CELL_NODES))
+        assert np.array_equal(clexact._self_energy_real(DRUDE, grid), whole)
+
+    def test_no_quadpack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK on an analytic J")
+
+        monkeypatch.setattr(bath, "quad", refuse)
+        stack = (-2.3, 0.0, 0.7, 1e-9)
+        for J in (DRUDE, OHMIC, SUPER):
+            assert np.isfinite(bath.d_beta.__wrapped__(J, 1.0, stack)).all()
+            assert np.isfinite(
+                bath.gamma_m.__wrapped__(J, 1.0, stack, bath.ASYMPTOTIC)).all()
+            assert bath.reorganization_energy(J, 1.0) > 0.0
+            assert np.isfinite(clexact._self_energy_real(J, np.linspace(0.0, 60.0, 481))).all()
+
+
 class TestQuadConvergence:
-    def test_subdivision_limit_raises(self, monkeypatch):
-        monkeypatch.setitem(bath._QUAD_OPTS, "limit", 2)
+    def test_kink_inside_a_graded_cell_raises(self):
+        # without knots |sin 50 w| is taken as analytic; orders 10 and 20 disagree
         with pytest.raises(bath.BathIntegrationError, match="did not converge"):
-            bath.d_beta.__wrapped__(DRUDE, 1.0, 1.25)
-        with pytest.raises(bath.BathIntegrationError, match="did not converge"):
-            bath.d_beta.__wrapped__(DRUDE, 1.0, (1.25, -0.5, 0.0))
+            bath.principal_value(lambda w, k: np.abs(np.sin(50 * w)), [0.5, 1.5], 1.0)
 
     def test_non_finite_stack_raises(self):
         with pytest.raises(bath.BathIntegrationError, match="returned"):
-            bath.principal_value(lambda w: np.where(w > 2.0, np.nan, 1.0),
+            bath.principal_value(lambda w, k: np.where(w > 2.0, np.nan, 1.0),
                                  np.array([0.5, 1.0]), 1.0)
 
 
@@ -1036,7 +1102,6 @@ class TestFinitePartCells:
             raise AssertionError("QUADPACK on an eligible stack")
 
         monkeypatch.setattr(bath, "quad", refuse)
-        monkeypatch.setattr(bath, "quad_vec", refuse)
         for J in (DRUDE, OHMIC, SUPER):
             stack = (-2.3, 0.7, 3.0, 0.01 * J.scale())
             assert np.isfinite(bath.d_beta_deriv.__wrapped__(J, 1.0, stack)).all()

@@ -1,3 +1,4 @@
+import hashlib
 from copy import deepcopy
 from pathlib import Path
 
@@ -309,6 +310,25 @@ class TestRun:
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
 
 
+    def test_one_yaml_dump_per_run(self, tmp_path, monkeypatch):
+        # expanded_config.yaml and every CSV's hash come from one dump
+        dumps = []
+        safe_dump = yaml.safe_dump
+
+        def counting(*args, **kwargs):
+            dumps.append(1)
+            return safe_dump(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "safe_dump", counting)
+        out = tmp_path / "st"
+        assert cli.run_scenario(deepcopy(cli.PRESETS["fig1_strong"]), out) == cli.EXIT_OK
+        assert len(dumps) == 1
+        digest = hashlib.sha256((out / "expanded_config.yaml").read_bytes()).hexdigest()[:16]
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 4
+        for path in csvs:
+            assert f"# config_hash: {digest}\n" in path.read_text()
+
     def test_statics_all_computes_weak_state_once(self, tmp_path, monkeypatch):
         calls = []
         decompose = mfstatics.decompose
@@ -423,6 +443,23 @@ class TestWarnings:
         assert len(unstable) == 1 and unstable[0].startswith("brme generator")
         generators = {row[0] for row in _read_rows(tmp_path / "out" / "steady_compare.csv")}
         assert "brme" in generators
+
+
+    @pytest.mark.parametrize("lam, bath_cfg", [(1e-5, None), (0.1, {"kind": "none", "beta": 1.0})],
+                             ids=["lambda_1e-5", "no_bath"])
+    def test_degenerate_null_space_warns_not_unique(self, tmp_path, lam, bath_cfg):
+        # at lambda = 1e-5 the relaxation eigenvalue (1.7e-11) falls inside the
+        # null tolerance; without a bath L = -i[H_S, .]: no unique steady state,
+        # and the generator is not called unstable
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["coupling"]["lambda"] = lam
+        if bath_cfg:
+            cfg["bath"] = bath_cfg
+        with pytest.warns(UserWarning) as record:
+            assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
+        assert [str(w.message) for w in record] == [
+            f"{g} generator has no unique steady state (3 candidates)"
+            for g in ("davies", "brme", "brme_real_only")]
 
 
 class TestExitCodes:
