@@ -352,11 +352,19 @@ def _state_rows(label: str, rho: np.ndarray):
     return rows
 
 
-def _energy_basis_observables(H_S, rho):
-    """Excited-state population and absolute coherence in the H_S eigenbasis."""
-    w, v = np.linalg.eigh(H_S)
-    r = v.conj().T @ rho @ v
-    return float(r[-1, -1].real), float(abs(r[-1, 0]))
+def _energy_basis_observables(H_S, states):
+    """Excited-state population and absolute coherence in the H_S eigenbasis,
+    for a stack of states (n, d, d): two (n,) arrays, from one eigh of H_S."""
+    v = np.linalg.eigh(H_S)[1]
+    r = v.conj().T @ np.asarray(states) @ v
+    return r[:, -1, -1].real, np.abs(r[:, -1, 0])
+
+
+def _write_gibbs_observables(sc: Scenario, outdir: Path, tau: np.ndarray):
+    pop, coh = _energy_basis_observables(sc.H_S, tau[None])
+    _write_csv(outdir / "gibbs_observables.csv", sc.config_hash, sc.units,
+               ["quantity", "value"],
+               [["excited_population", float(pop[0])], ["abs_coherence", float(coh[0])]])
 
 
 def _high_t_inputs(sc: Scenario):
@@ -415,35 +423,35 @@ def _task_statics_all(sc: Scenario, outdir: Path):
                ["state_a", "state_b", "trace_distance"], dist_rows)
     _write_csv(outdir / "diagnostics.csv", sc.config_hash, sc.units,
                ["quantity", "value"], diag_rows)
-    pop, coh = _energy_basis_observables(sc.H_S, tau)
-    _write_csv(outdir / "gibbs_observables.csv", sc.config_hash, sc.units,
-               ["quantity", "value"],
-               [["excited_population", pop], ["abs_coherence", coh]])
+    _write_gibbs_observables(sc, outdir, tau)
 
 
 def _task_dynamics(sc: Scenario, outdir: Path):
     L = megen.davies_generator(sc.H_S, sc.X, sc.bath_params)
-    t_max = sc.t_max or 20.0 / max(megen.steady_state(L).spectral_gap, 1e-12)
+    t_max = sc.t_max
+    if t_max is None:  # 20 relaxation times of the Davies generator
+        report = megen.steady_state(L)
+        if not report.unique or report.spectral_gap <= 0:
+            cause = (f"no unique steady state ({len(report.states)} candidates)"
+                     if not report.unique else f"spectral gap {report.spectral_gap:.3g}")
+            raise ValueError(f"the Davies generator has {cause}, so it sets no "
+                             "relaxation time: give dynamics.t_max")
+        t_max = 20.0 / report.spectral_gap
     t_grid = np.linspace(0.0, t_max, sc.points)
 
     rows = []
     for kind, gen in (("davies", L),
                       ("brme", megen.brme_generator(sc.H_S, sc.X, sc.bath_params))):
         traj = megen.evolve(gen, sc.rho0, t_grid)
-        for k, t in enumerate(traj.times):
-            pop, coh = _energy_basis_observables(sc.H_S, traj.states[k])
-            rows.append([kind, float(t), pop, coh,
-                         float(traj.trace_deviation[k]),
-                         float(traj.hermiticity_deviation[k]),
-                         float(traj.min_eigenvalue[k])])
+        pop, coh = _energy_basis_observables(sc.H_S, traj.states)
+        columns = (traj.times, pop, coh, traj.trace_deviation,
+                   traj.hermiticity_deviation, traj.min_eigenvalue)
+        rows.extend([kind, *row] for row in zip(*(c.tolist() for c in columns)))
     _write_csv(outdir / "trajectory.csv", sc.config_hash, sc.units,
                ["generator", "time", "excited_population", "abs_coherence",
                 "trace_deviation", "hermiticity_deviation", "min_eigenvalue"],
                rows)
-    pop, coh = _energy_basis_observables(sc.H_S, gibbs(sc.H_S, sc.beta))
-    _write_csv(outdir / "gibbs_observables.csv", sc.config_hash, sc.units,
-               ["quantity", "value"],
-               [["excited_population", pop], ["abs_coherence", coh]])
+    _write_gibbs_observables(sc, outdir, gibbs(sc.H_S, sc.beta))
 
 
 def _steady_state(name: str, L) -> np.ndarray:

@@ -23,8 +23,8 @@ where the variants differ:
 
 The ultrastrong-coupling Pauli generator is built in the pointer basis of X.
 
-Evolution is exact: rho(t) = e^(L t) rho(0), one matrix exponential per time
-point.
+Evolution is exact: rho(t) = e^(L t) rho(0), stepped from one grid point to
+the next by one matrix exponential per distinct step of the time grid.
 """
 
 from dataclasses import dataclass
@@ -193,18 +193,28 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
 def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     """rho(t_k) = e^(L (t_k - t_0)) rho0, with rho0 the state at t_grid[0].
 
-    Exact propagation: one scaling-and-squaring matrix exponential per grid
-    point (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)).
-    A trace drift above TRACE_DRIFT_ABORT raises: L is not trace preserving,
-    or the rounding of e^(L t), about ||L|| t eps, outgrew it at a long t.
+    Exact propagation, stepped: one scaling-and-squaring exponential
+    P = e^(L dt) per distinct step dt of np.diff(t_grid) (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009); Moler & Van Loan, SIAM Rev. 45,
+    3 (2003)), and vec(rho(t_(k+1))) = P vec(rho(t_k)). The steps are taken
+    exactly: a linspace grid has a few that differ in the last bit, and a grid
+    that is not uniform takes one exponential per distinct step. L is not
+    diagonalized, since a Redfield generator need not be normal. A trace drift
+    above TRACE_DRIFT_ABORT raises: L is not trace preserving, or the rounding
+    of e^(L t), about ||L|| t eps, outgrew it at a long t.
     """
     rho0 = require_density_matrix(rho0)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be ascending and start at t >= 0")
-    v0 = vec(rho0)
-    states = np.array([unvec(scipy.linalg.expm(L.matrix * (t - t_grid[0])) @ v0)
-                       for t in t_grid])
+    steps, step_of = np.unique(np.diff(t_grid), return_inverse=True)
+    propagators = [scipy.linalg.expm(L.matrix * dt) for dt in steps]
+    d = rho0.shape[0]
+    v = np.empty((t_grid.size, d * d), dtype=complex)
+    v[0] = vec(rho0)
+    for k, j in enumerate(step_of):
+        v[k + 1] = propagators[j] @ v[k]
+    states = np.ascontiguousarray(v.reshape(-1, d, d).transpose(0, 2, 1))  # unvec of each row
     drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     if drift.max() > TRACE_DRIFT_ABORT:
         raise RuntimeError(f"trace drift {drift.max():.3e} exceeds the abort threshold")

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import warnings
 from copy import deepcopy
 from pathlib import Path
 
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
-from mfgkit import bath, cli, mfstatics
+from mfgkit import bath, cli, megen, mfstatics
 from mfgkit.opcore import gibbs
+
+from conftest import random_density_matrix, random_hermitian
 
 K_B = 1.380649e-23
 
@@ -406,6 +410,80 @@ class TestRun:
         gibbs_pop = float((top.conj() @ gibbs(h.astype(complex), 1.0) @ top).real)
         assert abs(final - gibbs_pop) < 1e-6
         assert max(float(r[4]) for r in rows) < 1e-12
+
+
+class TestArtifacts:
+    def test_batched_observables_match_per_state_loop(self, rng):
+        h = random_hermitian(rng, 3)
+        states = np.array([random_density_matrix(rng, 3) for _ in range(7)])
+        pop, coh = cli._energy_basis_observables(h, states)
+        v = np.linalg.eigh(h)[1]
+        for k, rho in enumerate(states):
+            r = v.conj().T @ rho @ v
+            assert abs(pop[k] - r[-1, -1].real) <= 1e-15
+            assert abs(coh[k] - abs(r[-1, 0])) <= 1e-15
+
+    def test_preset_csv_floats_have_at_most_12_digits(self, tmp_path):
+        # a value that is not a Python float (a 0-d array) would skip the
+        # %.12g format and print 17 digits; the oracle preset runs at a
+        # smaller bath (its full size takes seconds), through the same code
+        csvs = []
+        for name, preset in cli.PRESETS.items():
+            cfg = deepcopy(preset)
+            if cfg["task"] == "oracle":
+                cfg["oracle"].update(n_modes=2, fock_cutoff=3)
+            assert cli.run_scenario(cfg, tmp_path / name) == cli.EXIT_OK
+            csvs += sorted((tmp_path / name).glob("*.csv"))
+        assert len(csvs) == 9
+        for path in csvs:
+            for row in _read_rows(path):
+                for cell in row:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        continue
+                    mantissa = re.sub(r"[eE].*", "", cell).lstrip("+-").replace(".", "")
+                    assert len(mantissa.lstrip("0")) <= 12, (path.name, cell)
+
+
+class TestDynamicsHorizon:
+    @staticmethod
+    def _run(cfg, out):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            return cli.run_scenario(cfg, out)
+
+    @pytest.mark.parametrize("lam, bath_cfg", [(1e-5, None), (0.1, {"kind": "none", "beta": 1.0})],
+                             ids=["lambda_1e-5", "no_bath"])
+    def test_no_relaxation_time_exits_3_naming_t_max(self, tmp_path, capsys, lam, bath_cfg):
+        # the Davies generator's null space is degenerate: no gap sets 20/gap
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["task"] = "dynamics"
+        cfg["coupling"]["lambda"] = lam
+        if bath_cfg:
+            cfg["bath"] = bath_cfg
+        assert self._run(cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "no unique steady state" in err and "dynamics.t_max" in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_no_positive_gap_exits_3_naming_t_max(self, tmp_path, capsys, monkeypatch):
+        report = megen.SteadyStateReport(states=[np.eye(2) / 2], residual=0.0,
+                                         spectral_gap=0.0, unique=True,
+                                         clipped_negativity=0.0)
+        monkeypatch.setattr(megen, "steady_state", lambda L: report)
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["task"] = "dynamics"
+        assert self._run(cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "spectral gap 0" in err and "dynamics.t_max" in err
+
+    def test_no_bath_with_t_max_exits_0(self, tmp_path):
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg.update(task="dynamics", bath={"kind": "none", "beta": 1.0}, dynamics={"t_max": 50})
+        assert self._run(cfg, tmp_path / "out") == cli.EXIT_OK
+        rows = _read_rows(tmp_path / "out" / "trajectory.csv")
+        assert float(rows[-1][1]) == 50.0
 
 
 class TestWarnings:

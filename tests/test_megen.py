@@ -366,6 +366,38 @@ class TestEvolve:
             ref = megen.unvec(v @ (np.exp(evals * (t - t_grid[0])) * c))
             assert np.abs(rho - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("grid, expected", [
+        (np.linspace(0.0, 50.0, 100), len(np.unique(np.diff(np.linspace(0.0, 50.0, 100))))),
+        (np.geomspace(0.01, 50.0, 40), 39),
+    ], ids=["linspace", "geometric"])
+    def test_one_expm_per_distinct_step(self, monkeypatch, grid, expected):
+        calls = []
+        expm = megen.scipy.linalg.expm
+
+        def counting(a):
+            calls.append(1)
+            return expm(a)
+
+        monkeypatch.setattr(megen.scipy.linalg, "expm", counting)
+        traj = megen.evolve(megen.davies_generator(H_SB, SZ, _bp(0.3)),
+                            np.diag([1.0, 0.0]).astype(complex), grid)
+        assert len(traj.states) == len(grid)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("lam", [0.1, 0.01])
+    @pytest.mark.parametrize("build", [megen.davies_generator, megen.brme_generator],
+                             ids=["davies", "brme"])
+    def test_long_horizon_matches_eigendecomposition(self, rng, build, lam):
+        # t_max = 20/gap puts ||L|| t at 1.3e4 (lambda = 0.1) and 1.3e6 (0.01)
+        L = build(H_SB, SZ, _bp(lam))
+        t_grid = np.linspace(0.0, 20.0 / megen.steady_state(L).spectral_gap, 200)
+        rho0 = random_density_matrix(rng, 2)
+        traj = megen.evolve(L, rho0, t_grid)
+        evals, v = np.linalg.eig(L.matrix)
+        c = np.linalg.solve(v, megen.vec(rho0))
+        for t, rho in zip(t_grid, traj.states, strict=True):
+            assert np.abs(rho - megen.unvec(v @ (np.exp(evals * t) * c))).max() < 1e-10
+
     def test_non_trace_preserving_generator_aborts(self):
         L = megen.Liouvillian(-0.1 * np.eye(4, dtype=complex))
         with pytest.raises(RuntimeError, match="trace drift"):
