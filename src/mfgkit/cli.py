@@ -442,7 +442,14 @@ def _task_dynamics(sc: Scenario, outdir: Path):
     rows = []
     for kind, gen in (("davies", L),
                       ("brme", megen.brme_generator(sc.H_S, sc.X, sc.bath_params))):
-        traj = megen.evolve(gen, sc.rho0, t_grid)
+        try:
+            traj = megen.evolve(gen, sc.rho0, t_grid)
+        except RuntimeError as exc:  # the trace drift abort
+            if sc.t_max is not None:
+                raise
+            raise RuntimeError(
+                f"{exc} at t_max = 20/gap = {t_max:.3g} (Davies spectral gap "
+                f"{report.spectral_gap:.3g}): give dynamics.t_max") from exc
         pop, coh = _energy_basis_observables(sc.H_S, traj.states)
         columns = (traj.times, pop, coh, traj.trace_deviation,
                    traj.hermiticity_deviation, traj.min_eigenvalue)

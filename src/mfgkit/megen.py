@@ -25,8 +25,19 @@ The ultrastrong-coupling Pauli generator is built in the pointer basis of X.
 
 Evolution is exact: rho(t) = e^(L t) rho(0), stepped from one grid point to
 the next by one matrix exponential per distinct step of the time grid.
+
+Steady states are found in the real Hermitian frame. Every generator here
+maps Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
+Hermitian matrices it is a real matrix: the coherence-vector form (Alicki &
+Lendi, Quantum Dynamical Semigroups and Applications, LNP 286 (1987)). The
+fixed unitary U of _hermitian_frame takes vec(rho) to the diagonal entries,
+then sqrt(2) Re and sqrt(2) Im of each upper entry of rho; R = U L U^dag is
+real, and its eigenvalues, 2-norm and bordered solve run in real LAPACK.
+steady_state raises ValueError for a generator whose Im(U L U^dag) exceeds
+the rounding of L (HERMITICITY_PRESERVATION_TOL max|L|), rather than drop it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,7 @@ from .mfstatics import PointerSplit
 from .opcore import dag, require_density_matrix, require_hermitian
 
 TRACE_DRIFT_ABORT = 1e-7
+HERMITICITY_PRESERVATION_TOL = 1e-12  # relative to max|L|, rounding of U L U^dag
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -227,18 +239,37 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     )
 
 
-def _hermitian_null_basis(vectors: np.ndarray) -> list:
-    """Orthonormal (Hilbert-Schmidt) basis of the Hermitian matrices spanned by
-    the columns of vectors. A single vector keeps its own Hermitian part."""
-    mats = [unvec(v) for v in vectors.T]
-    if len(mats) == 1:
-        return [(mats[0] + dag(mats[0])) / 2]
-    d2 = vectors.shape[0]
-    parts = [p for m in mats for p in ((m + dag(m)) / 2, (m - dag(m)) / 2j)]
-    flat = np.array([np.concatenate([vec(p).real, vec(p).imag]) for p in parts])
-    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
-    return [unvec(row[:d2] + 1j * row[d2:]) for row in vt[:rank]]
+@functools.lru_cache(maxsize=None)
+def _hermitian_frame(d: int):
+    """(c, p, q, U^dag) of the real Hermitian frame of d x d matrices.
+
+    Row r of the unitary U is c_r e_(p_r) + conj(c_r) e_(q_r), with p_r the
+    vec position of rho[i, j] (i <= j) and q_r that of rho[j, i]: first the d
+    diagonal entries (c = 1/2, p = q), then sqrt(2) Re (c = 1/sqrt(2)) and
+    sqrt(2) Im (c = -i/sqrt(2)) of each upper entry. (U vec(rho))_r =
+    2 Re(c_r rho[i, j]) is real for every Hermitian rho. Built once per d,
+    read-only.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    i, j = (np.concatenate([np.arange(d), k, k]) for k in (iu, ju))
+    c = np.concatenate([np.full(d, 0.5), np.full(iu.size, np.sqrt(0.5)),
+                        np.full(iu.size, -1j * np.sqrt(0.5))])
+    p, q = i + d * j, j + d * i
+    rows = np.arange(d * d)
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[rows, p] = c
+    u[rows, q] += c.conj()  # a diagonal row: 1/2 + 1/2 at p = q
+    u_dag = u.conj().T.copy()
+    for a in (c, p, q, u_dag):
+        a.flags.writeable = False
+    return c, p, q, u_dag
+
+
+def _in_frame(mat: np.ndarray, c, p, q) -> np.ndarray:
+    """U mat U^dag from the two entries (c, p, q) of each row of U: O(d^4)
+    gathers, not the O(d^6) of two dense products."""
+    rows = c[:, None] * mat[p] + c.conj()[:, None] * mat[q]  # U mat
+    return rows[:, p] * c.conj() + rows[:, q] * c
 
 
 def _clip_to_state(m, orient=False):
@@ -296,36 +327,55 @@ def _null_index(evals, norm):
 
 
 def steady_state(L: Liouvillian) -> SteadyStateReport:
-    """Null space of the generator from its eigenvalues.
+    """Null space of the generator from its eigenvalues, in the real Hermitian frame.
 
-    The eigenvalues (np.linalg.eigvals) give the null space by _null_index;
-    the spectral gap is taken over the eigenvalues outside it. A
+    R = U L U^dag is the real matrix of L in the frame of _hermitian_frame
+    (see the module docstring); U is unitary, so R has the eigenvalues and
+    the 2-norm of L. A generator whose Im(U L U^dag) exceeds
+    HERMITICITY_PRESERVATION_TOL max|L| does not preserve Hermiticity and
+    raises ValueError.
+
+    The eigenvalues of R (np.linalg.eigvals) give the null space by
+    _null_index; the spectral gap is taken over the eigenvalues outside it. A
     one-dimensional null space gives the unique steady state from the
-    bordered system [L; tr] v = [0; 1], one least-squares solve (QuTiP's
+    bordered system [R; tr] v = [0; 1], one real least-squares solve (QuTiP's
     direct solver adds the trace condition to L likewise: Johansson, Nation &
-    Nori, Comput. Phys. Commun. 184, 1234 (2013)). A larger one takes the
-    eigenvectors of np.linalg.eig: the steady state is unique when the
-    Hermitian matrices in the null space span one dimension, and a
-    degenerate null space gives the candidates of _degenerate_candidates. A
-    unique null vector is Hermitized, positivity-projected and
+    Nori, Comput. Phys. Commun. 184, 1234 (2013)); the trace row is 1 on the
+    d diagonal coordinates. A larger one takes the eigenvectors of
+    np.linalg.eig(R): the real span of their real and imaginary parts is the
+    Hermitian null space, and the steady state is unique when it has one
+    dimension; a degenerate null space gives the candidates of
+    _degenerate_candidates. Each null vector v maps back to the exactly
+    Hermitian unvec(U^dag v). A unique null vector is positivity-projected and
     trace-normalized; the negative weight the projection removes is reported
     as clipped_negativity.
     """
     mat = L.matrix
-    norm = max(np.linalg.norm(mat, 2), 1e-300)
-    evals = np.linalg.eigvals(mat)
+    d = int(round(np.sqrt(len(mat))))
+    c, p, q, u_dag = _hermitian_frame(d)
+    framed = _in_frame(mat, c, p, q)
+    leak = np.abs(framed.imag).max()
+    if leak > HERMITICITY_PRESERVATION_TOL * max(np.abs(mat).max(), np.finfo(float).tiny):
+        raise ValueError(f"generator does not preserve Hermiticity "
+                         f"(max |Im U L U^dag| = {leak:.3e})")
+    R = np.ascontiguousarray(framed.real)
+    norm = max(np.linalg.norm(R, 2), 1e-300)
+    evals = np.linalg.eigvals(R)
     null_idx = _null_index(evals, norm)
     if null_idx.size == 1:
-        trace_row = vec(np.eye(int(round(np.sqrt(len(mat))))))  # tr rho = trace_row . vec(rho)
-        rhs = np.zeros(len(mat) + 1, dtype=complex)
+        trace_row = np.zeros(len(R))
+        trace_row[:d] = 1.0  # tr rho = sum of the diagonal coordinates
+        rhs = np.zeros(len(R) + 1)
         rhs[-1] = 1.0
-        v = scipy.linalg.lstsq(np.vstack([mat, trace_row]), rhs, lapack_driver="gelsy",
-                               check_finite=False)[0]
-        basis = _hermitian_null_basis(v[:, None])
+        null = scipy.linalg.lstsq(np.vstack([R, trace_row]), rhs, lapack_driver="gelsy",
+                                  check_finite=False)[0][:, None]
     else:
-        evals, evecs = np.linalg.eig(mat)  # eigenvalues may differ from eigvals' by rounding
+        evals, evecs = np.linalg.eig(R)  # eigenvalues may differ from eigvals' by rounding
         null_idx = _null_index(evals, norm)
-        basis = _hermitian_null_basis(evecs[:, null_idx])
+        vectors = evecs[:, null_idx]
+        w, sv, _ = np.linalg.svd(np.hstack([vectors.real, vectors.imag]), full_matrices=False)
+        null = w[:, sv > 1e-8 * sv[0]]
+    basis = [unvec(v) for v in (u_dag @ null).T]
     unique = len(basis) == 1
     if unique:
         found = [_clip_to_state(basis[0], orient=True)]

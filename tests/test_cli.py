@@ -478,6 +478,19 @@ class TestDynamicsHorizon:
         err = capsys.readouterr().err
         assert "spectral gap 0" in err and "dynamics.t_max" in err
 
+    def test_tiny_gap_drift_names_gap_and_t_max(self, tmp_path, capsys):
+        # at lambda = 5e-5 the Davies gap is 4.2e-10: t_max = 20/gap = 4.8e10
+        # puts the rounding of e^(L t) above the trace drift abort threshold
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["task"] = "dynamics"
+        cfg["coupling"]["lambda"] = 5e-5
+        assert self._run(cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "trace drift" in err and "exceeds the abort threshold" in err
+        assert "t_max = 20/gap = 4.76e+10" in err and "Davies spectral gap 4.2e-10" in err
+        assert err.rstrip().endswith("give dynamics.t_max")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_no_bath_with_t_max_exits_0(self, tmp_path):
         cfg = deepcopy(cli.PRESETS["spin_boson"])
         cfg.update(task="dynamics", bath={"kind": "none", "beta": 1.0}, dynamics={"t_max": 50})

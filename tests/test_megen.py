@@ -410,14 +410,31 @@ class TestEvolve:
             megen.evolve(L, rho0, [0.0, 2.0, 1.0])
 
 
+def _hermitian_null_basis(vectors):
+    """Orthonormal (Hilbert-Schmidt) basis of the Hermitian matrices spanned by
+    the columns of vectors, from their Hermitian and anti-Hermitian parts: the
+    complex-path helper the real Hermitian frame of steady_state replaced,
+    kept as the reference's."""
+    mats = [megen.unvec(v) for v in vectors.T]
+    if len(mats) == 1:
+        return [(mats[0] + dag(mats[0])) / 2]
+    d2 = vectors.shape[0]
+    parts = [p for m in mats for p in ((m + dag(m)) / 2, (m - dag(m)) / 2j)]
+    flat = np.array([np.concatenate([megen.vec(p).real, megen.vec(p).imag]) for p in parts])
+    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return [megen.unvec(row[:d2] + 1j * row[d2:]) for row in vt[:rank]]
+
+
 def _eig_steady_state(L):
-    """Reference: steady_state's full-eigendecomposition path, which the
-    bordered solve replaced for a one-dimensional null space."""
+    """Reference: steady_state's complex full-eigendecomposition path, which
+    the bordered solve replaced for a one-dimensional null space and the real
+    Hermitian frame replaced for every null space."""
     mat = L.matrix
     norm = max(np.linalg.norm(mat, 2), 1e-300)
     evals, evecs = np.linalg.eig(mat)
     null_idx = megen._null_index(evals, norm)
-    basis = megen._hermitian_null_basis(evecs[:, null_idx])
+    basis = _hermitian_null_basis(evecs[:, null_idx])
     if len(basis) == 1:
         found = [megen._clip_to_state(basis[0], orient=True)]
     else:
@@ -428,6 +445,42 @@ def _eig_steady_state(L):
         states=states, residual=max(float(np.linalg.norm(mat @ megen.vec(r))) for r in states),
         spectral_gap=float(-live.real.max()) if live.size else 0.0, unique=len(basis) == 1,
         clipped_negativity=float(max(neg for _, neg in found)))
+
+
+def _redfield_d10_system(seed):
+    """H_S with the fixed spectrum linspace(-2, 2, 10) plus jitter in a random
+    real eigenbasis, and a random real symmetric X of unit 2-norm."""
+    spectrum = np.linspace(-2.0, 2.0, 10) + np.random.default_rng(2119).uniform(-0.1, 0.1, 10)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+    h = (q * spectrum) @ q.T
+    x = rng.normal(size=(10, 10))
+    return (h + h.T) / 2, (x + x.T) / np.linalg.norm(x + x.T, 2)
+
+
+class TestHermitianFrame:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_unitary_and_real_on_hermitian_matrices(self, rng, d):
+        _, _, _, u_dag = megen._hermitian_frame(d)
+        u = u_dag.conj().T
+        assert np.abs(u @ u_dag - np.eye(d * d)).max() < 1e-15
+        rho = random_hermitian(rng, d)
+        coords = u @ megen.vec(rho)
+        assert np.abs(coords.imag).max() < 1e-15
+        assert np.abs(coords[:d] - np.diag(rho)).max() < 1e-15  # the trace row's coordinates
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_in_frame_matches_dense_product(self, rng, d):
+        c, p, q, u_dag = megen._hermitian_frame(d)
+        mat = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        dense = u_dag.conj().T @ mat @ u_dag
+        assert np.abs(megen._in_frame(mat, c, p, q) - dense).max() < 1e-14 * np.abs(mat).max() * d * d
+
+    def test_built_once_and_read_only(self):
+        frame = megen._hermitian_frame(3)
+        assert megen._hermitian_frame(3) is frame
+        for a in frame:
+            assert not a.flags.writeable
 
 
 class TestSteadyState:
@@ -458,6 +511,58 @@ class TestSteadyState:
         assert got.spectral_gap == pytest.approx(ref.spectral_gap, rel=1e-10)
         assert got.residual == pytest.approx(ref.residual, rel=1e-9, abs=1e-12)
         assert got.clipped_negativity == pytest.approx(ref.clipped_negativity, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_redfield_d10_matches_complex_path(self, seed):
+        # the real Hermitian frame against the complex eigendecomposition on
+        # 100 x 100 generators shaped like the redfield_d10 benchmark inputs
+        h, x = _redfield_d10_system(seed)
+        bp = _bp(0.1)
+        tau = gibbs(h, bp.beta)
+        generators = {
+            "davies": megen.davies_generator(h, x, bp),
+            "brme": megen.brme_generator(h, x, bp),
+            "real_only": megen.brme_real_only(h, x, bp),
+            "pauli": megen.pauli_ultrastrong(mfstatics.pointer_split(h, x), bp),
+        }
+        for kind, L in generators.items():
+            got, ref = megen.steady_state(L), _eig_steady_state(L)
+            assert got.unique and ref.unique, kind
+            assert trace_distance(got.states[0], ref.states[0]) <= 1e-11, kind
+            assert got.spectral_gap == pytest.approx(ref.spectral_gap, rel=1e-10), kind
+            if kind in ("davies", "real_only"):
+                assert trace_distance(got.states[0], tau) <= 1e-10, kind
+
+    def test_non_hermiticity_preserving_generator_raises(self):
+        # rho -> i rho maps Hermitian matrices to anti-Hermitian ones
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            megen.steady_state(megen.Liouvillian(1j * np.eye(4)))
+
+    def test_lapack_calls_are_real(self, monkeypatch):
+        # eigenvalues, the 2-norm scale and the bordered solve run on the real
+        # frame (dgeev, dgesdd, dgelsy), never on the complex L; the residual
+        # is a vector norm on the complex L and is not a LAPACK call
+        bordered = megen.brme_generator(H_SB, SZ, _bp(0.3))
+        degenerate = TestSteadyState._block_model([(0.6 * SZ, SX), (0.4 * SY, SX)])[1]
+        seen = {"eigvals": [], "eig": [], "norm": [], "lstsq": []}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(a, *args, **kwargs):
+                if np.ndim(a) == 2:
+                    seen[name].append(np.asarray(a).dtype)
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        for name in ("eigvals", "eig", "norm"):
+            spy(np.linalg, name)
+        spy(megen.scipy.linalg, "lstsq")
+        assert megen.steady_state(bordered).unique
+        assert not megen.steady_state(degenerate).unique  # eig path
+        assert all(seen.values()), seen
+        assert all(dt == np.float64 for dts in seen.values() for dt in dts), seen
 
     def test_zero_generator_full_null_space(self):
         L = megen.Liouvillian(np.zeros((4, 4), dtype=complex))
