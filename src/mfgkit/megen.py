@@ -21,20 +21,33 @@ where the variants differ:
 - partial secular (Cattaneo et al., NJP 21, 113045 (2019)): the user's cutoff;
 - real-only: cutoff infinity with Im Gamma_m set to 0.
 
+The family is built in the eigenbasis V of H_S, where H_S = diag(E) exactly
+and each X_m is the entries of V^dag X V with one Bohr label, so every mode
+sum is a gather (_redfield_generator). A Liouvillian keeps that matrix and V;
+its original-basis matrix is a view derived on first use. At weak coupling
+the populations and the coherences between degenerate levels relax at rates
+of order lambda^2 against ||H_S||, and the energy basis keeps them apart from
+the rest exactly (for Davies the two blocks do not couple at all), which
+steady_state uses. Rotating a finished L into the energy basis would not:
+the rotation puts eps ||L|| into the population rows.
+
 The ultrastrong-coupling Pauli generator is built in the pointer basis of X.
 
 Evolution is exact: rho(t) = e^(L t) rho(0), stepped from one grid point to
 the next by one matrix exponential per distinct step of the time grid.
 
-Steady states are found in the real Hermitian frame. Every generator here
-maps Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
-Hermitian matrices it is a real matrix: the coherence-vector form (Alicki &
-Lendi, Quantum Dynamical Semigroups and Applications, LNP 286 (1987)). The
-fixed unitary U of _hermitian_frame takes vec(rho) to the diagonal entries,
-then sqrt(2) Re and sqrt(2) Im of each upper entry of rho; R = U L U^dag is
-real, and its eigenvalues, 2-norm and bordered solve run in real LAPACK.
-steady_state raises ValueError for a generator whose Im(U L U^dag) exceeds
-the rounding of L (HERMITICITY_PRESERVATION_TOL max|L|), rather than drop it.
+Steady states are found in the real Hermitian frame of the stored basis.
+Every generator here maps Hermitian matrices to Hermitian matrices, so in an
+orthonormal basis of Hermitian matrices it is a real matrix: the
+coherence-vector form (Alicki & Lendi, Quantum Dynamical Semigroups and
+Applications, LNP 286 (1987)). The fixed unitary U of _hermitian_frame takes
+vec(rho) to the diagonal entries, then sqrt(2) Re and sqrt(2) Im of each
+upper entry of rho; R = U L U^dag is real, and its LU, eigenvalues, 2-norm
+and bordered solve run in real LAPACK. steady_state eliminates the fast
+coordinates with one LU and finds the null space on the slow Schur
+complement, at its own scale lambda^2 rather than ||L||. It raises
+ValueError for a generator whose Im(U L U^dag) exceeds the rounding of L
+(HERMITICITY_PRESERVATION_TOL max|L|), rather than drop it.
 """
 
 import functools
@@ -64,7 +77,29 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    matrix: np.ndarray
+    """A generator as the matrix `stored` in the basis V = `basis` of the
+    system (None: the identity): vec(rho) = W vec(rho_V), W = conj(V) kron V,
+    for rho = V rho_V V^dag. `slow` marks the pairs (i, j) whose coordinates
+    rho_V[i, j] relax on the slow scale (None: every pair), which steady_state
+    keeps apart from the fast ones. Liouvillian(mat) is mat itself, all slow.
+    """
+
+    stored: np.ndarray
+    basis: np.ndarray | None = None
+    slow: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The matrix in the original basis, W stored W^dag; built on first use."""
+        if self.basis is None:
+            return self.stored
+        if "_matrix" not in self.__dict__:
+            v = self.basis
+            d = len(v)
+            # conj(V) kron V
+            w = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(d * d, d * d)
+            object.__setattr__(self, "_matrix", w @ self.stored @ dag(w))
+        return self._matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho))
@@ -93,38 +128,45 @@ class Trajectory:
 def _redfield_generator(H_S, X, bath: bathmod.BathParams, *,
                         time=bathmod.ASYMPTOTIC, cutoff=np.inf,
                         real_only=False) -> Liouvillian:
-    """Redfield generator with mode pairs masked at |omega_m - omega_n| <= cutoff.
+    """Redfield generator with mode pairs masked at |omega_m - omega_n| <= cutoff,
+    built in the eigenbasis V of H_S, where H_S = diag(E).
 
-    One build over the stacked eigenoperators X (M, d, d): the sandwich term
-    sum_mn g_mn kron(X_n^*, X_m) is one product of the flattened (M, d^2)
-    stack, and the Lamb shift and anticommutator are one contraction each.
+    With x = V^dag X V and lab = the decomposition's mode labels, X_m has the
+    entries x[a, b] at lab[a, b] = m, so every mode sum is a gather of the
+    (M, M) coefficients at lab: the sandwich entry ((a, c), (b, e)) is
+    rate[lab[a, b], lab[c, e]] x[a, b] conj(x[c, e]), and the pair sums
+    sum_mn c_mn X_n^dag X_m are O(d^3) gathers. A dropped mode (lab = -1)
+    gathers the zero row and column appended to the coefficients.
     """
     H_S = require_hermitian(H_S)
     dec = decompose(H_S, X)
-    d, lam, w, X = H_S.shape[0], bath.lam, dec.frequencies, dec.operators
+    d, lam, w, lab, v = H_S.shape[0], bath.lam, dec.frequencies, dec.labels, dec.vectors
+    x = dag(v) @ np.asarray(X, dtype=complex) @ v
     g = bathmod.gamma_m(bath.J, bath.beta, tuple(w.tolist()), time)
     if real_only:
         g = g.real.astype(complex)
     mask = np.eye(w.size, dtype=bool) | (np.abs(w[:, None] - w[None, :]) <= cutoff)
-    rate = (g[:, None] + g.conj()[None, :]) * mask
-    shift = (g[:, None] - g.conj()[None, :]) / 2j * mask
+    rate, shift = np.zeros((2, w.size + 1, w.size + 1), dtype=complex)
+    rate[:-1, :-1] = (g[:, None] + g.conj()[None, :]) * mask
+    shift[:-1, :-1] = (g[:, None] - g.conj()[None, :]) / 2j * mask
+
+    products = x.conj()[:, :, None] * x[:, None, :]  # [j, i, k] = conj(x[j, i]) x[j, k]
+    modes = lab[:, None, :], lab[:, :, None]  # [j, i, k] -> (lab[j, k], lab[j, i])
 
     def pair_sum(c):
-        """sum_mn c_mn X_n^dag X_m"""
-        return np.einsum("mn,nji,mjk->ik", c, X.conj(), X, optimize=True)
+        """sum_mn c_mn X_n^dag X_m: [i, k] = sum_j c[lab[j, k], lab[j, i]] conj(x[j, i]) x[j, k]"""
+        return (c[modes] * products).sum(axis=0)
 
-    xf = X.reshape(-1, d * d)  # xf[m, i d + k] = X_m[i, k]
-    # (xf^dag rate^T xf)[(j, l), (i, k)] = sum_mn rate_mn conj(X_n[j, l]) X_m[i, k],
-    # the (j d + i, l d + k) entry of sum_mn rate_mn kron(conj(X_n), X_m)
-    sandwich = (xf.conj().T @ rate.T @ xf).reshape(d, d, d, d)
-    sandwich = sandwich.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    xf, lf = x.ravel(), lab.ravel()  # pair (a, b) at a d + b
+    sandwich = rate[lf[:, None], lf[None, :]] * np.outer(xf, xf.conj())  # [(a, b), (c, e)]
+    # the entry of vec(rho)[b + d e] in vec(L rho)[a + d c], as [c, a, e, b]
+    mat = lam**2 * sandwich.reshape(d, d, d, d).transpose(2, 0, 3, 1)
+    h_eff = np.diag(dec.energies.astype(complex)) + lam**2 * pair_sum(shift)
     anti = pair_sum(rate)
-    h_eff = H_S + lam**2 * pair_sum(shift)
-    left = -1j * h_eff - 0.5 * lam**2 * anti   # rho -> left rho
-    right = 1j * h_eff - 0.5 * lam**2 * anti   # rho -> rho right
-    eye = np.eye(d)
-    mat = np.kron(eye, left) + np.kron(right.T, eye) + lam**2 * sandwich
-    return Liouvillian(mat)
+    idx = np.arange(d)
+    mat[idx, :, idx, :] += -1j * h_eff - 0.5 * lam**2 * anti  # rho -> left rho
+    mat[:, idx, :, idx] += (1j * h_eff - 0.5 * lam**2 * anti).T  # rho -> rho right
+    return Liouvillian(mat.reshape(d * d, d * d), basis=v, slow=dec.degenerate)
 
 
 def davies_generator(H_S, X, bath: bathmod.BathParams) -> Liouvillian:
@@ -327,30 +369,41 @@ def _null_index(evals, norm):
 
 
 def steady_state(L: Liouvillian) -> SteadyStateReport:
-    """Null space of the generator from its eigenvalues, in the real Hermitian frame.
+    """Null space of the generator by a slow/fast split, in the real
+    Hermitian frame of its stored basis.
 
-    R = U L U^dag is the real matrix of L in the frame of _hermitian_frame
-    (see the module docstring); U is unitary, so R has the eigenvalues and
-    the 2-norm of L. A generator whose Im(U L U^dag) exceeds
-    HERMITICITY_PRESERVATION_TOL max|L| does not preserve Hermiticity and
+    R = U L_V U^dag is the real matrix of the stored L_V in the frame of
+    _hermitian_frame (see the module docstring); U and W are unitary, so R
+    has the eigenvalues of L. A generator whose Im(U L_V U^dag) exceeds
+    HERMITICITY_PRESERVATION_TOL max|L_V| does not preserve Hermiticity and
     raises ValueError.
 
-    The eigenvalues of R (np.linalg.eigvals) give the null space by
-    _null_index; the spectral gap is taken over the eigenvalues outside it. A
-    one-dimensional null space gives the unique steady state from the
-    bordered system [R; tr] v = [0; 1], one real least-squares solve (QuTiP's
-    direct solver adds the trace condition to L likewise: Johansson, Nation &
-    Nori, Comput. Phys. Commun. 184, 1234 (2013)); the trace row is 1 on the
-    d diagonal coordinates. A larger one takes the eigenvectors of
-    np.linalg.eig(R): the real span of their real and imaginary parts is the
-    Hermitian null space, and the steady state is unique when it has one
-    dimension; a degenerate null space gives the candidates of
-    _degenerate_candidates. Each null vector v maps back to the exactly
-    Hermitian unvec(U^dag v). A unique null vector is positivity-projected and
-    trace-normalized; the negative weight the projection removes is reported
-    as clipped_negativity.
+    The coordinates split into slow ones (the pairs L.slow marks: in the
+    energy basis, the populations and the coherences between degenerate
+    levels) and fast ones. One LU of the fast block R_ff gives the Schur
+    complement S = R_ss - R_sf R_ff^-1 R_fs, whose null space is that of R
+    restricted to the slow coordinates. At weak coupling R is of order
+    ||H_S|| and S of order lambda^2, so the null space is found relative to
+    the scale of S (_null_index over eigvals(S), relative to ||S||_2), not
+    to ||L||. A one-dimensional null space gives the unique steady state from
+    the bordered system [S; s tr] v = [0; s], s = max|S|, one real
+    least-squares solve (QuTiP's direct solver adds the trace condition to L
+    likewise: Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
+    (2013)); the trace row is 1 on the d diagonal coordinates, and scaling
+    it to S keeps its rounding at the scale of S. A null space of dimension
+    k > 1 is spanned by the k right singular vectors of S of least singular
+    value (those within the 1e-8 rung; eigenvectors of a repeated null
+    eigenvalue can come out nearly parallel), and gives the candidates of
+    _degenerate_candidates. The fast coordinates of a null vector v are
+    -R_ff^-1 R_fs v, and it maps back to the exactly Hermitian unvec(U^dag v)
+    in the stored basis. A unique null vector is positivity-projected and
+    trace-normalized there, and the states are rotated back by V; the
+    negative weight the projection removes is reported as
+    clipped_negativity, and the residual is ||L_V vec(rho_V)||. The spectral gap
+    is taken over eigvals(R) without its null-space-many eigenvalues of
+    least modulus. Liouvillian(mat) has no fast block, so S = R.
     """
-    mat = L.matrix
+    mat = L.stored
     d = int(round(np.sqrt(len(mat))))
     c, p, q, u_dag = _hermitian_frame(d)
     framed = _in_frame(mat, c, p, q)
@@ -359,23 +412,34 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
         raise ValueError(f"generator does not preserve Hermiticity "
                          f"(max |Im U L U^dag| = {leak:.3e})")
     R = np.ascontiguousarray(framed.real)
-    norm = max(np.linalg.norm(R, 2), 1e-300)
-    evals = np.linalg.eigvals(R)
-    null_idx = _null_index(evals, norm)
+    # frame row r holds the pair (i, j) at vec position p_r = i + d j; the d
+    # diagonal rows come first and are slow
+    slow = np.ones(len(R), dtype=bool) if L.slow is None else L.slow.ravel(order="F")[p]
+    fast = ~slow
+    S, elim = R, np.zeros((0, len(R)))
+    if fast.any():  # one LU of the fast block: elim = R_ff^-1 R_fs
+        elim = np.linalg.solve(R[np.ix_(fast, fast)], R[np.ix_(fast, slow)])
+        S = R[np.ix_(slow, slow)] - R[np.ix_(slow, fast)] @ elim
+    norm = max(np.linalg.norm(S, 2), 1e-300)
+    s_evals = np.linalg.eigvals(S)
+    evals = np.linalg.eigvals(R) if fast.any() else s_evals
+    null_idx = _null_index(s_evals, norm)
     if null_idx.size == 1:
-        trace_row = np.zeros(len(R))
-        trace_row[:d] = 1.0  # tr rho = sum of the diagonal coordinates
-        rhs = np.zeros(len(R) + 1)
-        rhs[-1] = 1.0
-        null = scipy.linalg.lstsq(np.vstack([R, trace_row]), rhs, lapack_driver="gelsy",
+        scale = np.abs(S).max() or 1.0
+        trace_row = np.zeros(len(S))
+        trace_row[:d] = scale  # tr rho = sum of the diagonal coordinates
+        rhs = np.zeros(len(S) + 1)
+        rhs[-1] = scale
+        null = scipy.linalg.lstsq(np.vstack([S, trace_row]), rhs, lapack_driver="gelsy",
                                   check_finite=False)[0][:, None]
-    else:
-        evals, evecs = np.linalg.eig(R)  # eigenvalues may differ from eigvals' by rounding
-        null_idx = _null_index(evals, norm)
-        vectors = evecs[:, null_idx]
-        w, sv, _ = np.linalg.svd(np.hstack([vectors.real, vectors.imag]), full_matrices=False)
-        null = w[:, sv > 1e-8 * sv[0]]
-    basis = [unvec(v) for v in (u_dag @ null).T]
+    else:  # the kernel of S: its right singular vectors of least singular value
+        _, sv, vt = np.linalg.svd(S)
+        k = null_idx.size
+        null = vt[-k:][sv[-k:] <= 1e-8 * norm].T
+    coords = np.empty((len(R), null.shape[1]))
+    coords[slow] = null
+    coords[fast] = -elim @ null
+    basis = [unvec(v) for v in (u_dag @ coords).T]  # Hermitian matrices in the stored basis
     unique = len(basis) == 1
     if unique:
         found = [_clip_to_state(basis[0], orient=True)]
@@ -384,12 +448,11 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     found = [f for f in found if f is not None]
     if not found:
         raise RuntimeError("null space contained no positive-trace direction")
-    states = [rho for rho, _ in found]
 
-    residual = max(
-        float(np.linalg.norm(mat @ vec(rho))) for rho in states
-    )
-    live = np.delete(evals, null_idx)
+    residual = max(float(np.linalg.norm(mat @ vec(rho))) for rho, _ in found)
+    v = np.eye(d) if L.basis is None else L.basis
+    states = [v @ rho @ dag(v) for rho, _ in found]
+    live = np.delete(evals, np.argsort(np.abs(evals))[:null_idx.size])
     gap = float(-live.real.max()) if live.size else 0.0
     return SteadyStateReport(
         states=states, residual=residual, spectral_gap=gap, unique=unique,

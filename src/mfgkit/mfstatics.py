@@ -146,7 +146,7 @@ def _tau2(dec: BohrDecomposition, tau, d_vals, a, bath: bathmod.BathParams):
     gap = w[None, :] - w[:, None]  # gap[m, n] = omega_n - omega_m
     c = np.divide(d_vals[:, None], gap, out=np.zeros_like(gap),
                   where=np.abs(gap) > dec.degeneracy_tol)
-    y = np.einsum("mn,nij->mij", c, x)  # Y_m = sum_n c_mn X_n
+    y = (c @ x.reshape(len(w), tau.size)).reshape(x.shape)  # Y_m = sum_n c_mn X_n, one BLAS product
     pair = (y @ xd).sum(axis=0) @ tau - (xd @ tau @ y).sum(axis=0)  # P tau - Q
     return out + pair + dag(pair)
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mfgkit import bath, cli, megen, mfstatics
+from mfgkit import bath, cli, eigenops, megen, mfstatics
 from mfgkit.opcore import gibbs
 
 from conftest import random_density_matrix, random_hermitian
@@ -314,19 +315,51 @@ class TestRun:
         assert {"davies", "brme", "brme_real_only", "secular_full"} <= generators
 
 
+    def test_one_decomposition_per_steady_compare_run(self, tmp_path, monkeypatch):
+        # mfg_weak and the three Redfield generators share one memoized
+        # Bohr decomposition of (H_S, X)
+        computed = []
+        compute = eigenops._decompose.__wrapped__
+
+        def counting(*args):
+            computed.append(args[2])
+            return compute(*args)
+
+        monkeypatch.setattr(eigenops, "_decompose", functools.lru_cache(counting))
+        out = tmp_path / "out"
+        assert cli.run_scenario(deepcopy(cli.PRESETS["spin_boson"]), out) == cli.EXIT_OK
+        assert computed == [2]
+
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    def test_libyaml_dump_is_byte_identical(self, name):
+        cfg = deepcopy(cli.PRESETS[name])
+        canonical, _ = cli._config_hash(cfg)
+        assert canonical == yaml.dump(cfg, Dumper=yaml.SafeDumper, sort_keys=True)
+        assert yaml.load(canonical, Loader=cli._YAML_LOADER) == cfg
+
+    @pytest.mark.parametrize("text", ["task: [statics_all\n", "a: b: c\n", "a: &x 1\nb: *y\n",
+                                      "a: !!python/object:os.system 1\n"])
+    def test_libyaml_loader_raises_the_same_errors(self, text):
+        def error(loader):
+            with pytest.raises(yaml.YAMLError) as info:
+                yaml.load(text, Loader=loader)
+            return type(info.value)
+
+        assert error(cli._YAML_LOADER) is error(yaml.SafeLoader)
+
     def test_one_yaml_dump_per_run(self, tmp_path, monkeypatch):
         # expanded_config.yaml and every CSV's hash come from one dump
         dumps = []
-        safe_dump = yaml.safe_dump
+        dump = yaml.dump
 
         def counting(*args, **kwargs):
-            dumps.append(1)
-            return safe_dump(*args, **kwargs)
+            dumps.append(kwargs.get("Dumper"))
+            return dump(*args, **kwargs)
 
-        monkeypatch.setattr(yaml, "safe_dump", counting)
+        monkeypatch.setattr(yaml, "dump", counting)
         out = tmp_path / "st"
         assert cli.run_scenario(deepcopy(cli.PRESETS["fig1_strong"]), out) == cli.EXIT_OK
-        assert len(dumps) == 1
+        assert dumps == [cli._YAML_DUMPER]
         digest = hashlib.sha256((out / "expanded_config.yaml").read_bytes()).hexdigest()[:16]
         csvs = sorted(out.glob("*.csv"))
         assert len(csvs) == 4
@@ -453,15 +486,13 @@ class TestDynamicsHorizon:
             warnings.simplefilter("always")
             return cli.run_scenario(cfg, out)
 
-    @pytest.mark.parametrize("lam, bath_cfg", [(1e-5, None), (0.1, {"kind": "none", "beta": 1.0})],
-                             ids=["lambda_1e-5", "no_bath"])
-    def test_no_relaxation_time_exits_3_naming_t_max(self, tmp_path, capsys, lam, bath_cfg):
-        # the Davies generator's null space is degenerate: no gap sets 20/gap
+    @pytest.mark.parametrize("bath_cfg", [{"kind": "none", "beta": 1.0}], ids=["no_bath"])
+    def test_no_relaxation_time_exits_3_naming_t_max(self, tmp_path, capsys, bath_cfg):
+        # without a bath L = -i[H_S, .]: its null space is degenerate, and no
+        # gap sets 20/gap
         cfg = deepcopy(cli.PRESETS["spin_boson"])
         cfg["task"] = "dynamics"
-        cfg["coupling"]["lambda"] = lam
-        if bath_cfg:
-            cfg["bath"] = bath_cfg
+        cfg["bath"] = bath_cfg
         assert self._run(cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "no unique steady state" in err and "dynamics.t_max" in err
@@ -536,21 +567,32 @@ class TestWarnings:
         assert "brme" in generators
 
 
-    @pytest.mark.parametrize("lam, bath_cfg", [(1e-5, None), (0.1, {"kind": "none", "beta": 1.0})],
-                             ids=["lambda_1e-5", "no_bath"])
-    def test_degenerate_null_space_warns_not_unique(self, tmp_path, lam, bath_cfg):
-        # at lambda = 1e-5 the relaxation eigenvalue (1.7e-11) falls inside the
-        # null tolerance; without a bath L = -i[H_S, .]: no unique steady state,
-        # and the generator is not called unstable
+    @pytest.mark.parametrize("bath_cfg", [{"kind": "none", "beta": 1.0}], ids=["no_bath"])
+    def test_degenerate_null_space_warns_not_unique(self, tmp_path, bath_cfg):
+        # without a bath L = -i[H_S, .]: no unique steady state, and the
+        # generator is not called unstable
         cfg = deepcopy(cli.PRESETS["spin_boson"])
-        cfg["coupling"]["lambda"] = lam
-        if bath_cfg:
-            cfg["bath"] = bath_cfg
+        cfg["bath"] = bath_cfg
         with pytest.warns(UserWarning) as record:
             assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
         assert [str(w.message) for w in record] == [
             f"{g} generator has no unique steady state (3 candidates)"
             for g in ("davies", "brme", "brme_real_only")]
+
+
+    @pytest.mark.parametrize("lam", [1e-1, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_small_coupling_davies_is_gibbs_without_warning(self, tmp_path, lam):
+        # ||L|| / gap grows as 1/lambda^2; the energy-basis slow/fast solve
+        # keeps Davies = Gibbs (and real-only = Gibbs) at rounding for every lambda
+        cfg = deepcopy(cli.PRESETS["spin_boson"])
+        cfg["coupling"]["lambda"] = lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run_scenario(cfg, tmp_path / "out") == cli.EXIT_OK
+        dist = {(g, r): float(v) for g, r, v in
+                _read_rows(tmp_path / "out" / "steady_compare.csv")}
+        for generator in ("davies", "secular_full", "brme_real_only"):
+            assert dist[generator, "gibbs"] <= 1e-10, generator
 
 
 class TestExitCodes:

@@ -131,6 +131,49 @@ class TestStackedFormat:
             assert abs(w - w_ref) <= 1e-14
             assert np.abs(x_m - x_ref).max() <= 1e-14
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=8),
+        kind=st.sampled_from(["random", "degenerate", "ladder", "zero_coupling"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_energy_basis_labels_rebuild_every_mode(self, dim, kind, seed):
+        # X_m = V P_m V^dag, with P_m the entries of V^dag X V labelled m; a
+        # label of -1 marks exactly the pairs of the dropped (all-zero) modes,
+        # and `degenerate` the pairs whose gap lies in the omega = 0 cluster
+        rng = np.random.default_rng(seed)
+        h = hamiltonian_with_spectrum(kind, rng, dim)
+        x = (np.zeros((dim, dim), dtype=complex) if kind == "zero_coupling"
+             else random_hermitian(rng, dim))
+        dec = decompose(h, x)
+        v, lab = dec.vectors, dec.labels
+        scale = max(1.0, np.abs(h).max())
+        assert np.abs(dag(v) @ h @ v - np.diag(dec.energies)).max() <= 1e-13 * scale
+        assert list(dec.energies) == sorted(dec.energies)
+        x_eig = dag(v) @ x @ v
+        assert not x_eig[lab < 0].any()
+        for m, x_m in enumerate(dec.operators):
+            rebuilt = v @ np.where(lab == m, x_eig, 0) @ dag(v)
+            assert np.abs(rebuilt - x_m).max() <= 1e-14 * max(1.0, np.abs(x).max())
+            gaps = (dec.energies[:, None] - dec.energies[None, :])[lab == m]
+            assert np.abs(gaps - dec.frequencies[m]).max() <= dim * dec.degeneracy_tol
+        assert dec.degenerate.diagonal().all()
+        zero = np.flatnonzero(dec.frequencies == 0.0)
+        if zero.size:
+            assert np.array_equal(dec.degenerate, lab == zero[0])
+        gaps = np.abs(dec.energies[:, None] - dec.energies[None, :])
+        assert (gaps[dec.degenerate] <= dim * dec.degeneracy_tol).all()
+        assert (gaps[~dec.degenerate] > dec.degeneracy_tol).all()
+
+    def test_memoized_and_read_only(self, rng):
+        h, x = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        dec = decompose(h, x)
+        assert decompose(h.copy(), x.copy()) is dec
+        assert decompose(h, x, degeneracy_tol=1e-7) is not dec
+        for a in (dec.frequencies, dec.operators, dec.energies, dec.vectors,
+                  dec.labels, dec.degenerate):
+            assert not a.flags.writeable
+
     def test_modes_view_is_read_only(self, rng):
         dec = decompose(random_hermitian(rng, 3), random_hermitian(rng, 3))
         w, x_m = dec.modes[0]

@@ -1,9 +1,9 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -57,6 +57,32 @@ def _pairwise_reference(H_S, dec, gammas, lam, secular_cutoff=np.inf,
         h_perp[:] = 0.0
     h_eff = H_S + lam**2 * (h_par + h_perp)
     return -1j * (left(h_eff) - right(h_eff)) + lam**2 * diss
+
+
+def _dense_redfield_reference(H_S, X, bp, cutoff=np.inf, real_only=False):
+    """The original-basis build the energy-basis gathers replaced, kept as
+    their reference: the sandwich as one product of the flattened (M, d^2)
+    mode stack, pair sums by einsum, and Kronecker products with 1."""
+    dec = decompose(H_S, X)
+    d, lam, w, x = H_S.shape[0], bp.lam, dec.frequencies, dec.operators
+    g = bath.gamma_m(bp.J, bp.beta, tuple(w.tolist()), bath.ASYMPTOTIC)
+    if real_only:
+        g = g.real.astype(complex)
+    mask = np.eye(w.size, dtype=bool) | (np.abs(w[:, None] - w[None, :]) <= cutoff)
+    rate = (g[:, None] + g.conj()[None, :]) * mask
+    shift = (g[:, None] - g.conj()[None, :]) / 2j * mask
+
+    def pair_sum(c):
+        return np.einsum("mn,nji,mjk->ik", c, x.conj(), x, optimize=True)
+
+    xf = x.reshape(-1, d * d)
+    sandwich = (xf.conj().T @ rate.T @ xf).reshape(d, d, d, d)
+    sandwich = sandwich.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    anti = pair_sum(rate)
+    h_eff = H_S + lam**2 * pair_sum(shift)
+    eye = np.eye(d)
+    return (np.kron(eye, -1j * h_eff - 0.5 * lam**2 * anti)
+            + np.kron((1j * h_eff - 0.5 * lam**2 * anti).T, eye) + lam**2 * sandwich)
 
 
 def _pauli_loop_reference(split, rate_model):
@@ -255,6 +281,70 @@ class TestPairwiseEquivalence:
             assert np.abs(L.matrix - ref).max() <= 1e-12 * np.linalg.norm(ref, 2)
 
 
+class TestEnergyBasisBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=5),
+        kind=st.sampled_from(["random", "degenerate", "ladder", "scalar"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_dense_original_basis_build(self, dim, kind, seed):
+        # the energy-basis L, rotated back, against the dense build it
+        # replaced, and the steady state of each. Both builds round at eps
+        # times their largest term, ||H_S|| even where the commutator
+        # cancels, and the dense L's null vector carries that over the gap.
+        # H_S = c 1 makes every coordinate slow and the null space degenerate
+        # (dephasing in the eigenbasis of X), where states[0], the identity
+        # projected onto the null space, does not depend on the basis of it
+        rng = np.random.default_rng(seed)
+        h = (rng.normal() * np.eye(dim, dtype=complex) if kind == "scalar"
+             else hamiltonian_with_spectrum(kind, rng, dim))
+        x = random_hermitian(rng, dim)
+        bp = _bp(rng.uniform(0.05, 0.5), beta=rng.uniform(0.3, 3.0))
+        for opts in (dict(cutoff=-1.0), {}, dict(real_only=True), dict(cutoff=0.5)):
+            L = megen._redfield_generator(h, x, bp, **opts)
+            ref = _dense_redfield_reference(h, x, bp, **opts)
+            scale = max(np.linalg.norm(ref, 2), np.linalg.norm(h, 2))
+            assert np.abs(L.matrix - ref).max() <= 1e-13 * scale
+            got, want = megen.steady_state(L), megen.steady_state(megen.Liouvillian(ref))
+            assert got.unique == want.unique
+            assert len(got.states) == len(want.states)
+            if want.spectral_gap:
+                tol = 1e-13 * max(1.0, scale / abs(want.spectral_gap))
+                assert trace_distance(got.states[0], want.states[0]) <= tol
+            assert abs(got.spectral_gap - want.spectral_gap) <= 1e-13 * scale
+
+
+class TestSmallCoupling:
+    """spin_boson (H_SB, sigma_z, Drude gamma = 0.1, omega_D = 5, beta = 1) as
+    lambda falls: ||L|| stays near ||H_S|| while the gap falls as lambda^2."""
+
+    LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+    @pytest.mark.parametrize("build", [megen.davies_generator, megen.brme_real_only],
+                             ids=["davies", "real_only"])
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_gibbs_steady_state_at_every_coupling(self, build, lam):
+        report = megen.steady_state(build(H_SB, SZ, _bp(lam)))
+        assert report.unique
+        assert trace_distance(report.states[0], gibbs(H_SB, 1.0)) <= 1e-14
+        assert report.spectral_gap > 0
+
+    def test_brme_distance_and_gap_scale_as_lambda_squared(self):
+        # the O(lambda^2) coefficients, taken at lambda = 1e-3, hold to 1% down
+        # to 1e-6, where the distance is 4.7e-14 and the gap 1.7e-13
+        tau = gibbs(H_SB, 1.0)
+        reports = {lam: megen.steady_state(megen.brme_generator(H_SB, SZ, _bp(lam)))
+                   for lam in self.LAMBDAS}
+        dist = {lam: trace_distance(r.states[0], tau) / lam**2 for lam, r in reports.items()}
+        gap = {lam: r.spectral_gap / lam**2 for lam, r in reports.items()}
+        for lam in self.LAMBDAS[2:]:
+            assert reports[lam].unique
+            assert dist[lam] == pytest.approx(dist[1e-3], rel=1e-2)
+            assert gap[lam] == pytest.approx(gap[1e-3], rel=1e-2)
+        assert dist[1e-3] == pytest.approx(0.0469, rel=1e-2)
+
+
 class TestPauliUltrastrong:
     def _split(self):
         return mfstatics.pointer_split(H_SB, SZ)
@@ -447,6 +537,44 @@ def _eig_steady_state(L):
         clipped_negativity=float(max(neg for _, neg in found)))
 
 
+def _real_frame_steady_state(L):
+    """Reference: steady_state as it was before the slow/fast split, on the
+    original-basis L.matrix: the null space from eigvals of the whole real
+    frame R, relative to ||R||_2, and the unscaled bordered solve."""
+    mat = np.asarray(L.matrix)
+    d = int(round(np.sqrt(len(mat))))
+    c, p, q, u_dag = megen._hermitian_frame(d)
+    R = np.ascontiguousarray(megen._in_frame(mat, c, p, q).real)
+    norm = max(np.linalg.norm(R, 2), 1e-300)
+    evals = np.linalg.eigvals(R)
+    null_idx = megen._null_index(evals, norm)
+    if null_idx.size == 1:
+        trace_row = np.zeros(len(R))
+        trace_row[:d] = 1.0
+        rhs = np.zeros(len(R) + 1)
+        rhs[-1] = 1.0
+        null = scipy.linalg.lstsq(np.vstack([R, trace_row]), rhs,
+                                  lapack_driver="gelsy")[0][:, None]
+    else:
+        evals, evecs = np.linalg.eig(R)
+        null_idx = megen._null_index(evals, norm)
+        vectors = evecs[:, null_idx]
+        w, sv, _ = np.linalg.svd(np.hstack([vectors.real, vectors.imag]), full_matrices=False)
+        null = w[:, sv > 1e-8 * sv[0]]
+    basis = [megen.unvec(v) for v in (u_dag @ null).T]
+    if len(basis) == 1:
+        found = [megen._clip_to_state(basis[0], orient=True)]
+    else:
+        found = [megen._clip_to_state(m) for m in megen._degenerate_candidates(basis)]
+    found = [f for f in found if f is not None]
+    states = [rho for rho, _ in found]
+    live = np.delete(evals, null_idx)
+    return megen.SteadyStateReport(
+        states=states, residual=max(float(np.linalg.norm(mat @ megen.vec(r))) for r in states),
+        spectral_gap=float(-live.real.max()) if live.size else 0.0, unique=len(basis) == 1,
+        clipped_negativity=float(max(neg for _, neg in found)))
+
+
 def _redfield_d10_system(seed):
     """H_S with the fixed spectrum linspace(-2, 2, 10) plus jitter in a random
     real eigenbasis, and a random real symmetric X of unit 2-norm."""
@@ -492,7 +620,14 @@ class TestSteadyState:
         lam=st.floats(min_value=0.3, max_value=1.0),
         beta=st.floats(min_value=0.3, max_value=3.0),
     )
+    # small-gap Davies generators where the former dense solve was 1e-12 off
+    @example(kind="davies", dim=2, seed=13586, lam=0.375, beta=1.0)
+    @example(kind="davies", dim=6, seed=156, lam=0.3, beta=2.8157)
+    @example(kind="davies", dim=3, seed=615, lam=0.5, beta=2.0)
     def test_bordered_solve_matches_eig_path(self, kind, dim, seed, lam, beta):
+        # Davies and real-only: the steady state is the Gibbs state, a theorem
+        # the energy-basis solve meets to rounding whatever the gap. BRME and
+        # Pauli: today's solve against the real-frame solve it replaced.
         # lambda up to 1 takes in BRME generators with a negative gap and a
         # clipped state: the two paths must agree there too
         rng = np.random.default_rng(seed)
@@ -503,7 +638,15 @@ class TestSteadyState:
         else:
             L = {"davies": megen.davies_generator, "brme": megen.brme_generator,
                  "real_only": megen.brme_real_only}[kind](h, x, bp)
-        got, ref = megen.steady_state(L), _eig_steady_state(L)
+        got = megen.steady_state(L)
+        if kind in ("davies", "real_only"):
+            assert got.unique
+            assert trace_distance(got.states[0], gibbs(h, beta)) <= 1e-12
+            assert got.clipped_negativity <= 1e-12
+            assert got.residual <= 1e-12 * np.linalg.norm(L.matrix, 2)
+            assert got.spectral_gap > 0
+            return
+        ref = _real_frame_steady_state(L)
         assert got.unique == ref.unique
         assert len(got.states) == len(ref.states)
         for a, b in zip(got.states, ref.states):
@@ -539,12 +682,13 @@ class TestSteadyState:
             megen.steady_state(megen.Liouvillian(1j * np.eye(4)))
 
     def test_lapack_calls_are_real(self, monkeypatch):
-        # eigenvalues, the 2-norm scale and the bordered solve run on the real
-        # frame (dgeev, dgesdd, dgelsy), never on the complex L; the residual
-        # is a vector norm on the complex L and is not a LAPACK call
+        # the LU solve of the fast block, eigenvalues, the 2-norm scale, the
+        # kernel and the bordered solve run on the real frame (dgesv, dgeev,
+        # dgesdd, dgelsy), never on the complex L; the residual is a vector
+        # norm on the complex L and is not a LAPACK call
         bordered = megen.brme_generator(H_SB, SZ, _bp(0.3))
         degenerate = TestSteadyState._block_model([(0.6 * SZ, SX), (0.4 * SY, SX)])[1]
-        seen = {"eigvals": [], "eig": [], "norm": [], "lstsq": []}
+        seen = {"eigvals": [], "svd": [], "norm": [], "solve": [], "lstsq": []}
 
         def spy(module, name):
             real = getattr(module, name)
@@ -556,11 +700,11 @@ class TestSteadyState:
 
             monkeypatch.setattr(module, name, record)
 
-        for name in ("eigvals", "eig", "norm"):
+        for name in ("eigvals", "svd", "norm", "solve"):
             spy(np.linalg, name)
         spy(megen.scipy.linalg, "lstsq")
         assert megen.steady_state(bordered).unique
-        assert not megen.steady_state(degenerate).unique  # eig path
+        assert not megen.steady_state(degenerate).unique  # kernel path
         assert all(seen.values()), seen
         assert all(dt == np.float64 for dts in seen.values() for dt in dts), seen
 
@@ -646,7 +790,7 @@ class TestSteadyState:
         eps = 5e-10 * np.linalg.norm(L.matrix, 2)
         shifted = L.matrix - eps * np.outer(megen.vec(tau),
                                             megen.vec(np.eye(2)).conj())
-        report = megen.steady_state(replace(L, matrix=shifted))
+        report = megen.steady_state(megen.Liouvillian(shifted))
         assert report.unique
         assert report.spectral_gap == pytest.approx(
             megen.steady_state(L).spectral_gap, rel=1e-6)
