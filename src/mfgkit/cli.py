@@ -490,12 +490,11 @@ def _task_steady_compare(sc: Scenario, outdir: Path):
     except ValueError:
         pass
 
-    generators = {
-        "davies": megen.davies_generator(sc.H_S, sc.X, sc.bath_params),
-        "brme": megen.brme_generator(sc.H_S, sc.X, sc.bath_params),
-        "brme_real_only": megen.brme_real_only(sc.H_S, sc.X, sc.bath_params),
-    }
-    steadies = {name: _steady_state(name, L) for name, L in generators.items()}
+    builders = {"davies": megen.davies_generator, "brme": megen.brme_generator,
+                "brme_real_only": megen.brme_real_only}
+    # one generator alive at a time
+    steadies = {name: _steady_state(name, build(sc.H_S, sc.X, sc.bath_params))
+                for name, build in builders.items()}
     steadies["secular_full"] = steadies["davies"]  # secular_filter(..., "full") is Davies
     try:
         split = mfstatics.pointer_split(sc.H_S, sc.X)

@@ -23,8 +23,8 @@ where the variants differ:
 
 The family is built in the eigenbasis V of H_S, where H_S = diag(E) exactly
 and each X_m is the entries of V^dag X V with one Bohr label, so every mode
-sum is a gather (_redfield_generator). A Liouvillian keeps that matrix and V;
-its original-basis matrix is a view derived on first use. At weak coupling
+sum is a gather (_redfield_generator). A Liouvillian keeps that matrix, V
+and the original-basis matrix rotated from it. At weak coupling
 the populations and the coherences between degenerate levels relax at rates
 of order lambda^2 against ||H_S||, and the energy basis keeps them apart from
 the rest exactly (for Davies the two blocks do not couple at all), which
@@ -77,29 +77,18 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """A generator as the matrix `stored` in the basis V = `basis` of the
-    system (None: the identity): vec(rho) = W vec(rho_V), W = conj(V) kron V,
-    for rho = V rho_V V^dag. `slow` marks the pairs (i, j) whose coordinates
-    rho_V[i, j] relax on the slow scale (None: every pair), which steady_state
-    keeps apart from the fast ones. Liouvillian(mat) is mat itself, all slow.
+    """A generator: `matrix` acts on vec(rho). One built in the basis V =
+    `basis` of the system also keeps `stored`, the same generator on vec(rho_V)
+    for rho = V rho_V V^dag (matrix = W stored W^dag, W = conj(V) kron V), and
+    `slow`, the pairs (i, j) whose coordinates rho_V[i, j] relax on the slow
+    scale, which steady_state keeps apart from the fast ones.
+    Liouvillian(mat) is mat itself: V the identity, every pair slow.
     """
 
-    stored: np.ndarray
+    matrix: np.ndarray
+    stored: np.ndarray | None = None
     basis: np.ndarray | None = None
     slow: np.ndarray | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The matrix in the original basis, W stored W^dag; built on first use."""
-        if self.basis is None:
-            return self.stored
-        if "_matrix" not in self.__dict__:
-            v = self.basis
-            d = len(v)
-            # conj(V) kron V
-            w = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(d * d, d * d)
-            object.__setattr__(self, "_matrix", w @ self.stored @ dag(w))
-        return self._matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho))
@@ -166,7 +155,19 @@ def _redfield_generator(H_S, X, bath: bathmod.BathParams, *,
     idx = np.arange(d)
     mat[idx, :, idx, :] += -1j * h_eff - 0.5 * lam**2 * anti  # rho -> left rho
     mat[:, idx, :, idx] += (1j * h_eff - 0.5 * lam**2 * anti).T  # rho -> rho right
-    return Liouvillian(mat.reshape(d * d, d * d), basis=v, slow=dec.degenerate)
+    stored = mat.reshape(d * d, d * d)
+    return Liouvillian(_out_of_basis(stored, v), stored, basis=v, slow=dec.degenerate)
+
+
+def _out_of_basis(stored, v):
+    """W stored W^dag, W = conj(V) kron V, as one d x d product per index of
+    stored[(c, a), (e, b)] (vec positions a + d c and b + d e): O(d^5), not
+    the O(d^6) of two dense products."""
+    d = len(v)
+    t = (stored.reshape(-1, d) @ dag(v)).reshape(d * d, d, d)  # b
+    t = (v @ t).reshape(d, -1)  # e
+    t = (v.conj() @ t).reshape(d, d, d * d)  # c
+    return (v @ t).reshape(d * d, d * d)  # a
 
 
 def davies_generator(H_S, X, bath: bathmod.BathParams) -> Liouvillian:
@@ -359,7 +360,8 @@ def _degenerate_candidates(basis: list) -> list:
 
 def _null_index(evals, norm):
     """Indices of the eigenvalues in the numerical null space. The tolerance
-    ladder 1e-10 -> 1e-8 (relative to ||L||) guards against an empty one."""
+    ladder 1e-10 -> 1e-8 (relative to the given norm: ||S||_2 of the slow
+    block in steady_state) guards against an empty one."""
     for tol in (1e-10, 1e-9, 1e-8):
         null_idx = np.flatnonzero(np.abs(evals) < tol * norm)
         if null_idx.size:
@@ -403,7 +405,7 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     is taken over eigvals(R) without its null-space-many eigenvalues of
     least modulus. Liouvillian(mat) has no fast block, so S = R.
     """
-    mat = L.stored
+    mat = L.matrix if L.stored is None else L.stored
     d = int(round(np.sqrt(len(mat))))
     c, p, q, u_dag = _hermitian_frame(d)
     framed = _in_frame(mat, c, p, q)
