@@ -8,9 +8,17 @@ with H_B = sum_k w_k n_k (diagonal), B = sum_k (g_k a_k^dag + g_k^* a_k) and,
 with the counter term, H_S' = H_S + lam^2 (sum_k |g_k|^2/w_k) X^2. It is built
 as x (x) B plus H_S' on the diagonal of each (i, j) bath block plus the bath
 energies on the main diagonal, in float64 when H_S, X and every g_k are real
-and in complex128 otherwise. With V's columns v_i reshaped to d_s x D_B and
+and in complex128 otherwise.
+
+The reduced state needs only the thermal window of the spectrum of H_tot:
+the k eigenpairs with E_i <= upper = min diag(H_tot) + (ln D + 37)/beta. Each
+diagonal entry is a Rayleigh quotient, so E_0 <= min diag(H_tot), and the
+pairs left out carry at most D e^(-beta(upper - E_0)) <= e^-37 < eps/2 of Z.
+LAPACK's subset driver finds those k pairs alone; it is slower than the full
+decomposition once k exceeds about a fifth of D, so a wide window takes the
+full one. With the columns v_i of V (D x k) reshaped to d_s x D_B and
 p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| is one GEMM (V p) V^dag
-over V reshaped to d_s x (D_B D), so the global Gibbs state is never formed.
+over V reshaped to d_s x (D_B k), so the global Gibbs state is never formed.
 Everything here is deterministic: fixed spec in, bit-identical numbers out.
 """
 
@@ -18,12 +26,19 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .opcore import boltzmann, dag, require_hermitian
 
 LINEAR = "linear"
 GAUSS = "gauss"
 DIM_CAP = 16384
+# Boltzmann weights below e^-WEIGHT_EXPONENT < eps/2 of the ground state's are
+# rounding (see the module docstring)
+WEIGHT_EXPONENT = 37.0
+# The subset solve beats the full one while the window holds fewer than about
+# a fifth (D <= 512) to a third (D >= 1024) of the spectrum (1 BLAS thread)
+WINDOW_FRACTION = 0.2
 
 
 def discretize(J, N: int, omega_max: float, scheme: str = LINEAR):
@@ -72,10 +87,24 @@ class GlobalModel:
     H_tot: np.ndarray
     _eig: tuple | None = field(default=None, repr=False)
 
-    def eig(self):
-        """Cached eigendecomposition of H_tot (the expensive step)."""
+    def eig(self, upper: float | None = None):
+        """Eigenvalues (ascending) and eigenvectors of H_tot: the expensive step.
+
+        eig() is the full decomposition, cached. eig(upper) returns at least
+        every eigenpair with eigenvalue <= upper. While fewer than
+        WINDOW_FRACTION of the diagonal entries of H_tot lie at or below upper
+        (the proxy for the number of eigenvalues there) and nothing is cached,
+        it solves for those pairs alone with LAPACK's subset driver and caches
+        nothing; otherwise it returns the cached full decomposition. A caller
+        that reduces one model at several temperatures can call eig() first,
+        so that every later request is served from the cache.
+        """
+        h = self.H_tot
+        if (upper is not None and self._eig is None
+                and np.count_nonzero(h.diagonal().real <= upper) < WINDOW_FRACTION * len(h)):
+            return tuple(scipy.linalg.eigh(h, subset_by_value=(-np.inf, upper), driver="evr"))
         if self._eig is None:
-            self._eig = tuple(np.linalg.eigh(self.H_tot))
+            self._eig = tuple(np.linalg.eigh(h))
         return self._eig
 
 
@@ -109,9 +138,21 @@ def assemble(H_S, X, lam: float, spec: FiniteBathSpec) -> GlobalModel:
     return GlobalModel(system_dim=d_s, H_tot=h)
 
 
+def thermal_window(model: GlobalModel, beta: float):
+    """The eigenpairs of H_tot that carry Boltzmann weight at beta: at least
+    every E_i <= min diag(H_tot) + (ln D + WEIGHT_EXPONENT)/beta, so the pairs
+    left out hold less than eps/2 of Z."""
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    diagonal = model.H_tot.diagonal().real
+    return model.eig(diagonal.min() + (np.log(len(diagonal)) + WEIGHT_EXPONENT) / beta)
+
+
 def exact_mfg(model: GlobalModel, beta: float) -> np.ndarray:
-    """Reduced MFG state tr_B e^(-beta H_tot)/Z from the cached spectrum."""
-    w, v = model.eig()
+    """Reduced MFG state tr_B e^(-beta H_tot)/Z from the thermal window: the
+    eigenpairs left out carry less than eps/2 of Z, and a wide window takes
+    the full decomposition."""
+    w, v = thermal_window(model, beta)
     rows = v.reshape(model.system_dim, -1)  # (system, bath x eigenvector)
     rho = (v * boltzmann(w, beta)).reshape(rows.shape) @ dag(rows)
     rho = (rho + dag(rho)) / 2

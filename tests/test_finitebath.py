@@ -3,6 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -78,8 +79,9 @@ def _kron_reference(H_S, X, lam, spec):
 
 
 def _einsum_reference(model, beta):
-    """Reduced MFG state by the three-operand einsum (the former reduction)."""
-    w, v = model.eig()
+    """Reduced MFG state by the three-operand einsum (the former reduction),
+    over the eigenpairs exact_mfg reduces."""
+    w, v = finitebath.thermal_window(model, beta)
     v = v.reshape(model.system_dim, -1, len(w))
     rho = np.einsum("aki,bki,i->ab", v, v.conj(), boltzmann(w, beta), optimize=True)
     rho = (rho + dag(rho)) / 2
@@ -148,14 +150,17 @@ class TestSystemBathSplitEquivalence:
         assert np.abs(rho - _einsum_reference(model, beta)).max() <= 64 * np.finfo(float).eps
 
     @settings(max_examples=40, deadline=None)
-    @given(beta=st.floats(min_value=0.1, max_value=5.0), **MODELS)
+    @given(beta=st.floats(min_value=0.1, max_value=50.0), **MODELS)
     def test_exact_mfg_matches_partial_trace_of_global_gibbs(
             self, seed, d_s, n_modes, n_max, counter_term, real, beta):
         _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         model = finitebath.assemble(*args)
+        # before the reference caches the full spectrum, so a narrow window
+        # takes the subset solve
+        rho = finitebath.exact_mfg(model, beta)
         dim = model.H_tot.shape[0]
         ref = partial_trace(_global_gibbs(model, beta), (d_s, dim // d_s), keep=0)
-        assert trace_distance(finitebath.exact_mfg(model, beta), ref) < 1e-12
+        assert trace_distance(rho, ref) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(**MODELS)
@@ -232,6 +237,48 @@ class TestAssemble:
         a = finitebath.assemble(H_SB, SZ, 0.2, _spec()).H_tot
         b = finitebath.assemble(H_SB, SZ, 0.2, _spec()).H_tot
         assert np.array_equal(a, b)
+
+
+class TestThermalWindow:
+    """Which LAPACK solve exact_mfg takes, at the benchmark's oracle size."""
+
+    @staticmethod
+    def _solves(monkeypatch, beta):
+        """Run exact_mfg at D = 2 * 8^3 = 1024; return its (solver, pairs) calls."""
+        J = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
+        spec = finitebath.FiniteBathSpec(
+            modes=tuple(finitebath.discretize(J, 3, 15.0)), fock_cutoff=7)
+        model = finitebath.assemble(0.5 * SZ + 0.25 * SX, SZ, 0.16, spec)
+        calls = []
+
+        def spy(name, solve):
+            def wrapper(*args, **kwargs):
+                w, v = solve(*args, **kwargs)
+                calls.append((name, len(w), kwargs.get("subset_by_value")))
+                return w, v
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy("subset", scipy.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigh", spy("full", np.linalg.eigh))
+        finitebath.exact_mfg(model, beta)
+        return len(model.H_tot), calls
+
+    def test_low_temperature_solves_for_the_window_only(self, monkeypatch):
+        dim, calls = self._solves(monkeypatch, 1.0)
+        assert len(calls) == 1
+        name, pairs, bounds = calls[0]
+        assert name == "subset" and bounds[0] == -np.inf
+        assert 0 < pairs < dim / 4
+
+    def test_high_temperature_takes_the_full_solve(self, monkeypatch):
+        dim, calls = self._solves(monkeypatch, 0.2)
+        assert calls == [("full", dim, None)]
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_invalid_beta(self, beta):
+        model = finitebath.assemble(H_SB, SZ, 0.3, _spec(n_modes=1))
+        with pytest.raises(ValueError, match="beta"):
+            finitebath.exact_mfg(model, beta)
 
 
 class TestExactMfg:
