@@ -14,7 +14,7 @@ The reduced state needs only the thermal window of the spectrum of H_tot:
 the k eigenpairs with E_i <= upper = min diag(H_tot) + (ln D + 37)/beta. Each
 diagonal entry is a Rayleigh quotient, so E_0 <= min diag(H_tot), and the
 pairs left out carry at most D e^(-beta(upper - E_0)) <= e^-37 < eps/2 of Z.
-LAPACK's subset driver finds those k pairs alone; it is slower than the full
+LAPACK's ?syevr finds those k pairs alone; it is slower than the full
 decomposition once k exceeds about a fifth of D, so a wide window takes the
 full one. With the columns v_i of V (D x k) reshaped to d_s x D_B and
 p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| is one GEMM (V p) V^dag
@@ -94,7 +94,7 @@ class GlobalModel:
         every eigenpair with eigenvalue <= upper. While fewer than
         WINDOW_FRACTION of the diagonal entries of H_tot lie at or below upper
         (the proxy for the number of eigenvalues there) and nothing is cached,
-        it solves for those pairs alone with LAPACK's subset driver and caches
+        it solves for those pairs alone with LAPACK's ?syevr and caches
         nothing; otherwise it returns the cached full decomposition. A caller
         that reduces one model at several temperatures can call eig() first,
         so that every later request is served from the cache.
