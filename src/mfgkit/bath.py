@@ -31,14 +31,12 @@ reorganization energy (a pole at 0), is PV int_0^inf h(w)/(w^2 - a^2) dw,
 evaluated by principal_value over a stack of poles a at once. It subtracts
 h(a), which leaves a regular integrand, and sums it by fixed Gauss-Legendre
 rules of order 20 and 10, their difference the error estimate (Davis &
-Rabinowitz, Methods of Numerical Integration), over one of two kinds of cells:
-
-- graded cells, for an analytic J: each pole's own cells on [0, a] and
-  [a, a + 16 scale], bisected until each is narrow beside its distance from
-  the singularities of the integrand, plus the tail w = X/t (_graded_rule);
-- knot cells, for a J with knots (Tabulated: J a cubic on each cell of its
-  grid, 0 beyond the last knot W): edges at 0, the knots and the poles,
-  shared by the stack, plus the tail beyond W in closed form (_cell_rule).
+Rabinowitz, Methods of Numerical Integration), over each pole's own cells
+(_graded_rule on the engine _cell_sum), bisected until each is narrow beside
+its distance from the singularities of the integrand. For an analytic J they
+are [0, a] and [a, a + 16 scale], plus the tail w = X/t. A J with knots
+(Tabulated: J a cubic between its knots, 0 beyond the last one W) has its
+knots as cell edges up to W, and the tail beyond W in closed form.
 
 Im Gamma(infinity) and D_beta are one integral:
 
@@ -52,14 +50,14 @@ PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
 For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
 d_beta_deriv integrates it by one of two rules:
 
-- |omega| >= 1e-2 scale on a J without knots: graded cells of x on
-  [0, |omega|] and [|omega|, |omega| + 16 scale], toward the kink at
-  x = |omega| and the thermal poles beside it, plus the tail x = X/t, summed
-  by the engine of the principal value (_finite_part_cells, _cell_sum);
-- below 1e-2 scale, where the kink sinks toward rounding, and on a J with
-  knots: one semi_infinite_quad per pole (_finite_part_quad).
+- |omega| >= 1e-2 scale: cells of x on [0, |omega|] and beyond, toward the
+  kink at x = |omega| and the thermal poles beside it, split where
+  omega +- x crosses a knot, plus a tail, summed by the engine of the
+  principal value (_finite_part_cells, _cell_sum);
+- below 1e-2 scale, where the kink sinks toward rounding: one
+  semi_infinite_quad per pole (_finite_part_quad).
 
-QUADPACK is left for that per-pole D_beta', for G(t) and finite-time
+QUADPACK is left for that D_beta' below 1e-2 scale, for G(t) and finite-time
 Gamma_m(t) (its Fourier rules) and for the oscillator's correlation in clexact.
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
@@ -173,6 +171,7 @@ class SpectralDensity:
 
     discrete = False
     knots = ()  # the cell edges of a piecewise J (Tabulated), for principal_value
+    kinks = ()  # the knots where J is not twice differentiable
 
     def j(self, omega):
         """J(omega) = omega * J(omega)/omega."""
@@ -257,9 +256,9 @@ class Tabulated(SpectralDensity):
     reorganization_energy.
 
     J/w is smooth between its knots, the grid and the points inside it where
-    the spline crosses 0 (J is clipped to 0 there), and 0 beyond the grid, so
-    principal_value and reorganization_energy integrate it cell by cell with
-    fixed Gauss-Legendre sums, not by adaptive quadrature.
+    the spline crosses 0 (J is clipped to 0 there), and 0 beyond the grid;
+    the knots are edges of the cells of principal_value and d_beta_deriv.
+    Of them, J is not twice differentiable at its kinks.
     """
 
     omegas: tuple
@@ -269,6 +268,7 @@ class Tabulated(SpectralDensity):
     _at: FloatSpline = field(init=False, repr=False, compare=False)  # _cubic at a float
     _slope0: float = field(init=False, repr=False, compare=False)  # J(w0)/w0, or J'(0) if w0 = 0
     knots: tuple = field(init=False, repr=False, compare=False)
+    kinks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.omegas, dtype=float)
@@ -290,6 +290,9 @@ class Tabulated(SpectralDensity):
         roots = cubic.roots(extrapolate=False)
         roots = roots[np.isfinite(roots)]
         object.__setattr__(self, "knots", tuple(np.union1d(w, roots).tolist()))
+        # J jumps to 0 at the last grid point; its slope jumps at the roots and the first (> 0)
+        kinks = np.union1d(roots, w[[0, -1]] if w[0] else w[-1:])
+        object.__setattr__(self, "kinks", tuple(kinks.tolist()))
         object.__setattr__(self, "_slope0", float(
             v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
 
@@ -457,16 +460,16 @@ def semi_infinite_quad(f, scale, points=()):
 
 def principal_value(h, a, scale, knots=(), delta=None):
     """PV int_0^inf h(w)/(w^2 - a^2) dw for a stack of poles a >= 0, by fixed
-    Gauss-Legendre sums; the result has the shape of a, a float for a scalar a.
+    Gauss-Legendre sums over each pole's own graded cells (_graded_rule); the
+    result has the shape of a, a float for a scalar a.
 
     h(w, k) is h at points w of the poles k, an index array into the stack
     that broadcasts against w, so h takes a per-pole constant c as c[k].
     Subtracting h(a) leaves a regular integrand, as PV int dw/(w^2 - a^2) = 0.
-    Without knots (an analytic J) each pole has its own graded cells
-    (_graded_rule); delta (default scale) is the distance of the singularities
-    of h from the real axis, as min(2 pi/beta, scale) for coth(beta w/2). With
-    knots (a Tabulated J) h is smooth between them and 0 beyond the last one,
-    and the stack shares its cells (_cell_rule).
+    delta (default scale) is the distance of the singularities of h from the
+    real axis, as min(2 pi/beta, scale) for coth(beta w/2). knots (those of a
+    Tabulated J) are where h is only piecewise smooth: h is smooth between
+    them and 0 beyond the last one, and they become cell edges.
     """
     a = np.asarray(a, dtype=float)
     if (a < 0).any():
@@ -474,44 +477,71 @@ def principal_value(h, a, scale, knots=(), delta=None):
     poles = np.where(a < _TINY, 0.0, a).reshape(-1)  # a subnormal pole's cells underflow
     if not poles.size:
         return np.zeros(a.shape)
-    pv = (_cell_rule(h, poles, knots) if len(knots)
-          else _graded_rule(h, poles, scale, scale if delta is None else delta))
+    pv = _graded_rule(h, poles, scale, scale if delta is None else delta, knots)
     return pv.reshape(a.shape) if a.ndim else float(pv[0])
 
 
-def _graded_rule(h, poles, scale, delta):
-    """principal_value of an analytic h for an (M,) stack of poles by _cell_sum:
-    pole a's cells are [0, a] (none at a = 0) and [a, a + 16 scale], each
-    bisected to a half-width of at most 2/3 of its reach, the least of
-    hypot(mid, delta) (h's singularities at +-i delta), mid + a (the pole at
-    -a, removable at a = 0) and max(|mid - a|, delta) (h(w) - h(a) cancels)."""
-    k = np.arange(poles.size)
-    ha = h(poles, k)
-    far = poles + 16 * scale
-    lower = poles > 0
+def _graded_rule(h, poles, scale, delta, knots):
+    """principal_value for an (M,) stack of poles by _cell_sum. Pole a's cells
+    are [0, a] and [a, a + 16 scale] plus the tail w = X/t for an analytic h;
+    with knots they lie between 0, the knots and a up to the last knot W, and
+    the tail -h(a) int_W^inf dw/(w^2 - a^2) is closed form. Each is bisected
+    to a half-width of at most 2/3 of its reach, the least of hypot(mid,
+    delta) (h's singularities at +-i delta), mid + a (the pole at -a,
+    removable at a = 0) and max(|mid - a|, delta) (h(w) - h(a) cancels the
+    pole at a), but |mid - a| on knot cells not next to a, whose cubics reach
+    other values at a, and also mid above the first knot cell."""
+    m = poles.size
+    ha = h(poles, np.arange(m))
+    if not len(knots):
+        far = poles + 16 * scale
+        rows = np.column_stack([np.zeros(m), poles, far])
+        near_lo, near_hi, first, tail = np.zeros(m), np.full(m, np.inf), np.inf, None
+    else:
+        W = float(knots[-1])
+        if (poles == W).any():
+            raise BathIntegrationError(
+                f"a pole at the last knot {W} of a piecewise h: the principal value diverges")
+        edges = np.union1d(0.0, knots)
+        # the knot cells next to a, and where the first one ends
+        near_lo = edges[np.maximum(np.searchsorted(edges, poles) - 1, 0)]
+        near_hi = np.append(edges, np.inf)[np.searchsorted(edges, poles, side="right")]
+        first, far = edges[1], np.full(m, W)
+        # a is an edge unless a knot lies within 1e-12 a: the nodes between would round onto a
+        close = np.minimum(poles - near_lo, near_hi - poles) < 1e-12 * poles
+        rows = np.column_stack([np.tile(edges, (m, 1)), np.where(close, 0.0, np.minimum(poles, W))])
+        # int_W^inf dw/(w^2 - a^2) = ln|(W + a)/(W - a)|/(2a) = (ln(1 + u)/u)
+        # (min(a, W)/a)/|W - a| with u = 2 min(a, W)/|W - a|, 1/W at a = 0
+        span = np.abs(W - poles)
+        u = 2.0 * np.minimum(poles, W) / span
+        log_ratio = np.where(u > 0, np.log1p(u) / np.where(u > 0, u, 1.0), 1.0)
+        tail = -ha * log_ratio * (W / np.maximum(poles, W)) / span
+    lo, hi, pole = _edge_cells(rows)
 
     def bound(mid, k):
         a = poles[k]
-        reach = np.minimum(np.hypot(mid, delta), np.maximum(np.abs(mid - a), delta))
+        gap = np.abs(mid - a)
+        beside = (near_lo[k] <= mid) & (mid <= near_hi[k])
+        reach = np.minimum(np.hypot(mid, delta), np.where(beside, np.maximum(gap, delta), gap))
+        reach = np.where(mid > first, np.minimum(reach, mid), reach)
         return 2 * np.where(a > 0, np.minimum(reach, mid + a), reach) / 3
 
     def integrand(w, dw, k):
         a = poles[k]
         return (h(w, k) - ha[k]) / (w - a) / (w + a) * dw
 
-    return _cell_sum(np.concatenate([np.zeros(lower.sum()), poles]),
-                     np.concatenate([poles[lower], far]), np.concatenate([k[lower], k]),
-                     far, bound, integrand, "graded cell rule")
+    return _cell_sum(lo, hi, pole, far, bound, integrand, "graded cell rule", tail)
 
 
-def _cell_sum(lo, hi, pole, far, bound, integrand, rule):
+def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None):
     """The graded-cell engine: for each pole k of a stack, the integral over
     its cells [lo, hi] (pole[i] is cell i's pole), each bisected until its
-    half-width is at most bound(mid, pole), and over its tail x = far[k]/t,
-    two cells of t in (0, 1]. integrand(x, dx, k) is the integrand times dx at
-    nodes x (nodes, cells) of the poles k. Nodes go in blocks of _CELL_BLOCK;
-    each cell's node sum and each pole's cell sum runs in a fixed order, so a
-    pole's value does not depend on the rest of the stack (_checked_cells)."""
+    half-width is at most bound(mid, pole), plus its tail beyond far[k]: tail[k]
+    when given in closed form, else x = far[k]/t summed over two cells of t in
+    (0, 1]. integrand(x, dx, k) is the integrand times dx at nodes x (nodes,
+    cells) of the poles k. Nodes go in blocks of _CELL_BLOCK; each cell's node
+    sum and each pole's cell sum runs in a fixed order, so a pole's value does
+    not depend on the rest of the stack (_checked_cells)."""
     cells = []
     while lo.size:
         half = (hi - lo) / 2
@@ -521,88 +551,28 @@ def _cell_sum(lo, hi, pole, far, bound, integrand, rule):
         lo, hi = np.concatenate([lo[wide], mid[wide]]), np.concatenate([mid[wide], hi[wide]])
         pole = np.concatenate([pole[wide], pole[wide]])
     body = [np.concatenate(c) for c in zip(*cells)]
-    tail = [np.repeat([0.25, 0.75], far.size), np.full(2 * far.size, 0.25),
-            np.tile(np.arange(far.size), 2)]
+    n = far.size if tail is None else 0  # the poles whose tail x = far/t is summed
+    rest = [np.repeat([0.25, 0.75], n), np.full(2 * n, 0.25), np.tile(np.arange(n), 2)]
     step = max(1, _CELL_BLOCK // len(_CELL_NODES))
     low, high = [], []
-    for in_tail, (mid, half, pole) in enumerate((body, tail)):
+    for in_tail, (mid, half, pole) in enumerate((body, rest)):
         for c in range(0, mid.size, step):
             m, d, p = mid[c:c + step], half[c:c + step], pole[c:c + step]
             u = m + d * _CELL_NODES[:, None]  # x, or t in the tail x = far/t
             f = integrand(far[p] / u, d * far[p] / (u * u), p) if in_tail else integrand(u, d, p)
             low.append(sum(wt * row for wt, row in zip(_W10, f)))
             high.append(sum(wt * row for wt, row in zip(_W20, f[len(_W10):])))
-    pole = np.concatenate([body[2], tail[2]])
+    pole = np.concatenate([body[2], rest[2]])
     low, high = (np.bincount(pole, np.concatenate(s), far.size) for s in (low, high))
-    return _checked_cells(high, np.abs(high - low), rule)
+    return _checked_cells(high if tail is None else high + tail, np.abs(high - low), rule)
 
 
-def _cell_edges(knots, poles):
-    """The cells of _cell_rule on [0, W], W the last knot.
-
-    The edges are 0, the knots and every pole below W, graded so that each
-    cell is no wider than its distance from 0 and from any pole that is not
-    one of its edges: of the points c +- d 2^j around each centre c (0 and
-    the poles), d the narrowest gap between edges and poles, those in cells
-    that break this are added. The integrand's singularities, at w = a of a
-    neighbouring cell's piece, at -a, at 0 (J/w on a grid above 0) and on the
-    imaginary axis (thermal poles), then lie at least 3 half-widths from each
-    cell's centre, so the Gauss sums converge as 5.8^(-2n). The first cell
-    is halved 20 times for the thermal poles.
-    """
-    W = knots[-1]
-    edges = np.union1d(np.union1d(0.0, knots), poles[poles < W])
-    centres = np.union1d(0.0, poles)[:, None]
-    step = min(np.diff(edges).min(), np.abs(poles - W).min())
-    steps = step * 2.0 ** np.arange(1, np.ceil(np.log2(max(W, poles.max()) / step)) + 1)
-    graded = [edges[1] * 2.0 ** -np.arange(1, 21)]
-    for points in (centres + steps, centres - steps):
-        cell = np.clip(np.searchsorted(edges, points), 1, len(edges) - 1)
-        lo, hi = edges[cell - 1], edges[cell]
-        near = np.maximum(lo - centres, centres - hi)  # distance from the centre to the cell
-        graded.append(points[(points > 0) & (points < W) & (hi - lo > near)])
-    return np.union1d(edges, np.concatenate(graded))
-
-
-def _cell_rule(h, poles, knots):
-    """principal_value of an h that is smooth between knots and 0 beyond the
-    last one, W, for an (M,) stack of poles.
-
-    The cells (_cell_edges) are shared by the stack, so h is evaluated once
-    per node, as h(w, arange(M)) on an (N, 1) array w, and every pole below W
-    is an edge: no node falls on one. Over the cells,
-    (h(w) - h(a))/((w - a)(w + a)) is summed by Gauss-Legendre rules of order
-    10 and 20 (_checked_cells). Beyond W the integrand is -h(a)/(w^2 - a^2),
-    whose integral is -h(a) ln|(W + a)/(W - a)|/(2a), or -h(0)/W at a = 0; it
-    diverges for a pole at W, where h jumps to 0.
-    """
-    W = float(knots[-1])
-    if (poles == W).any():
-        raise BathIntegrationError(
-            f"a pole at the last knot {W} of a piecewise h: the principal value diverges")
-    edges = _cell_edges(knots, poles)
-    half = np.diff(edges) / 2
-    mid = edges[:-1] + half
-    k = np.arange(poles.size)
-    ha = h(poles, k)
-    sums = np.zeros((len(_CELL_NODES), poles.size))
-    block = max(1, _CELL_BLOCK // (len(_CELL_NODES) * poles.size))
-    for c in range(0, len(half), block):
-        # (nodes, cells, 1), the stack's axis last
-        w = (mid[c:c + block] + half[c:c + block] * _CELL_NODES[:, None])[..., None]
-        f = (h(w.reshape(-1, 1), k) - ha).reshape(*w.shape[:2], -1)
-        off = w != poles  # a node rounded onto a pole (cells a few ulp wide) adds 0
-        f = (np.where(off, f, 0.0) / np.where(off, w - poles, 1.0)
-             / np.where(off, w + poles, 1.0))
-        sums += np.einsum("kcm,c->km", f, half[c:c + block])
-    low, high = _W10 @ sums[:len(_W10)], _W20 @ sums[len(_W10):]
-    # |(W + a)/(W - a)| = 1 + u with u = 2 min(a, W)/|W - a|, so the tail's
-    # ln(1 + u)/(2a) = (ln(1 + u)/u) (min(a, W)/a)/|W - a|, which is 1/W at a = 0
-    span = np.abs(W - poles)
-    u = 2.0 * np.minimum(poles, W) / span
-    log_ratio = np.where(u > 0, np.log1p(u) / np.where(u > 0, u, 1.0), 1.0)
-    tail = log_ratio * (W / np.maximum(poles, W)) / span
-    return _checked_cells(high - ha * tail, np.abs(high - low), f"cell rule over [0, {W}]")
+def _edge_cells(edges):
+    """The cells between the sorted rows of an (M, n) array of edges, one row
+    per pole, as (lo, hi, pole) without the empty ones, each pole's in order."""
+    edges = np.sort(edges, axis=1)
+    full = edges[:, 1:] > edges[:, :-1]
+    return edges[:, :-1][full], edges[:, 1:][full], np.nonzero(full)[0]
 
 
 def _checked_cells(value, err, rule):
@@ -658,12 +628,14 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
 @functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
-    finite part of the module docstring by one of its two rules, graded cells
-    for the whole stack (_finite_part_cells) or one semi_infinite_quad per
-    pole (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated)
+    finite part of the module docstring by one of its two rules: cells for
+    the poles at |omega_m| >= 1e-2 scale, with a Tabulated J's knots as
+    edges (_finite_part_cells), and one semi_infinite_quad per pole below
+    (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated)
     D_beta'(0) diverges and the quadrature raises BathIntegrationError; it
     converges for |omega_m| >= 3e-5 scale (measured at beta = 0.1 to 10) and
-    may raise below, where the kink sinks into rounding.
+    may raise below, where the kink sinks into rounding. So it may within
+    about 1e-7 (relative) of a kink of a Tabulated J, where D_beta' ~ log.
 
     omega_m is a float or a tuple of floats; a tuple gives a read-only array.
     Values are memoized per process on (J, beta, omega_m)."""
@@ -673,7 +645,7 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     if J.discrete:
         nu, s = J.atoms(beta, om)
         return _stacked(np.sum(s / (nu - om[:, None]) ** 2, axis=1), omega_m)
-    cells = (np.abs(om) >= 1e-2 * J.scale()) & (not J.knots)
+    cells = np.abs(om) >= 1e-2 * J.scale()
     out = np.empty(om.shape)
     if cells.any():
         out[cells] = _finite_part_cells(J, beta, om[cells])
@@ -682,43 +654,67 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
 
 
 def _finite_part_quad(J: SpectralDensity, beta: float, omega_m: float) -> float:
-    """D_beta'(omega_m) by semi_infinite_quad. Its panels split at x = |omega_m|
-    (the kink of S at nu = 0) only for |omega_m| >= 1e-2 scale: QUADPACK does
-    not converge on a shorter first panel of cancelling differences."""
+    """D_beta'(omega_m) for |omega_m| < 1e-2 scale by semi_infinite_quad. Its
+    panels do not split at x = |omega_m| (the kink of S at nu = 0): QUADPACK
+    does not converge on so short a first panel of cancelling differences."""
     s0 = _thermal_spectrum(J, beta, omega_m)
 
     def integrand(x):  # nodes omega_m +- x stay plain floats
         return (_thermal_spectrum(J, beta, omega_m + x)
                 + _thermal_spectrum(J, beta, omega_m - x) - 2.0 * s0) / (x * x)
 
-    a, scale = abs(omega_m), J.scale()
-    return semi_infinite_quad(integrand, scale, points=(a,) if a >= 1e-2 * scale else ())
+    return semi_infinite_quad(integrand, J.scale())
 
 
 def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
-    """D_beta' for an (M,) stack of omega with |omega| >= 1e-2 scale and a J
-    without knots, by _cell_sum: pole a = |omega| (the kink of S) has cells
-    [0, a] and [a, a + 16 scale] of x, each bisected to a half-width of at
-    most a third of its distance to a +- i delta, delta = min(2 pi/beta, scale)
-    (the thermal poles of S and the density's own); above a, also to 0, where
-    the continuation of the kinked branch has a 1/x^2 pole."""
+    """D_beta' for an (M,) stack of omega with |omega| >= 1e-2 scale by
+    _cell_sum. Pole a = |omega| (the kink of S) has cells of x on [0, a] and
+    [a, X] and a tail: X = a + 16 scale and the tail x = X/t without knots;
+    with knots w_k, the last W, cells split where omega +- x crosses a knot,
+    at |a +- w_k|, and X = a + W, beyond which the tail is -2 S(omega)/X.
+    Each cell is bisected to a half-width of at most a third of its reach,
+    the least of its distance to a +- i delta, delta = min(2 pi/beta, scale)
+    (the thermal poles of S and the density's own); above the first cell, mid
+    (S continued past the kink or a knot leaves a 1/x^2 pole at 0); and
+    |mid - a| where |omega - x| is past the first knot (spline(nu)/nu has a
+    pole at 0)."""
     a, scale = np.abs(omega), J.scale()
-    far = a + 16 * scale
     delta = min(2 * math.pi / beta, scale)
     s0 = _thermal_spectrum(J, beta, omega)
+    if not J.knots:
+        far = a + 16 * scale
+        lo, hi, pole = _edge_cells(np.column_stack([np.zeros_like(a), a, far]))
+        first, pieces, tail = a, np.inf, None
+    else:
+        knots = np.asarray(J.knots)
+        far = a + knots[-1]
+        # a knot where J is C2 within 1e-5 a gives no edge, which would cut a
+        # first cell so short that rounding swamps its second differences
+        cross = np.abs(a[:, None] - knots)
+        merged = (cross < 1e-5 * a[:, None]) & ~np.isin(knots, J.kinks)
+        lo, hi, pole = _edge_cells(np.column_stack(
+            [np.zeros_like(a), a, np.where(merged, 0.0, cross), a[:, None] + knots]))
+        start = np.searchsorted(pole, np.arange(a.size))  # each pole's first cell
+        first = hi[start]
+        # there omega +- x stay on omega's piece, so the integrand is even in
+        # x: over [-first, first] (0 at x < 0) no node comes nearer x = 0, where
+        # S(omega + x) + S(omega - x) - 2 S(omega) is rounding, than 0.08 first
+        lo[start] = np.where(merged.any(axis=1), 0.0, -first)
+        pieces = knots[1] if knots[0] == 0 else knots[0]  # spline(nu)/nu is smooth below
+        tail = -2.0 * s0 / far
 
     def bound(mid, k):
-        reach = np.hypot(mid - a[k], delta)
-        return np.where(mid > a[k], np.minimum(reach, mid), reach) / 3
+        gap = np.abs(mid - a[k])
+        reach = np.hypot(gap, delta)
+        reach = np.where(mid > first[k], np.minimum(reach, mid), reach)
+        return np.where(gap > pieces, np.minimum(reach, gap), reach) / 3
 
     def integrand(x, dx, k):
         w = omega[k]
         return (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
-                - 2.0 * s0[k]) * (dx / (x * x))
+                - 2.0 * s0[k]) * ((x > 0) * dx / (x * x))
 
-    return _cell_sum(np.concatenate([np.zeros_like(a), a]), np.concatenate([a, far]),
-                     np.tile(np.arange(a.size), 2), far, bound, integrand,
-                     "cell rule for D_beta'")
+    return _cell_sum(lo, hi, pole, far, bound, integrand, "cell rule for D_beta'", tail)
 
 
 def _bose_ratio(x):

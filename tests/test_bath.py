@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,19 +122,48 @@ def _ref_lamb_shift(J, beta, w):
         abs(w), J.scale())
 
 
+def _knot_cells(tab, a):
+    """The edges of the spline cells of a Tabulated J up to its last knot W,
+    split at a pole a < W, and int_W^inf dw/(w^2 - a^2), the tail of
+    PV int_0^inf h(w)/(w^2 - a^2) dw with h = 0 beyond W per unit h(a). It is
+    ln((W + a)/(W - a))/(2a), or 1/W at a = 0, and taken as 0 for a > W,
+    where h(a) = 0 (the logarithm would be of a negative ratio)."""
+    W = tab.knots[-1]
+    edges = np.unique([0.0, *tab.knots, *([a] if a < W else [])])
+    if a > W:
+        return edges, 0.0
+    return edges, np.log((W + a) / (W - a)) / (2 * a) if a > 0 else 1.0 / W
+
+
 def _knot_resolved_pv(tab, h, a, order=20):
     """Reference for a Tabulated J: PV int_0^inf h(w)/(w^2 - a^2) dw with h = 0
     beyond the grid. One Gauss-Legendre rule per spline cell (cells split at
     the pole, so it is an edge) resolves every knot; the tail beyond the last
-    knot W is -h(a) int_W^inf dw/(w^2 - a^2) in closed form."""
+    knot is in closed form (_knot_cells). Only for fine grids: on a 16-point
+    grid its first cell can be wider than the distance 2 pi/beta of the
+    thermal poles from the axis."""
     x, wt = np.polynomial.legendre.leggauss(order)
-    edges = np.unique([0.0, *tab.omegas, a])
+    edges, tail = _knot_cells(tab, a)
     lo, hi = edges[:-1, None], edges[1:, None]
     w = (lo + hi) / 2 + (hi - lo) / 2 * x
     ha = h(np.array([a]))[0]
     body = np.sum((hi - lo) / 2 * wt * ((h(w) - ha) / (w - a) / (w + a)))
-    W = tab.omegas[-1]
-    return body - ha * (np.log((W + a) / (W - a)) / (2 * a) if a > 0 else 1.0 / W)
+    return body - ha * tail
+
+
+def _per_cell_pv(tab, h, a):
+    """Reference for a Tabulated J: the principal value of _knot_resolved_pv
+    by one quad per spline cell at epsabs 1e-15, epsrel 1e-14, h taking and
+    returning a float. It replaced _adaptive_pv as the reference of the cell
+    rule on random tables, where that was off by up to 1.2e-7 (omega = 0 on a
+    40-knot grid); this and the cell rule agreed within 1.4e-15 over 190
+    random draws."""
+    edges, tail = _knot_cells(tab, a)
+    ha = h(a)
+    body = sum(_ref_quad(lambda w: (h(w) - ha) / (w - a) / (w + a), lo, hi,
+                         epsabs=1e-15, epsrel=1e-14)
+               for lo, hi in zip(edges[:-1], edges[1:]))
+    return body - ha * tail
 
 
 def _adaptive_pv(h, a, scale):
@@ -204,6 +235,54 @@ def _quad_finite_part(J, beta, omega):
                 + bath._thermal_spectrum(J, beta, omega - x) - 2.0 * s0) / (x * x)
 
     return bath.semi_infinite_quad(integrand, J.scale(), points=(abs(omega),))
+
+
+def _thermal_slope(tab, beta, nu):
+    """S'(nu), the slope of the thermal spectrum of a Tabulated J, from the
+    slope of its spline: S = J (1 + n) at nu > 0 and J n at u = -nu > 0, with
+    the Bose factor n' = -beta n (1 + n). Below 1e-8/beta, where the two
+    terms cancel, it takes the value there (S' is bounded through 0)."""
+    u = max(abs(nu), 1e-8 / beta)
+    if u <= tab.omegas[0]:  # J linear through the origin
+        j, dj = tab._slope0 * u, tab._slope0
+    elif u > tab.omegas[-1] or float(tab._cubic(u)) <= 0.0:  # J clipped to 0
+        j = dj = 0.0
+    else:
+        j, dj = float(tab._cubic(u)), float(tab._cubic(u, 1))
+    n = math.exp(-beta * u) / -math.expm1(-beta * u)
+    if nu >= 0:
+        return (1.0 + n) * (dj - j * beta * n)
+    return -n * (dj - j * beta * (1.0 + n))
+
+
+def _cauchy_finite_part(tab, beta, omega):
+    """Reference for a Tabulated J: D_beta'(omega) integrated by parts over
+    [-W, W] (S = 0 beyond the last knot W),
+
+        D_beta'(omega) = PV int S'(nu)/(nu - omega) dnu
+                         - S(W)/(W - omega) - S(-W)/(W + omega),
+
+    by one quad per piece between 0 and the knots +-w_k at epsabs 1e-14,
+    epsrel 1e-13, QAWC (the weight 1/(nu - omega)) on the piece around omega.
+    It forms no second difference of S, so it has no rounding to amplify
+    where omega lies next to a knot. It agreed with 40-digit values of the
+    finite part (test_tabulated_frozen_forty_digit_values) within 2.2e-14."""
+    knots = np.asarray(tab.knots)
+    edges = np.union1d(0.0, np.concatenate([knots, -knots]))
+    gaps = np.abs(edges - omega)
+    r = max(gaps[gaps > 0].min() / 2, 1e-6 * abs(omega))  # a knot within r is C2 there
+    edges = np.union1d(edges[gaps > r], [omega - r, omega + r])
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == omega - r:
+            total += _ref_quad(lambda nu: _thermal_slope(tab, beta, nu), lo, hi,
+                               weight="cauchy", wvar=omega, epsabs=1e-14, epsrel=1e-13)
+        else:
+            total += _ref_quad(lambda nu: _thermal_slope(tab, beta, nu) / (nu - omega), lo, hi,
+                               epsabs=1e-14, epsrel=1e-13)
+    W = tab.omegas[-1]
+    return (total - bath._thermal_spectrum(tab, beta, W) / (W - omega)
+            - bath._thermal_spectrum(tab, beta, -W) / (W + omega))
 
 
 class TestSpectralDensities:
@@ -533,21 +612,31 @@ class TestPrincipalValue:
         assert sigma[0] == 0.0 and np.isfinite(sigma[1])
 
 
+def _table(s, omega_c, w0, n, stretch):
+    """An Ohmic (s = 1) or super-Ohmic (s = 3) Tabulated J on an n-point grid
+    from w0 to 40 omega_c where J has decayed, stretched toward w0."""
+    grid = w0 + (40.0 * omega_c - w0) * np.linspace(0.0, 1.0, n) ** stretch
+    return bath.Tabulated(omegas=tuple(grid),
+                          values=tuple(0.2 * grid**s * np.exp(-grid / omega_c) / omega_c**(s - 1)))
+
+
+@st.composite
+def _tabulated(draw):
+    """A random _table, on a grid that starts at 0 or above it."""
+    omega_c = draw(st.floats(min_value=0.5, max_value=4.0))
+    return _table(draw(st.sampled_from([1, 3])), omega_c,
+                  draw(st.sampled_from([0.0, 0.01, 0.3])) * omega_c,
+                  draw(st.integers(min_value=16, max_value=40)),
+                  draw(st.floats(min_value=1.0, max_value=2.0)))
+
+
 @st.composite
 def _tabulated_and_stack(draw):
-    """A random Tabulated J (Ohmic or super-Ohmic, on a stretched grid that
-    starts at 0 or above it and ends where J has decayed) and a stack of poles
-    with 0, a pole on a knot and a pole beyond the last knot W."""
-    s = draw(st.sampled_from([1, 3]))
-    omega_c = draw(st.floats(min_value=0.5, max_value=4.0))
-    w0 = draw(st.sampled_from([0.0, 0.01, 0.3])) * omega_c
-    n = draw(st.integers(min_value=16, max_value=40))
-    stretch = draw(st.floats(min_value=1.0, max_value=2.0))
-    grid = w0 + (40.0 * omega_c - w0) * np.linspace(0.0, 1.0, n) ** stretch
-    tab = bath.Tabulated(omegas=tuple(grid),
-                         values=tuple(0.2 * grid**s * np.exp(-grid / omega_c) / omega_c**(s - 1)))
+    """A random _tabulated J and a stack of poles with 0, a pole on a knot and
+    a pole beyond the last knot W."""
+    tab = draw(_tabulated())
     sign = st.sampled_from([1.0, -1.0])
-    on_knot = tab.omegas[draw(st.integers(min_value=1, max_value=n - 2))]
+    on_knot = draw(st.sampled_from(tab.omegas[1:-1]))
     beyond = tab.omegas[-1] * draw(st.floats(min_value=1.01, max_value=3.0))
     inside = draw(st.lists(st.floats(min_value=0.01, max_value=8.0), min_size=1, max_size=2))
     stack = [draw(sign) * w for w in (on_knot, beyond, *inside)] + [0.0]
@@ -555,23 +644,26 @@ def _tabulated_and_stack(draw):
 
 
 class TestCellRule:
+    """principal_value of a Tabulated J: its knots are cell edges of each
+    pole's graded cells (bath._graded_rule)."""
+
     @settings(max_examples=12, deadline=None)
     @given(case=_tabulated_and_stack(), beta=st.floats(min_value=0.1, max_value=10.0))
-    def test_matches_adaptive_stack(self, case, beta):
+    def test_matches_per_cell_quad(self, case, beta):
+        # measured within 1.4e-15 max(1, |ref|) over 190 random draws
         tab, stack = case
-        om = np.array(stack)
         d = bath.d_beta.__wrapped__(tab, beta, stack)
         im = bath.gamma_m.__wrapped__(tab, beta, stack, bath.ASYMPTOTIC).imag
-        nz = om[om != 0.0]
-        ref_d = np.zeros(om.shape)
-        ref_d[om != 0.0] = _adaptive_pv(
-            lambda w: tab.j_over_omega(w) * nz * (bath._w_coth(w, beta) + nz),
-            np.abs(nz), tab.scale())
-        ref_im = _adaptive_pv(
-            lambda w: tab.j_over_omega(w) * (om * bath._w_coth(w, beta) - w * w),
-            np.abs(om), tab.scale())
-        assert np.all(np.abs(d - ref_d) <= 5e-9 * np.maximum(1.0, np.abs(ref_d)))
-        assert np.all(np.abs(im - ref_im) <= 5e-9 * np.maximum(1.0, np.abs(ref_im)))
+        for w, d_w, im_w in zip(stack, d, im):
+            def c(x):
+                return float(tab.j_over_omega(x))
+
+            ref_d = 0.0 if w == 0.0 else _per_cell_pv(
+                tab, lambda x: c(x) * w * (float(bath._w_coth(x, beta)) + w), abs(w))
+            ref_im = _per_cell_pv(
+                tab, lambda x: c(x) * (w * float(bath._w_coth(x, beta)) - x * x), abs(w))
+            assert abs(d_w - ref_d) <= 1e-12 * max(1.0, abs(ref_d))
+            assert abs(im_w - ref_im) <= 1e-12 * max(1.0, abs(ref_im))
 
     def test_pole_at_last_knot_raises(self):
         # J/w jumps to 0 at W: the principal value diverges logarithmically
@@ -580,6 +672,15 @@ class TestCellRule:
             bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, (0.5, -W))
         with pytest.raises(bath.BathIntegrationError, match="last knot"):
             bath.gamma_m.__wrapped__(TAB_OHMIC, 1.0, W, bath.ASYMPTOTIC)
+
+    def test_pole_next_to_a_knot(self):
+        # within 1e-12 of a knot the pole is no cell edge: the nodes of the
+        # cell between them would round onto it
+        knot = TAB_OHMIC.omegas[33]
+        ref = bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, knot)
+        for ulps in (1, 2, 10, -1, -10):
+            w = knot + ulps * np.spacing(knot)
+            assert abs(bath.d_beta.__wrapped__(TAB_OHMIC, 1.0, w) - ref) <= 1e-14
 
     def test_kink_inside_a_cell_raises(self):
         # |sin 50 w| has kinks inside every cell; orders 10 and 20 disagree
@@ -662,7 +763,8 @@ class TestGradedRule:
                          (clexact._self_energy_real(J, a), ref_self)):
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
-    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER], ids=["drude", "ohmic", "super"])
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER, TAB_OHMIC],
+                             ids=["drude", "ohmic", "super", "tabulated"])
     def test_stack_entry_is_the_float_call(self, J):
         # each pole has its own cells, summed in their own order: bit for bit
         # (a subnormal pole is taken as 0: its own cells would underflow)
@@ -1044,9 +1146,27 @@ def _finite_part_stack(draw):
     return J, beta, tuple(sign * 10.0**e * J.scale() for sign, e in poles)
 
 
+@st.composite
+def _tabulated_finite_part_stack(draw):
+    """A random _tabulated J, beta in [0.1, 10] and a stack of up to 4 poles
+    with |omega| in [1e-2, 10] scale, one of them on a knot. At a kink of J
+    (test_tabulated_kink_raises) the finite part diverges, and within about
+    1e-7 of one it raises, so poles keep 1e-6 (relative) away from the kinks."""
+    tab = draw(_tabulated())
+    beta = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.0))
+    scale = tab.scale()
+    sign = st.sampled_from([1.0, -1.0])
+    on_knot = draw(st.sampled_from([w for w in tab.omegas[1:-1] if w >= 1e-2 * scale]))
+    size = st.floats(min_value=-2.0, max_value=1.0)
+    inside = [10.0**e * scale for e in draw(st.lists(size, min_size=0, max_size=3))]
+    assume(all(abs(w - k) > 1e-6 * w for w in inside for k in tab.kinks))
+    return tab, beta, tuple(draw(sign) * w for w in (on_knot, *inside))
+
+
 class TestFinitePartCells:
-    """D_beta' of an analytic J at |omega| >= 1e-2 scale: one Gauss-Legendre
-    sum over cells for the whole stack (bath._finite_part_cells)."""
+    """D_beta' of a continuous J at |omega| >= 1e-2 scale: one Gauss-Legendre
+    sum over cells for the whole stack (bath._finite_part_cells), a table's
+    knots among their edges."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=_finite_part_stack())
@@ -1080,7 +1200,8 @@ class TestFinitePartCells:
         got = bath.d_beta_deriv.__wrapped__(J, beta, (w,))[0]
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER], ids=["drude", "ohmic", "super"])
+    @pytest.mark.parametrize("J", [DRUDE, OHMIC, SUPER, TAB_OHMIC],
+                             ids=["drude", "ohmic", "super", "tabulated"])
     def test_stack_entry_is_the_float_call(self, J):
         # each pole is summed over its own cells in their own order
         stack = (-2.3, 0.7, 3.0, 0.05, -11.0, 20.0)
@@ -1106,9 +1227,61 @@ class TestFinitePartCells:
             stack = (-2.3, 0.7, 3.0, 0.01 * J.scale())
             assert np.isfinite(bath.d_beta_deriv.__wrapped__(J, 1.0, stack)).all()
 
-    def test_small_poles_and_knots_keep_the_quad(self, monkeypatch):
-        # below 1e-2 scale (the Ohmic rounding floor) and on a J with knots
-        # each pole is one semi_infinite_quad, as before
+    @settings(max_examples=15, deadline=None)
+    @given(case=_tabulated_finite_part_stack())
+    def test_tabulated_matches_cauchy_reference(self, case):
+        # the knots are cell edges, and no QUADPACK call is made. Measured
+        # within 1e-11 max(1, |D'|) over 758 random poles, and within 2.7e-11
+        # over 392 poles on a knot or 1e-16 to 1e-2 (relative) from one
+        tab, beta, stack = case
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK on a tabulated stack")
+
+        with mock.patch.object(bath, "quad", refuse):
+            got = bath.d_beta_deriv.__wrapped__(tab, beta, stack)
+        for w, g in zip(stack, got):
+            ref = _cauchy_finite_part(tab, beta, w)
+            assert abs(g - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    # 40-digit values of the finite part of a _table (mpmath, the spline's own
+    # cubics); on the first a quad over each piece of x was off by 1.3e-10
+    @pytest.mark.parametrize("table, beta, w, expected", [
+        ((1, 1.0, 0.3, 33, 1.25), 0.2, 0.026, -1.8412570300843431408),
+        ((1, 1.0, 0.3, 34, 1.4), 1.0, -0.012, -0.32753486787248817002),
+        ((3, 1.0, 0.0, 20, 1.5), 3.0, 2.2, -0.36355944114279915696),
+    ])
+    def test_tabulated_frozen_forty_digit_values(self, table, beta, w, expected):
+        # measured within 2e-13
+        got = bath.d_beta_deriv.__wrapped__(_table(*table), beta, w)
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("table, knot", [("fine", 33), ("fine", 5), ("coarse", 1)])
+    @pytest.mark.parametrize("offset", [2.2e-16, -2.2e-16, 1e-9, 2e-6, -2e-6, 1e-4])
+    def test_tabulated_next_to_a_knot(self, table, knot, offset):
+        # the knot's edge |omega - w_k| would cut a first cell into the
+        # rounding of the second difference (with it, 16 of these 18 raised);
+        # measured within 6.1e-11 at beta = 0.3 and 3
+        tab = TAB_OHMIC if table == "fine" else _table(1, 1.0, 0.0, 16, 1.0)
+        w = tab.omegas[knot] * (1 + offset)
+        ref = _cauchy_finite_part(tab, 0.3, w)
+        assert abs(bath.d_beta_deriv.__wrapped__(tab, 0.3, w) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_tabulated_kink_raises(self):
+        # the slope of J jumps at the first grid point above 0, so S has a
+        # kink there and D' diverges as log|omega - w0|
+        tab = _table(1, 1.0, 0.3, 16, 1.0)
+        assert tab.kinks[0] == 0.3
+        for w in (0.3, -0.3, 0.3 * (1 + 1e-12)):
+            with pytest.raises(bath.BathIntegrationError, match="did not converge"):
+                bath.d_beta_deriv.__wrapped__(tab, 1.0, w)
+        near = [bath.d_beta_deriv.__wrapped__(tab, 1.0, 0.3 * (1 + d)) for d in (1e-4, 1e-6)]
+        assert near[1] < near[0] < 0.0  # the log growth, here downwards
+
+    def test_small_poles_keep_the_quad(self, monkeypatch):
+        # below 1e-2 scale (the Ohmic rounding floor) each pole is one
+        # semi_infinite_quad, on a J with knots as without; above it a J with
+        # knots takes the cells as well
         calls, quad_rule = [], bath.semi_infinite_quad
 
         def spy(f, scale, points=()):
@@ -1116,14 +1289,14 @@ class TestFinitePartCells:
             return quad_rule(f, scale, points)
 
         monkeypatch.setattr(bath, "semi_infinite_quad", spy)
-        small = 0.005 * OHMIC.scale()
-        got = bath.d_beta_deriv.__wrapped__(OHMIC, 1.0, (0.7, small, -small, 2.0))
-        assert calls == [(), ()]
-        assert got[1] == bath.d_beta_deriv.__wrapped__(OHMIC, 1.0, small)
-        calls.clear()
-        got = bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, (0.7, -2.0))
-        assert calls == [(0.7,), (2.0,)]
-        assert got[0] == bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, 0.7)
+        for J in (OHMIC, TAB_OHMIC):
+            small = 0.005 * J.scale()
+            got = bath.d_beta_deriv.__wrapped__(J, 1.0, (0.7, small, -small, 2.0))
+            assert calls == [(), ()]
+            assert got[1] == bath.d_beta_deriv.__wrapped__(J, 1.0, small)
+            calls.clear()
+        bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, (0.7, -2.0))
+        assert calls == []
 
     def test_discrete_bath_sums_the_stack(self):
         stack = (0.3, -2.0, 5.5)
