@@ -489,8 +489,10 @@ def _graded_rule(h, poles, scale, delta, knots):
     to a half-width of at most 2/3 of its reach, the least of hypot(mid,
     delta) (h's singularities at +-i delta), mid + a (the pole at -a,
     removable at a = 0) and max(|mid - a|, delta) (h(w) - h(a) cancels the
-    pole at a), but |mid - a| on knot cells not next to a, whose cubics reach
-    other values at a, and also mid above the first knot cell."""
+    pole at a), but 3/4 |mid - a| on knot cells not next to a, whose cubics
+    reach other values at a, and also 3/4 mid above the first knot cell, where
+    the cubic over w has a pole at 0: at a small a the three poles merge into
+    one of order 3, whose order-10 sum fell short of the tolerance at 2/3."""
     m = poles.size
     ha = h(poles, np.arange(m))
     if not len(knots):
@@ -522,8 +524,9 @@ def _graded_rule(h, poles, scale, delta, knots):
         a = poles[k]
         gap = np.abs(mid - a)
         beside = (near_lo[k] <= mid) & (mid <= near_hi[k])
-        reach = np.minimum(np.hypot(mid, delta), np.where(beside, np.maximum(gap, delta), gap))
-        reach = np.where(mid > first, np.minimum(reach, mid), reach)
+        reach = np.minimum(np.hypot(mid, delta),
+                           np.where(beside, np.maximum(gap, delta), 0.75 * gap))
+        reach = np.where(mid > first, np.minimum(reach, 0.75 * mid), reach)
         return 2 * np.where(a > 0, np.minimum(reach, mid + a), reach) / 3
 
     def integrand(w, dw, k):
