@@ -216,7 +216,9 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
     Populations follow the Pauli equation with hopping rates
     k_mn = |H_J[m, n]|^2 f(eps_n - eps_m) (rate into m, detailed-balanced for
     KMS-symmetric f); pointer coherences decay at least as fast as the
-    fastest population rate. Operates in the pointer basis directly.
+    fastest population rate. Operates in the pointer basis directly, with
+    the populations marked slow, so that steady_state finds the null space
+    on the d x d Pauli block.
     """
     beta = bath.beta
     if rate_model is None:
@@ -242,7 +244,7 @@ def pauli_ultrastrong(split: PointerSplit, bath: bathmod.BathParams,
     mat = np.diag(vec(-(deco + 0.5 * (pop_rates[:, None] + pop_rates[None, :]))))
     pops = np.arange(d) * (d + 1)
     mat[np.ix_(pops, pops)] = k - np.diag(pop_rates)
-    return Liouvillian(mat)
+    return Liouvillian(mat, slow=np.eye(d, dtype=bool))
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:

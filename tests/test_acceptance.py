@@ -152,6 +152,7 @@ def test_08_high_temperature_formula_tracks_oracle():
                   np.diag([0.0, 1.0]).astype(complex)]
 
     model = finitebath.assemble(H_SB, SZ / 2, 1.0, spec)
+    model.eig()  # one full decomposition serves all three temperatures
     dists = []
     for beta in (1.0, 0.5, 0.25):  # ell beta = 0.5, 0.25, 0.125
         exact = finitebath.exact_mfg(model, beta)

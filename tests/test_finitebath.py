@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given, settings
+import scipy.linalg.lapack
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -150,14 +151,21 @@ class TestSystemBathSplitEquivalence:
         assert np.abs(rho - _einsum_reference(model, beta)).max() <= 64 * np.finfo(float).eps
 
     @settings(max_examples=40, deadline=None)
-    @given(beta=st.floats(min_value=0.1, max_value=50.0), **MODELS)
+    @given(beta=st.floats(min_value=0.1, max_value=50.0), force_window=st.booleans(),
+           **MODELS)
     def test_exact_mfg_matches_partial_trace_of_global_gibbs(
-            self, seed, d_s, n_modes, n_max, counter_term, real, beta):
+            self, seed, d_s, n_modes, n_max, counter_term, real, beta, force_window):
         _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         model = finitebath.assemble(*args)
+        before = model.H_tot.copy()
         # before the reference caches the full spectrum, so a narrow window
-        # takes the subset solve
-        rho = finitebath.exact_mfg(model, beta)
+        # (with force_window, any window short of the whole spectrum) takes
+        # the subset solve
+        with pytest.MonkeyPatch.context() as mp:
+            if force_window:
+                mp.setattr(finitebath, "WINDOW_FRACTION", 1.0)
+            rho = finitebath.exact_mfg(model, beta)
+        assert np.array_equal(model.H_tot, before)
         dim = model.H_tot.shape[0]
         ref = partial_trace(_global_gibbs(model, beta), (d_s, dim // d_s), keep=0)
         assert trace_distance(rho, ref) < 1e-12
@@ -175,6 +183,67 @@ class TestSystemBathSplitEquivalence:
             warnings.simplefilter("ignore")
             d_eff = finitebath.effective_dimension(rho, model)
         assert d_eff == pytest.approx(ref, rel=1e-10)
+
+
+class TestWindowSolve:
+    """The in-place window solve against np.linalg.eigh, and H_tot's restore."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), **MODELS)
+    def test_window_matches_eigh_and_restores_h_tot(self, seed, d_s, n_modes, n_max,
+                                                    counter_term, real, cut):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
+        h = finitebath.assemble(*args).H_tot
+        before = h.copy()
+        E, V = np.linalg.eigh(before)
+        k = int(cut * (len(E) - 1))  # upper halfway between E_k and E_(k+1)
+        assume(E[k + 1] - E[k] > 1e-9 * np.abs(E).max())
+        upper = (E[k] + E[k + 1]) / 2
+        w, v = finitebath._solve_window(h, upper)
+        assert np.array_equal(h, before)
+        assert v.dtype == h.dtype and v.shape == (len(h), k + 1)
+        assert np.abs(w - E[:k + 1]).max() <= 1e-12 * np.abs(E).max()
+        # the same eigenvectors, up to a phase each
+        overlaps = np.abs(np.einsum("ki,ki->i", V[:, :k + 1].conj(), v))
+        assert np.abs(overlaps - 1).max() < 1e-8
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_h_tot_is_restored_when_the_solver_raises(self, monkeypatch, real):
+        _, args = _random_model(7, 2, 3, 3, True, real)
+        model = finitebath.assemble(*args)
+        before = model.H_tot.copy()
+
+        def scribble(a, **kwargs):
+            # everything the driver may overwrite: its lower triangle and diagonal
+            a[np.tril_indices(len(a))] = np.nan
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr" if real else "zheevr", scribble)
+        upper = np.sort(model.H_tot.diagonal().real)[2]
+        with pytest.raises(RuntimeError, match="solver failed"):
+            model.eig(upper)
+        assert np.array_equal(model.H_tot, before)
+
+    def test_count_bound_sees_an_eigenvalue_below_every_diagonal_entry(self):
+        h = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.count_nonzero(h.diagonal() <= -0.5) == 0
+        assert finitebath._window_count(h, -0.5) >= 1
+        w, v = finitebath._solve_window(h, -0.5)  # the pair at +1 is dropped
+        assert w == pytest.approx([-1.0]) and np.array_equal(h, [[0, 1], [1, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           dim=st.integers(min_value=1, max_value=150),
+           cut=st.floats(min_value=-0.5, max_value=1.5), real=st.booleans())
+    def test_count_bound_covers_every_eigenvalue_below_upper(self, seed, dim, cut, real):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim)
+        h = h.real if real else h
+        # a dominant diagonal makes the bound tight enough to cut the spectrum
+        h = h + np.diag(rng.uniform(0.0, 3.0 * dim, size=dim))
+        E = np.linalg.eigvalsh(h)
+        upper = E[0] + cut * (E[-1] - E[0])
+        assert finitebath._window_count(h, upper) >= np.count_nonzero(E <= upper)
 
 
 class TestDiscretize:
@@ -239,26 +308,36 @@ class TestAssemble:
         assert np.array_equal(a, b)
 
 
+def _benchmark_model():
+    """The benchmark's oracle model: D = 2 * 8^3 = 1024, real H_tot."""
+    J = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
+    spec = finitebath.FiniteBathSpec(
+        modes=tuple(finitebath.discretize(J, 3, 15.0)), fock_cutoff=7)
+    return finitebath.assemble(0.5 * SZ + 0.25 * SX, SZ, 0.16, spec)
+
+
 class TestThermalWindow:
     """Which LAPACK solve exact_mfg takes, at the benchmark's oracle size."""
 
     @staticmethod
     def _solves(monkeypatch, beta):
-        """Run exact_mfg at D = 2 * 8^3 = 1024; return its (solver, pairs) calls."""
-        J = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
-        spec = finitebath.FiniteBathSpec(
-            modes=tuple(finitebath.discretize(J, 3, 15.0)), fock_cutoff=7)
-        model = finitebath.assemble(0.5 * SZ + 0.25 * SX, SZ, 0.16, spec)
+        """Run exact_mfg on the benchmark model; return its (solver, pairs) calls."""
+        model = _benchmark_model()
         calls = []
 
         def spy(name, solve):
             def wrapper(*args, **kwargs):
-                w, v = solve(*args, **kwargs)
-                calls.append((name, len(w), kwargs.get("subset_by_value")))
-                return w, v
+                result = solve(*args, **kwargs)
+                if name == "full":
+                    calls.append((name, len(result[0]), None))
+                else:  # ?syevr/?heevr return (w, z, m, isuppz, info)
+                    calls.append((name, result[2], (kwargs["range"], kwargs["il"])))
+                return result
             return wrapper
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy("subset", scipy.linalg.eigh))
+        for driver in ("dsyevr", "zheevr"):
+            monkeypatch.setattr(scipy.linalg.lapack, driver,
+                                spy("window", getattr(scipy.linalg.lapack, driver)))
         monkeypatch.setattr(np.linalg, "eigh", spy("full", np.linalg.eigh))
         finitebath.exact_mfg(model, beta)
         return len(model.H_tot), calls
@@ -267,12 +346,26 @@ class TestThermalWindow:
         dim, calls = self._solves(monkeypatch, 1.0)
         assert len(calls) == 1
         name, pairs, bounds = calls[0]
-        assert name == "subset" and bounds[0] == -np.inf
+        assert name == "window" and bounds == ("I", 1)
         assert 0 < pairs < dim / 4
 
     def test_high_temperature_takes_the_full_solve(self, monkeypatch):
         dim, calls = self._solves(monkeypatch, 0.2)
         assert calls == [("full", dim, None)]
+
+    def test_exact_mfg_peak_memory_stays_below_half_h_tot(self):
+        # the window is solved in H_tot's memory and only its columns are
+        # allocated (0.36 H_tot); a value-range solve on a copy of H_tot
+        # peaked at 2.04 H_tot
+        model = _benchmark_model()
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            finitebath.exact_mfg(model, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < model.H_tot.nbytes / 2
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_invalid_beta(self, beta):

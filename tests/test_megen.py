@@ -400,6 +400,22 @@ class TestPauliUltrastrong:
             ref = _pauli_loop_reference(split, f)
             assert np.abs(L.matrix - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_population_block_solve_matches_the_whole_frame(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        split = mfstatics.pointer_split(random_hermitian(rng, dim),
+                                        random_hermitian(rng, dim))
+        L = megen.pauli_ultrastrong(split, _bp(1.0, beta=rng.uniform(0.2, 3.0)))
+        assert np.array_equal(L.slow, np.eye(dim, dtype=bool))
+        block, whole = megen.steady_state(L), megen.steady_state(megen.Liouvillian(L.matrix))
+        assert block.unique and whole.unique
+        assert trace_distance(block.states[0], whole.states[0]) < 1e-12
+        assert block.spectral_gap == pytest.approx(whole.spectral_gap, rel=1e-10)
+
 
 class TestEvolve:
     def test_relaxation_to_gibbs(self):
