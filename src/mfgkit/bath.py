@@ -47,18 +47,14 @@ PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
 
     D_beta'(omega) = int_0^inf [S(omega + x) + S(omega - x) - 2 S(omega)] / x^2 dx.
 
-For Ohmic-class J, S has a kink at nu = 0, and D_beta' ~ log|omega| as omega -> 0.
-d_beta_deriv integrates it by one of two rules:
+d_beta_deriv sums it on the same engine (_finite_part_cells, _cell_sum), in
+cells of x split where omega +- x crosses a knot or a kink of J. A kink at 0
+(Ohmic-class J) is one of S at nu = 0: x = |omega| is an edge, and D_beta' ~
+log|omega| as omega -> 0, resolved down to where the rounding of the second
+difference takes over.
 
-- |omega| >= 1e-2 scale: cells of x on [0, |omega|] and beyond, toward the
-  kink at x = |omega| and the thermal poles beside it, split where
-  omega +- x crosses a knot, plus a tail, summed by the engine of the
-  principal value (_finite_part_cells, _cell_sum);
-- below 1e-2 scale, where the kink sinks toward rounding: one
-  semi_infinite_quad per pole (_finite_part_quad).
-
-QUADPACK is left for that D_beta' below 1e-2 scale, for G(t) and finite-time
-Gamma_m(t) (its Fourier rules) and for the oscillator's correlation in clexact.
+QUADPACK is left for G(t) (corr_fn, _osc_quad) and finite-time Gamma_m(t)
+(its Fourier rules), and for the oscillator's correlation in clexact.
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
 arguments (the spectral densities are frozen dataclasses), and take a float
@@ -92,6 +88,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 (_X10, _W10), (_X20, _W20) = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _CELL_NODES = np.concatenate([_X10, _X20])
 _CELL_BLOCK = 1 << 14  # points per h call of the cell rules, bounding their memory
+_ROUNDING = 3.0  # of D_beta', per eps |S(omega)| dx/x^2 (_finite_part_cells)
 
 
 class BathIntegrationError(RuntimeError):
@@ -171,7 +168,11 @@ class SpectralDensity:
 
     discrete = False
     knots = ()  # the cell edges of a piecewise J (Tabulated), for principal_value
-    kinks = ()  # the knots where J is not twice differentiable
+    # where J, continued as an odd function, is not smooth (for a Tabulated J:
+    # not twice differentiable); with the knots, edges of d_beta_deriv's cells.
+    # A kink at 0 is one of S at nu = 0 (OhmicExp, SuperOhmicCubic: J/w is a
+    # function of |w|); Drude's J/w is smooth in w^2 and has none
+    kinks = ()
 
     def j(self, omega):
         """J(omega) = omega * J(omega)/omega."""
@@ -189,6 +190,8 @@ class SpectralDensity:
 @dataclass(frozen=True)
 class OhmicExp(SpectralDensity):
     """J(omega) = gamma * omega * exp(-omega/omega_c); gamma dimensionless."""
+
+    kinks = (0.0,)  # J/w = gamma e^(-|w|/omega_c): odd J has a jump in J'' at 0
 
     gamma: float
     omega_c: float
@@ -208,6 +211,8 @@ class OhmicExp(SpectralDensity):
 @dataclass(frozen=True)
 class SuperOhmicCubic(SpectralDensity):
     """J(omega) = (gamma/2) * (omega^3/omega_c^3) * exp(-omega/omega_c)."""
+
+    kinks = (0.0,)  # J/w has e^(-|w|/omega_c): odd J has a jump in J'''' at 0
 
     gamma: float
     omega_c: float
@@ -258,7 +263,9 @@ class Tabulated(SpectralDensity):
     J/w is smooth between its knots, the grid and the points inside it where
     the spline crosses 0 (J is clipped to 0 there), and 0 beyond the grid;
     the knots are edges of the cells of principal_value and d_beta_deriv.
-    Of them, J is not twice differentiable at its kinks.
+    Of them, J continued as an odd function is not twice differentiable at
+    its kinks: the roots, the last grid point and the first, 0 included
+    (where the odd continuation of the spline's w^2 term is w |w|).
     """
 
     omegas: tuple
@@ -290,8 +297,9 @@ class Tabulated(SpectralDensity):
         roots = cubic.roots(extrapolate=False)
         roots = roots[np.isfinite(roots)]
         object.__setattr__(self, "knots", tuple(np.union1d(w, roots).tolist()))
-        # J jumps to 0 at the last grid point; its slope jumps at the roots and the first (> 0)
-        kinks = np.union1d(roots, w[[0, -1]] if w[0] else w[-1:])
+        # J jumps to 0 at the last grid point; its slope jumps at the roots and
+        # the first (> 0), and at 0 the J'' of its odd continuation jumps
+        kinks = np.union1d(roots, w[[0, -1]])
         object.__setattr__(self, "kinks", tuple(kinks.tolist()))
         object.__setattr__(self, "_slope0", float(
             v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
@@ -430,32 +438,32 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 # ---------------------------------------------------------------------------
 
 
-def checked_quad(f, a, b, **opts):
-    """scipy quad that raises BathIntegrationError unless the value is finite
-    and the error estimate is within max(epsabs, epsrel |value|). QAWF (a
-    weight over [a, inf)) takes no epsrel."""
+def _quad(f, a, b, **opts):
+    """scipy quad, its IntegrationWarning silenced: (value, error estimate)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, **opts)
-    if not np.isfinite(val):
-        raise BathIntegrationError(f"quadrature over [{a}, {b}] returned {val}")
-    # QUADPACK stops at its subdivision limit; an error estimate above the
-    # requested tolerance is a failure, not a number
-    if err > max(opts["epsabs"], opts.get("epsrel", 0.0) * abs(val)):
+        return quad(f, a, b, **opts)
+
+
+def _converged(value, err, rule, epsabs=_QUAD_OPTS["epsabs"], epsrel=_QUAD_OPTS["epsrel"]):
+    """value after raising BathIntegrationError unless it is finite and its
+    error estimate err is within max(epsabs, epsrel |value|), elementwise. A
+    rule that stops refining (QUADPACK at its subdivision limit) returns an
+    estimate above that tolerance: a failure, not a number."""
+    if not np.isfinite(value).all():
+        raise BathIntegrationError(f"{rule} returned {value}")
+    if (err > np.maximum(epsabs, epsrel * np.abs(value))).any():
         raise BathIntegrationError(
-            f"quadrature over [{a}, {b}] did not converge (error estimate {err:.2e})")
-    return val
+            f"{rule} did not converge (error estimate {np.max(err):.2e})")
+    return value
 
 
-def semi_infinite_quad(f, scale, points=()):
-    """Integrate f over [0, inf) with panel splits at multiples of scale."""
-    splits = sorted({s for s in (*points, scale, 4 * scale, 16 * scale) if s > 0})
-    total = lo = 0.0
-    for s in splits:
-        total += checked_quad(f, lo, s, **_QUAD_OPTS)
-        lo = s
-    total += checked_quad(f, lo, np.inf, **_QUAD_OPTS)
-    return total
+def checked_quad(f, a, b, **opts):
+    """scipy quad through _converged at its own epsabs and epsrel. QAWF (a
+    weight over [a, inf)) takes no epsrel."""
+    val, err = _quad(f, a, b, **opts)
+    return _converged(val, err, f"quadrature over [{a}, {b}]",
+                      opts["epsabs"], opts.get("epsrel", 0.0))
 
 
 def principal_value(h, a, scale, knots=(), delta=None):
@@ -536,7 +544,7 @@ def _graded_rule(h, poles, scale, delta, knots):
     return _cell_sum(lo, hi, pole, far, bound, integrand, "graded cell rule", tail)
 
 
-def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None):
+def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None, noise=0.0):
     """The graded-cell engine: for each pole k of a stack, the integral over
     its cells [lo, hi] (pole[i] is cell i's pole), each bisected until its
     half-width is at most bound(mid, pole), plus its tail beyond far[k]: tail[k]
@@ -544,7 +552,8 @@ def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None):
     (0, 1]. integrand(x, dx, k) is the integrand times dx at nodes x (nodes,
     cells) of the poles k. Nodes go in blocks of _CELL_BLOCK; each cell's node
     sum and each pole's cell sum runs in a fixed order, so a pole's value does
-    not depend on the rest of the stack (_checked_cells)."""
+    not depend on the rest of the stack. Its error estimate for _converged is
+    the order-20 less the order-10 sum, plus noise[k], rounding that it misses."""
     cells = []
     while lo.size:
         half = (hi - lo) / 2
@@ -567,7 +576,7 @@ def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None):
             high.append(sum(wt * row for wt, row in zip(_W20, f[len(_W10):])))
     pole = np.concatenate([body[2], rest[2]])
     low, high = (np.bincount(pole, np.concatenate(s), far.size) for s in (low, high))
-    return _checked_cells(high if tail is None else high + tail, np.abs(high - low), rule)
+    return _converged(high if tail is None else high + tail, np.abs(high - low) + noise, rule)
 
 
 def _edge_cells(edges):
@@ -576,19 +585,6 @@ def _edge_cells(edges):
     edges = np.sort(edges, axis=1)
     full = edges[:, 1:] > edges[:, :-1]
     return edges[:, :-1][full], edges[:, 1:][full], np.nonzero(full)[0]
-
-
-def _checked_cells(value, err, rule):
-    """value, the order-20 sum of a cell rule, after raising
-    BathIntegrationError unless it is finite and its difference err from the
-    order-10 sum is within max(epsabs, epsrel |value|) of _QUAD_OPTS."""
-    if not np.isfinite(value).all():
-        raise BathIntegrationError(f"{rule} returned {value}")
-    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(value))
-    if (err > tol).any():
-        raise BathIntegrationError(
-            f"{rule} did not converge (error estimate {err.max():.2e})")
-    return value
 
 
 def _stacked(values, omega_m):
@@ -631,14 +627,15 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
 @functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
-    finite part of the module docstring by one of its two rules: cells for
-    the poles at |omega_m| >= 1e-2 scale, with a Tabulated J's knots as
-    edges (_finite_part_cells), and one semi_infinite_quad per pole below
-    (_finite_part_quad). For Ohmic-class J (OhmicExp, Tabulated)
-    D_beta'(0) diverges and the quadrature raises BathIntegrationError; it
-    converges for |omega_m| >= 3e-5 scale (measured at beta = 0.1 to 10) and
-    may raise below, where the kink sinks into rounding. So it may within
-    about 1e-7 (relative) of a kink of a Tabulated J, where D_beta' ~ log.
+    finite part of the module docstring by cells for the whole stack
+    (_finite_part_cells), at every omega_m. Against 50-digit values at
+    beta = 0.1 to 10 and |omega_m| from 0.3 down to 1e-9 scale, Drude and
+    super-Ohmic J are within 9e-15 max(1, |D_beta'|). For Ohmic-class J
+    (OhmicExp, a Tabulated J from 0) D_beta' ~ log|omega_m|, and D_beta'(0)
+    diverges: the rounding of the second differences near x = 0 grows as
+    1/|omega_m|, so the value is within the _QUAD_OPTS tolerance down to
+    about 1.2e-7 scale, and below that it raises BathIntegrationError. So it
+    raises within about 1e-6 (relative) of a kink of a Tabulated J.
 
     omega_m is a float or a tuple of floats; a tuple gives a read-only array.
     Values are memoized per process on (J, beta, omega_m)."""
@@ -648,63 +645,53 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     if J.discrete:
         nu, s = J.atoms(beta, om)
         return _stacked(np.sum(s / (nu - om[:, None]) ** 2, axis=1), omega_m)
-    cells = np.abs(om) >= 1e-2 * J.scale()
-    out = np.empty(om.shape)
-    if cells.any():
-        out[cells] = _finite_part_cells(J, beta, om[cells])
-    out[~cells] = [_finite_part_quad(J, beta, w) for w in om[~cells].tolist()]
-    return _stacked(out, omega_m)
-
-
-def _finite_part_quad(J: SpectralDensity, beta: float, omega_m: float) -> float:
-    """D_beta'(omega_m) for |omega_m| < 1e-2 scale by semi_infinite_quad. Its
-    panels do not split at x = |omega_m| (the kink of S at nu = 0): QUADPACK
-    does not converge on so short a first panel of cancelling differences."""
-    s0 = _thermal_spectrum(J, beta, omega_m)
-
-    def integrand(x):  # nodes omega_m +- x stay plain floats
-        return (_thermal_spectrum(J, beta, omega_m + x)
-                + _thermal_spectrum(J, beta, omega_m - x) - 2.0 * s0) / (x * x)
-
-    return semi_infinite_quad(integrand, J.scale())
+    return _stacked(_finite_part_cells(J, beta, om) if om.size else om, omega_m)
 
 
 def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
-    """D_beta' for an (M,) stack of omega with |omega| >= 1e-2 scale by
-    _cell_sum. Pole a = |omega| (the kink of S) has cells of x on [0, a] and
-    [a, X] and a tail: X = a + 16 scale and the tail x = X/t without knots;
-    with knots w_k, the last W, cells split where omega +- x crosses a knot,
-    at |a +- w_k|, and X = a + W, beyond which the tail is -2 S(omega)/X.
+    """D_beta' for an (M,) stack of omega by _cell_sum. With a = |omega|,
+    S(omega +- x) is smooth in x but where omega +- x crosses a knot or kink p
+    of J, at x = |a - p| and a + p (x = a for a kink at 0): the cell edges up
+    to X, beyond which the tail is -2 S(omega)/X with knots (X = a + W, W the
+    last) and x = X/t without (X = a + 16 scale). The first cell is summed as
+    an even function over [-x1, x1], where omega +- x stay on omega's piece,
+    so no node comes nearer x = 0, where the second difference is rounding,
+    than 0.08 x1; without knots or kinks (Drude) x1 = 0.3 hypot(a, delta).
     Each cell is bisected to a half-width of at most a third of its reach,
     the least of its distance to a +- i delta, delta = min(2 pi/beta, scale)
     (the thermal poles of S and the density's own); above the first cell, mid
     (S continued past the kink or a knot leaves a 1/x^2 pole at 0); and
     |mid - a| where |omega - x| is past the first knot (spline(nu)/nu has a
     pole at 0)."""
+    omega = np.where(np.abs(omega) < _TINY, 0.0, omega)  # a subnormal pole's cells underflow
     a, scale = np.abs(omega), J.scale()
     delta = min(2 * math.pi / beta, scale)
     s0 = _thermal_spectrum(J, beta, omega)
-    if not J.knots:
-        far = a + 16 * scale
-        lo, hi, pole = _edge_cells(np.column_stack([np.zeros_like(a), a, far]))
-        first, pieces, tail = a, np.inf, None
-    else:
-        knots = np.asarray(J.knots)
-        far = a + knots[-1]
-        # a knot where J is C2 within 1e-5 a gives no edge, which would cut a
-        # first cell so short that rounding swamps its second differences
-        cross = np.abs(a[:, None] - knots)
-        merged = (cross < 1e-5 * a[:, None]) & ~np.isin(knots, J.kinks)
-        lo, hi, pole = _edge_cells(np.column_stack(
-            [np.zeros_like(a), a, np.where(merged, 0.0, cross), a[:, None] + knots]))
-        start = np.searchsorted(pole, np.arange(a.size))  # each pole's first cell
-        first = hi[start]
-        # there omega +- x stay on omega's piece, so the integrand is even in
-        # x: over [-first, first] (0 at x < 0) no node comes nearer x = 0, where
-        # S(omega + x) + S(omega - x) - 2 S(omega) is rounding, than 0.08 first
-        lo[start] = np.where(merged.any(axis=1), 0.0, -first)
-        pieces = knots[1] if knots[0] == 0 else knots[0]  # spline(nu)/nu is smooth below
+    points = np.union1d(J.knots, J.kinks)
+    # a knot where J is C2 within 1e-5 a gives no edge, which would cut a
+    # first cell so short that rounding swamps its second differences
+    cross = np.abs(a[:, None] - points)
+    merged = (cross < 1e-5 * a[:, None]) & ~np.isin(points, J.kinks)
+    if J.knots:
+        far = a + J.knots[-1]
         tail = -2.0 * s0 / far
+        pieces = points[1] if points[0] == 0 else points[0]  # spline(nu)/nu is smooth below
+    else:
+        far, tail, pieces = a + 16 * scale, None, np.inf
+    edges = [np.zeros_like(a), far, np.where(merged, 0.0, cross), a[:, None] + points]
+    if not points.size:
+        edges.append(0.3 * np.hypot(a, delta))
+    lo, hi, pole = _edge_cells(np.column_stack(edges))
+    start = np.searchsorted(pole, np.arange(a.size))  # each pole's first cell
+    first = hi[start]
+    lo[start] = np.where(merged.any(axis=1), 0.0, -first)
+    # rounding of the second difference, a few eps |S(omega)| at each node,
+    # weighs dx/x^2: most at the first cell's nodes, 1/x1 over the cells above.
+    # Against 50-digit values the error was at most 2.5 eps |S(omega)| times that
+    half = (first - lo[start]) / 2
+    x = lo[start] + half * (1 + _X20[:, None])
+    amplified = np.sum(_W20[:, None] * half * (x > 0) / x / x, axis=0) + 1 / first
+    noise = _ROUNDING * np.finfo(float).eps * np.abs(s0) * amplified
 
     def bound(mid, k):
         gap = np.abs(mid - a[k])
@@ -715,9 +702,9 @@ def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
     def integrand(x, dx, k):
         w = omega[k]
         return (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
-                - 2.0 * s0[k]) * ((x > 0) * dx / (x * x))
+                - 2.0 * s0[k]) * ((x > 0) * dx / x / x)  # x * x underflows at a tiny a
 
-    return _cell_sum(lo, hi, pole, far, bound, integrand, "cell rule for D_beta'", tail)
+    return _cell_sum(lo, hi, pole, far, bound, integrand, "cell rule for D_beta'", tail, noise)
 
 
 def _bose_ratio(x):
@@ -744,11 +731,12 @@ def _thermal_spectrum(J: SpectralDensity, beta: float, nu):
 
 
 def _osc_quad(envelope, t, scale, kind):
-    """int_0^inf envelope(w) * cos/sin(w t) dw for decaying envelopes."""
+    """int_0^inf envelope(w) * cos/sin(w t) dw for decaying envelopes; at t = 0
+    a plain quad over panels split at scale, 4 scale and 16 scale."""
     if t == 0.0:
-        if kind == "sin":
-            return 0.0
-        return semi_infinite_quad(envelope, scale)
+        edges = (0.0, scale, 4 * scale, 16 * scale, np.inf)
+        return 0.0 if kind == "sin" else sum(
+            checked_quad(envelope, lo, hi, **_QUAD_OPTS) for lo, hi in zip(edges, edges[1:]))
     return checked_quad(envelope, 0, np.inf, weight=kind, wvar=t, limit=400, epsabs=1e-11)
 
 
@@ -886,19 +874,12 @@ def _gamma_finite(J: SpectralDensity, beta: float, omega_m: float, t: float) -> 
                    (-1j, B, lo, hi, {})]
         lo = hi
     total, error = 0j, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for factor, f, a, b, opts in pieces:
-            val, err = quad(f, a, b, **_FOURIER_OPTS, **opts)
-            total += factor * val
-            error += abs(err)
-    # QUADPACK refines up to its limit; a summed error estimate above the
-    # library-wide tolerance is a failure, not a number
-    if not (np.isfinite(total)
-            and error <= max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))):
-        raise BathIntegrationError(
-            f"Gamma_m(t) quadrature did not converge (error estimate {error:.2e})")
-    return complex(total)
+    for factor, f, a, b, opts in pieces:
+        val, err = _quad(f, a, b, **_FOURIER_OPTS, **opts)
+        total += factor * val
+        error += abs(err)
+    # the summed error estimate against the library-wide tolerance
+    return complex(_converged(total, error, "Gamma_m(t) quadrature"))
 
 
 def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m) -> np.ndarray:

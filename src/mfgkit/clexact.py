@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import digamma, loggamma, polygamma
 
 from . import bath as bathmod
@@ -155,7 +154,8 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
 
     w_max = max(12 * scale, 8 * omega_0, 40.0 / beta)
     grid = np.linspace(0.0, w_max, 481)
-    sigma_re = bathmod.FloatSpline(CubicSpline(grid, _self_energy_real(J, grid)))
+    spline = CubicSpline(grid, _self_energy_real(J, grid))
+    sigma_re = bathmod.FloatSpline(spline)
 
     def denom_re(w):
         return omega_0**2 - w * w - sigma_re(w)
@@ -171,12 +171,16 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     def integrand(w):
         return math.cos(w * dt) * envelope(w)
 
-    # locate the dressed resonance so the quadrature subdivides around it
-    points = []
-    samples = np.linspace(1e-6, w_max, 2001)
-    vals = denom_re(samples)
-    for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:])):
-        points.append(brentq(denom_re, samples[i], samples[i + 1]))
+    # the dressed resonances, where the piecewise cubic w_0^2 - w^2 - Re Sigma
+    # crosses 0, so that the quadrature subdivides around them: on each cell
+    # of the spline, w_0^2 - (x_i + d)^2 less its cubic in d = w - x_i
+    x = grid[:-1]
+    c = -spline.c
+    c[1] -= 1.0
+    c[2] -= 2.0 * x
+    c[3] += omega_0**2 - x * x
+    roots = PPoly(c, grid).roots(extrapolate=False)
+    points = roots[(roots > 0.0) & (roots < w_max)].tolist()
 
     total = bathmod.checked_quad(integrand, 0.0, w_max, points=points or None,
                                  limit=400, epsabs=1e-12, epsrel=1e-10)

@@ -124,10 +124,17 @@ def _window_count(h: np.ndarray, upper: float) -> int:
     has rows, so at most #{i : h_ii - R_i <= upper} lie at or below it. The
     count of diagonal entries <= upper is no such bound: [[0, 1], [1, 0]] has
     none below -0.5 and the eigenvalue -1.
+
+    The same pass compares each block of rows, from its diagonal on, with the
+    conjugate of its block of columns and raises ValueError unless h is
+    exactly Hermitian, as _solve_window needs, before anything writes to h.
     """
     count = 0
     for r0 in range(0, len(h), ROW_BLOCK):
         rows = h[r0:r0 + ROW_BLOCK]
+        if not np.array_equal(rows[:, r0:], np.conjugate(h[r0:, r0:r0 + ROW_BLOCK].T)):
+            raise ValueError(f"H_tot is not exactly Hermitian in rows {r0} to "
+                             f"{r0 + len(rows) - 1}; the window solve mirrors one triangle")
         diagonal = np.diagonal(rows, offset=r0)
         radius = np.abs(rows).sum(axis=1) - np.abs(diagonal)
         count += np.count_nonzero(diagonal.real - radius <= upper)
@@ -137,7 +144,8 @@ def _window_count(h: np.ndarray, upper: float) -> int:
 def _solve_window(h: np.ndarray, upper: float):
     """Every eigenpair of h with eigenvalue <= upper, solved in h's memory.
 
-    h must be C-ordered and exactly Hermitian, as assemble builds H_tot. Its
+    h must be C-ordered and exactly Hermitian, as assemble builds H_tot
+    (_window_count raises ValueError otherwise, with h untouched). Its
     transpose is then a Fortran view of h^T = conj(h), whose eigenvectors are
     the conjugates of h's. ?syevr (?heevr) with lower=1 reads the lower
     triangle of that view, h's upper one, and overwrites it and the diagonal;

@@ -22,6 +22,9 @@ SUPER_REF = bath.SuperOhmicCubic(gamma=0.2, omega_c=3.0)
 _TAB_GRID = np.linspace(0.0, 60.0, 200)
 TAB_OHMIC = bath.Tabulated(omegas=tuple(_TAB_GRID),
                            values=tuple(0.1 * _TAB_GRID * np.exp(-_TAB_GRID / 4)))
+# with DRUDE, the densities of the 50-digit D_beta' references at small frequencies
+OHMIC_SMALL = bath.OhmicExp(gamma=0.1, omega_c=4.0)
+SUPER_SMALL = bath.SuperOhmicCubic(gamma=0.1, omega_c=4.0)
 
 
 def _corr_fn_kms_shifted(J, beta, t):
@@ -238,15 +241,19 @@ def _ref_discrete_d_beta_deriv(J, beta, omega):
 
 
 def _quad_finite_part(J, beta, omega):
-    """Reference: D_beta'(omega) by the per-pole semi_infinite_quad that the
-    cell rule replaced for |omega| >= 1e-2 scale, panels split at |omega|."""
+    """Reference: D_beta'(omega) by the per-pole QUADPACK rule that the cell
+    rule replaced for |omega| >= 1e-2 scale, panels split at |omega|; it
+    raises BathIntegrationError where a panel does not converge."""
     s0 = bath._thermal_spectrum(J, beta, omega)
 
     def integrand(x):
         return (bath._thermal_spectrum(J, beta, omega + x)
                 + bath._thermal_spectrum(J, beta, omega - x) - 2.0 * s0) / (x * x)
 
-    return bath.semi_infinite_quad(integrand, J.scale(), points=(abs(omega),))
+    scale = J.scale()
+    edges = [0.0, *sorted({abs(omega), scale, 4 * scale, 16 * scale}), np.inf]
+    return sum(bath.checked_quad(integrand, lo, hi, **bath._QUAD_OPTS)
+               for lo, hi in zip(edges, edges[1:]))
 
 
 def _thermal_slope(tab, beta, nu):
@@ -1096,20 +1103,29 @@ class TestDBeta:
             assert d[0] > d[1] > d[2]  # the log|omega| growth, here downwards
 
     def test_derivative_resolution_floor_for_ohmic_class(self):
-        # the finite part must resolve the kink of S at x = |omega|, where
-        # S(omega + x) + S(omega - x) - 2 S(omega) cancels to its rounding
-        # error; down to 1e-6 it follows D' = c log|omega| + d, and below
-        # the quadrature may raise instead of returning a number
-        ohmic = bath.OhmicExp(0.1, 4.0)
-        d4, d5, d6 = (bath.d_beta_deriv(ohmic, 1.0, w) for w in (1e-4, 1e-5, 1e-6))
-        assert d6 - d5 == pytest.approx(d5 - d4, rel=1e-3)
-        # at 1e-9 the quadrature converges again, on the log law extrapolated
-        # from 1e-4...1e-6 (-1.0220989 against -1.0221152)
-        d9 = bath.d_beta_deriv(ohmic, 1.0, 1e-9)
-        assert d9 == pytest.approx(d6 + 3 * (d6 - d5), rel=1e-4)
-        for J, w in ((ohmic, 1e-7), (TAB_OHMIC, 1e-7), (TAB_OHMIC, 1e-12)):
-            with pytest.raises(bath.BathIntegrationError):
-                bath.d_beta_deriv(J, 1.0, w)
+        # the kink of S at nu = 0 is the cell edge x = |omega|, and down to
+        # 1e-6 D' follows c log|omega| + d (steps per decade from 1e-3:
+        # -0.11477, -0.11508, -0.11512 for OhmicExp(0.1, 4)). Below, rounding
+        # of the second differences, amplified by 1/x^2 on the first cell,
+        # grows as 1/|omega|: the rule returns a value on the law, or raises
+        # where its rounding estimate passes the tolerance (from about 1.2e-7
+        # scale down, measured at beta = 0.1 to 10). The QUADPACK rule it
+        # replaced raised at most omega from 1e-6 scale down, and returned a
+        # value at 1e-9 on this law
+        for J in (bath.OhmicExp(0.1, 4.0), TAB_OHMIC):
+            d = [bath.d_beta_deriv(J, 1.0, w) for w in (1e-3, 1e-4, 1e-5, 1e-6)]
+            steps = np.diff(d)
+            assert steps == pytest.approx(steps[-1], rel=5e-3)
+            raised = 0
+            for w in (5e-7, 2e-7, 1e-7, 1e-8, 1e-9, 1e-12):
+                try:
+                    got = bath.d_beta_deriv(J, 1.0, w)
+                except bath.BathIntegrationError:
+                    raised += 1
+                    continue
+                # the law extrapolated from 1e-6; the steps converge as omega
+                assert abs(got - (d[-1] + steps[-1] * np.log10(1e-6 / w))) < 1e-5
+            assert raised
 
     def test_discrete_derivative_keeps_collision_check(self):
         with pytest.raises(bath.BathIntegrationError, match="collides"):
@@ -1162,8 +1178,8 @@ def _finite_part_stack(draw):
 def _tabulated_finite_part_stack(draw):
     """A random _tabulated J, beta in [0.1, 10] and a stack of up to 4 poles
     with |omega| in [1e-2, 10] scale, one of them on a knot. At a kink of J
-    (test_tabulated_kink_raises) the finite part diverges, and within about
-    1e-7 of one it raises, so poles keep 1e-6 (relative) away from the kinks."""
+    (test_tabulated_kink_raises) the finite part diverges, and from about
+    1e-6 (relative) of one it raises, so poles keep 1e-6 away from the kinks."""
     tab = draw(_tabulated())
     beta = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.0))
     scale = tab.scale()
@@ -1176,9 +1192,9 @@ def _tabulated_finite_part_stack(draw):
 
 
 class TestFinitePartCells:
-    """D_beta' of a continuous J at |omega| >= 1e-2 scale: one Gauss-Legendre
-    sum over cells for the whole stack (bath._finite_part_cells), a table's
-    knots among their edges."""
+    """D_beta' of a continuous J at every frequency: one Gauss-Legendre sum
+    over cells for the whole stack (bath._finite_part_cells), a table's knots
+    and a kink of J at 0 among their edges."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=_finite_part_stack())
@@ -1235,9 +1251,70 @@ class TestFinitePartCells:
             raise AssertionError("QUADPACK on an eligible stack")
 
         monkeypatch.setattr(bath, "quad", refuse)
-        for J in (DRUDE, OHMIC, SUPER):
-            stack = (-2.3, 0.7, 3.0, 0.01 * J.scale())
+        small = [s * 10.0**e for e in range(-3, -9, -1) for s in (1.0, -1.0)]  # 1e-3 to 1e-8
+        # S is smooth through nu = 0 (Drude) or nearly so (super-Ohmic, whose
+        # J jumps only in its fourth derivative): D' is finite at every omega
+        for J in (DRUDE, SUPER):
+            stack = (-2.3, 0.7, 3.0, 0.0, *(w * J.scale() for w in small))
             assert np.isfinite(bath.d_beta_deriv.__wrapped__(J, 1.0, stack)).all()
+        # an Ohmic-class J down to its rounding floor (about 1.2e-7 scale), and
+        # below it the cell rule raises
+        for J in (OHMIC, TAB_OHMIC):
+            stack = (-2.3, 0.7, 3.0, *(w * J.scale() for w in small[:-4]))
+            assert np.isfinite(bath.d_beta_deriv.__wrapped__(J, 1.0, stack)).all()
+            for w in (0.0, 1e-8 * J.scale()):
+                with pytest.raises(bath.BathIntegrationError, match="did not converge"):
+                    bath.d_beta_deriv.__wrapped__(J, 1.0, w)
+
+    # 50-digit values of the finite part (mpmath, S at 250 digits) at
+    # omega = sign r scale. Drude and super-Ohmic J were measured within
+    # 9e-15 max(1, |D'|) at every |omega| from 0.3 to 1e-9 scale, beta in
+    # {0.1, 1, 10}; the OhmicExp within 0.36 of the _QUAD_OPTS tolerance
+    # wherever it returned a value (down to 1.3e-7 scale)
+    @pytest.mark.parametrize("J, beta, r, sign, expected", [
+        (DRUDE, 0.1, 0.3, +1, -0.3509493704997573),
+        (DRUDE, 0.1, 0.001, -1, -0.39191782782798873),
+        (DRUDE, 0.1, 1e-06, +1, -0.3921192023280565),
+        (DRUDE, 0.1, 1e-09, -1, -0.3921190021292314),
+        (DRUDE, 1.0, 0.3, +1, -0.0497097820613292),
+        (DRUDE, 1.0, 0.001, -1, 0.014891081873151503),
+        (DRUDE, 1.0, 1e-06, +1, 0.014691071727002025),
+        (DRUDE, 1.0, 1e-07, +1, 0.014691251727189584),
+        (DRUDE, 1.0, 1e-09, -1, 0.014691271927191477),
+        (DRUDE, 10.0, 0.3, +1, -0.04921217057354593),
+        (DRUDE, 10.0, 0.001, -1, 0.16889223434515802),
+        (DRUDE, 10.0, 1e-06, +1, 0.16870707757073208),
+        (DRUDE, 10.0, 1e-09, -1, 0.16870727778577624),
+        (SUPER_SMALL, 0.1, 0.3, +1, 0.04707619594124242),
+        (SUPER_SMALL, 0.1, 0.001, -1, 0.06409209025528215),
+        (SUPER_SMALL, 0.1, 1e-06, +1, 0.06411842438805701),
+        (SUPER_SMALL, 0.1, 1e-09, -1, 0.06411839936566169),
+        (SUPER_SMALL, 1.0, 0.3, +1, 0.018956536348945553),
+        (SUPER_SMALL, 1.0, 0.001, -1, 0.014345716398259814),
+        (SUPER_SMALL, 1.0, 1e-05, +1, 0.01437107678420615),
+        (SUPER_SMALL, 1.0, 1e-06, +1, 0.01437085180367708),
+        (SUPER_SMALL, 1.0, 1e-09, -1, 0.014370826778917361),
+        (SUPER_SMALL, 10.0, 0.3, +1, 0.019557139810154046),
+        (SUPER_SMALL, 10.0, 0.001, -1, 0.012499858103165595),
+        (SUPER_SMALL, 10.0, 1e-06, +1, 0.012524818714103469),
+        (SUPER_SMALL, 10.0, 1e-09, -1, 0.01252479368905238),
+        (OHMIC_SMALL, 0.1, 0.001, +1, -3.160005438418915),
+        (OHMIC_SMALL, 0.1, 1e-05, -1, -5.461199454244862),
+        (OHMIC_SMALL, 0.1, 1e-06, +1, -6.612517619490324),
+        (OHMIC_SMALL, 1.0, 0.001, -1, -0.26066042739604006),
+        (OHMIC_SMALL, 1.0, 1e-05, +1, -0.4923062814475042),
+        (OHMIC_SMALL, 1.0, 1e-06, +1, -0.607415412072619),
+        (OHMIC_SMALL, 10.0, 0.001, +1, 0.17271662288978687),
+        (OHMIC_SMALL, 10.0, 1e-05, -1, 0.15110445372169082),
+        (OHMIC_SMALL, 10.0, 1e-06, +1, 0.13956591253244283),
+    ])
+    def test_frozen_fifty_digit_small_frequency_values(self, J, beta, r, sign, expected):
+        got = bath.d_beta_deriv.__wrapped__(J, beta, sign * r * J.scale())
+        if J is OHMIC_SMALL:
+            assert abs(got - expected) <= max(bath._QUAD_OPTS["epsabs"],
+                                              bath._QUAD_OPTS["epsrel"] * abs(expected))
+        else:
+            assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
 
     @settings(max_examples=15, deadline=None)
     @given(case=_tabulated_finite_part_stack())
@@ -1289,26 +1366,6 @@ class TestFinitePartCells:
                 bath.d_beta_deriv.__wrapped__(tab, 1.0, w)
         near = [bath.d_beta_deriv.__wrapped__(tab, 1.0, 0.3 * (1 + d)) for d in (1e-4, 1e-6)]
         assert near[1] < near[0] < 0.0  # the log growth, here downwards
-
-    def test_small_poles_keep_the_quad(self, monkeypatch):
-        # below 1e-2 scale (the Ohmic rounding floor) each pole is one
-        # semi_infinite_quad, on a J with knots as without; above it a J with
-        # knots takes the cells as well
-        calls, quad_rule = [], bath.semi_infinite_quad
-
-        def spy(f, scale, points=()):
-            calls.append(points)
-            return quad_rule(f, scale, points)
-
-        monkeypatch.setattr(bath, "semi_infinite_quad", spy)
-        for J in (OHMIC, TAB_OHMIC):
-            small = 0.005 * J.scale()
-            got = bath.d_beta_deriv.__wrapped__(J, 1.0, (0.7, small, -small, 2.0))
-            assert calls == [(), ()]
-            assert got[1] == bath.d_beta_deriv.__wrapped__(J, 1.0, small)
-            calls.clear()
-        bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, (0.7, -2.0))
-        assert calls == []
 
     def test_discrete_bath_sums_the_stack(self):
         stack = (0.3, -2.0, 5.5)

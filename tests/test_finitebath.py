@@ -224,6 +224,19 @@ class TestWindowSolve:
             model.eig(upper)
         assert np.array_equal(model.H_tot, before)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_window_rejects_h_tot_that_is_not_exactly_hermitian(self, real):
+        # the solve mirrors H_tot's lower triangle over its upper one, so a
+        # hand-built H_tot off by 1e-15 would come back changed; it raises first
+        _, args = _random_model(7, 2, 3, 3, True, real)
+        h = finitebath.assemble(*args).H_tot
+        h[0, 5] += 1e-15
+        before = h.copy()
+        upper = np.sort(h.diagonal().real)[2]
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            finitebath.GlobalModel(2, h).eig(upper)
+        assert np.array_equal(h, before)
+
     def test_count_bound_sees_an_eigenvalue_below_every_diagonal_entry(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.count_nonzero(h.diagonal() <= -0.5) == 0

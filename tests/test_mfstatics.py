@@ -112,6 +112,17 @@ class TestWeakCoupling:
             assert trace_distance(state, gibbs(H_SB, 1.0)) > 1e-4
         assert trace_distance(*states) < 1e-6
 
+    @pytest.mark.parametrize("delta", [7e-7, 2e-6])
+    def test_ohmic_bath_at_small_bohr_frequencies(self, delta):
+        # the qubit's Bohr frequencies are +-delta, where D' of an Ohmic J
+        # grows as log(delta); the QUADPACK finite part raised at both. The
+        # cell rule returns down to about 1.2e-7 scale (here delta = 4e-7,
+        # at 0.89 of its tolerance) and raises below (delta = 3e-7)
+        H = delta / (2 * np.sqrt(2)) * (SZ + SX)
+        res = mfstatics.mfg_weak(H, SZ, _bp(0.1, J=bath.OhmicExp(gamma=0.1, omega_c=4.0)))
+        require_density_matrix(res.state)
+        assert abs(res.state[0, 1]) < 1e-6
+
     def test_correction_is_traceless_and_hermitian(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
