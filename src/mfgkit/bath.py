@@ -51,7 +51,9 @@ d_beta_deriv sums it on the same engine (_finite_part_cells, _cell_sum), in
 cells of x split where omega +- x crosses a knot or a kink of J. A kink at 0
 (Ohmic-class J) is one of S at nu = 0: x = |omega| is an edge, and D_beta' ~
 log|omega| as omega -> 0, resolved down to where the rounding of the second
-difference takes over.
+difference takes over. Within 1e-2 |omega| of a knot of a table, where that
+rounding would cut the first cell short, it sums the first differences of S'
+instead (the finite part integrated by parts).
 
 QUADPACK is left for G(t) (corr_fn, _osc_quad) and finite-time Gamma_m(t)
 (its Fourier rules), and for the oscillator's correlation in clexact.
@@ -324,6 +326,24 @@ class Tabulated(SpectralDensity):
         x = np.where(inside, w, hi)
         return np.where(inside, np.maximum(self._cubic(x), 0.0) / x,
                         np.where(w > hi, 0.0, self._slope0))
+
+    def j_over_omega_slope(self, omega):
+        """d(J/w)/dw at an array of points: (J' w - J)/w^2, its numerator
+        summed as a cubic in t = w - w_i on the cell [w_i, w_(i+1)], so that
+        J' w and J do not cancel to rounding (on the first cell of a grid from
+        0, (J' w - J)/w^2 is the spline's t^2 coefficient plus 2 t its t^3
+        one). 0 where J/w is constant: at or below the first point and above
+        the grid. Where the spline is clipped to 0 the caller zeroes it."""
+        cubic = self._cubic
+        lo, hi = self.omegas[0] or _TINY, self.omegas[-1]
+        w = np.asarray(omega, dtype=float)
+        inside = (w > lo) & (w <= hi)
+        x = np.where(inside, w, hi)
+        i = np.clip(np.searchsorted(cubic.x, x, side="right") - 1, 0, cubic.x.size - 2)
+        p, (c3, c2, c1, c0) = cubic.x[i], cubic.c[:, i]  # J = c0 + c1 t + c2 t^2 + c3 t^3
+        t = x - p
+        num = (c1 * p - c0) + t * (2 * c2 * p + t * ((c2 + 3 * c3 * p) + t * 2 * c3))
+        return np.where(inside, num / (x * x), 0.0)
 
     def scale(self):
         w = np.asarray(self.omegas)
@@ -662,19 +682,32 @@ def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
     (the thermal poles of S and the density's own); above the first cell, mid
     (S continued past the kink or a knot leaves a 1/x^2 pole at 0); and
     |mid - a| where |omega - x| is past the first knot (spline(nu)/nu has a
-    pole at 0)."""
+    pole at 0).
+
+    Rounding of the second difference grows as 1/x1, and next to a knot x1
+    is short: a pole within 1e-2 a of a knot where J is C2 (and of no kink)
+    sums instead the first differences [S'(omega + x) - S'(omega - x)]/x of
+    _thermal_slope, D_beta' integrated by parts over [-W, W] (S = 0 beyond):
+    PV int S'(nu)/(nu - omega) dnu - S(W)/(W - omega) - S(-W)/(W + omega),
+    on the same cells, whose rounding weighs dx/x. On the knot itself its
+    first cell is [0, x2]: the pieces on either side meet in S and S'."""
     omega = np.where(np.abs(omega) < _TINY, 0.0, omega)  # a subnormal pole's cells underflow
     a, scale = np.abs(omega), J.scale()
     delta = min(2 * math.pi / beta, scale)
     s0 = _thermal_spectrum(J, beta, omega)
     points = np.union1d(J.knots, J.kinks)
-    # a knot where J is C2 within 1e-5 a gives no edge, which would cut a
-    # first cell so short that rounding swamps its second differences
     cross = np.abs(a[:, None] - points)
-    merged = (cross < 1e-5 * a[:, None]) & ~np.isin(points, J.kinks)
+    kink = np.isin(points, J.kinks)
+    near = cross < 1e-2 * a[:, None]
+    sloped = (near & ~kink).any(axis=1) & ~(near & kink).any(axis=1)  # the first differences of S'
+    # by second differences, a knot where J is C2 within 1e-5 a gives no
+    # edge, which would cut a first cell so short that rounding swamps them
+    merged = (cross < 1e-5 * a[:, None]) & ~kink & ~sloped[:, None]
     if J.knots:
-        far = a + J.knots[-1]
-        tail = -2.0 * s0 / far
+        W = J.knots[-1]
+        far = a + W
+        tail = np.where(sloped, -_thermal_spectrum(J, beta, W) / (W - omega)
+                        - _thermal_spectrum(J, beta, -W) / (W + omega), -2.0 * s0 / far)
         pieces = points[1] if points[0] == 0 else points[0]  # spline(nu)/nu is smooth below
     else:
         far, tail, pieces = a + 16 * scale, None, np.inf
@@ -684,14 +717,15 @@ def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
     lo, hi, pole = _edge_cells(np.column_stack(edges))
     start = np.searchsorted(pole, np.arange(a.size))  # each pole's first cell
     first = hi[start]
-    lo[start] = np.where(merged.any(axis=1), 0.0, -first)
+    on_knot = sloped & (cross == 0).any(axis=1)
+    lo[start] = np.where(merged.any(axis=1) | on_knot, 0.0, -first)
     # rounding of the second difference, a few eps |S(omega)| at each node,
     # weighs dx/x^2: most at the first cell's nodes, 1/x1 over the cells above.
     # Against 50-digit values the error was at most 2.5 eps |S(omega)| times that
     half = (first - lo[start]) / 2
     x = lo[start] + half * (1 + _X20[:, None])
     amplified = np.sum(_W20[:, None] * half * (x > 0) / x / x, axis=0) + 1 / first
-    noise = _ROUNDING * np.finfo(float).eps * np.abs(s0) * amplified
+    noise = np.where(sloped, 0.0, _ROUNDING * np.finfo(float).eps * np.abs(s0) * amplified)
 
     def bound(mid, k):
         gap = np.abs(mid - a[k])
@@ -700,9 +734,19 @@ def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
         return np.where(gap > pieces, np.minimum(reach, gap), reach) / 3
 
     def integrand(x, dx, k):
-        w = omega[k]
-        return (_thermal_spectrum(J, beta, w + x) + _thermal_spectrum(J, beta, w - x)
-                - 2.0 * s0[k]) * ((x > 0) * dx / x / x)  # x * x underflows at a tiny a
+        f, dx = np.empty_like(x), np.broadcast_to(dx, x.shape)  # (nodes, cells)
+        for by_slope in (False, True):
+            cols = sloped[k] == by_slope
+            if not cols.any():
+                continue
+            w, y = omega[k[cols]], x[:, cols]
+            d = (y > 0) * dx[:, cols] / y
+            if by_slope:
+                f[:, cols] = (_thermal_slope(J, beta, w + y) - _thermal_slope(J, beta, w - y)) * d
+            else:  # x * x underflows at a tiny a
+                f[:, cols] = (_thermal_spectrum(J, beta, w + y) + _thermal_spectrum(J, beta, w - y)
+                              - 2.0 * s0[k[cols]]) * (d / y)
+        return f
 
     return _cell_sum(lo, hi, pole, far, bound, integrand, "cell rule for D_beta'", tail, noise)
 
@@ -714,6 +758,32 @@ def _bose_ratio(x):
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 + x / 2.0 + x * x / 12.0, safe / -np.expm1(-safe))
+
+
+def _bose_ratio_slope(x):
+    """The derivative of _bose_ratio at an array of x, (E - y e)/E^2 for x =
+    y >= 0 and e (y - E)/E^2 for x = -y, with e = e^(-y) and E = 1 - e (the
+    two sum to 1); below |x| = 0.1, where E - y e cancels, its Bernoulli
+    series to x^7 (the next term is 2e-7 x^9)."""
+    small = np.abs(x) < 0.1
+    s = np.where(small, x, 0.0)
+    y = np.where(small, 1.0, np.abs(x))
+    e, big = np.exp(-y), -np.expm1(-y)
+    closed = np.where(x >= 0, big - y * e, e * (y - big)) / (big * big)
+    return np.where(small, 0.5 + s * (1 / 6 + s * s * (-1 / 180 + s * s * (1 / 5040 - s * s / 151200))),
+                    closed)
+
+
+def _thermal_slope(J: Tabulated, beta: float, nu):
+    """S'(nu) for an array of nu. S(nu) = m(|nu|) B(beta nu)/beta, with m =
+    J/w and B = _bose_ratio, so S' = sign(nu) m'(|nu|) B/beta + m B'; for
+    nu < 0, B(beta nu) is e^(-beta |nu|) B(beta |nu|), as in
+    _thermal_spectrum, so that it does not overflow."""
+    u = np.abs(nu)
+    m = J.j_over_omega(u)
+    dm = np.where(m > 0, J.j_over_omega_slope(u), 0.0)  # 0 where J is clipped to 0
+    ratio = _bose_ratio(beta * u) * np.where(nu >= 0, 1.0, np.exp(-beta * u))
+    return np.sign(nu) * dm * ratio / beta + m * _bose_ratio_slope(beta * nu)
 
 
 def _thermal_spectrum(J: SpectralDensity, beta: float, nu):

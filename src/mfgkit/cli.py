@@ -520,8 +520,7 @@ def _task_oracle(sc: Scenario, outdir: Path):
     tau = gibbs(sc.H_S, sc.beta)
     rows = []
     for lam in sc.lambdas:
-        # the model is a temporary: its H_tot and eigenvectors go before the next lam
-        exact = finitebath.exact_mfg(finitebath.assemble(sc.H_S, sc.X, lam, spec), sc.beta)
+        exact = finitebath.ladder_mfg(sc.H_S, sc.X, lam, spec, sc.beta)
         weak = mfstatics.mfg_weak(
             sc.H_S, sc.X, bathmod.BathParams(J=J_disc, beta=sc.beta, lam=lam)).state
         rows.append([lam, trace_distance(exact, weak), trace_distance(exact, tau)])

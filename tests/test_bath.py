@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.interpolate import CubicSpline
@@ -240,10 +240,17 @@ def _ref_discrete_d_beta_deriv(J, beta, omega):
     return float(np.sum(g2 * (c * gap + 2 * omega * (omega * c + w)) / gap**2))
 
 
+# 100x tighter than _QUAD_OPTS, whose epsrel 1e-8 lies above the 1e-9 bound
+# that the reference checks: at SUPER, beta = 0.1, omega = 0.0420671 it read
+# 3.4e-8 off the 30-digit value
+_FINITE_PART_OPTS = dict(epsabs=1e-11, epsrel=1e-10, limit=400)
+
+
 def _quad_finite_part(J, beta, omega):
     """Reference: D_beta'(omega) by the per-pole QUADPACK rule that the cell
-    rule replaced for |omega| >= 1e-2 scale, panels split at |omega|; it
-    raises BathIntegrationError where a panel does not converge."""
+    rule replaced for |omega| >= 1e-2 scale, panels split at |omega|, at
+    _FINITE_PART_OPTS; it raises BathIntegrationError where a panel does not
+    converge."""
     s0 = bath._thermal_spectrum(J, beta, omega)
 
     def integrand(x):
@@ -252,7 +259,7 @@ def _quad_finite_part(J, beta, omega):
 
     scale = J.scale()
     edges = [0.0, *sorted({abs(omega), scale, 4 * scale, 16 * scale}), np.inf]
-    return sum(bath.checked_quad(integrand, lo, hi, **bath._QUAD_OPTS)
+    return sum(bath.checked_quad(integrand, lo, hi, **_FINITE_PART_OPTS)
                for lo, hi in zip(edges, edges[1:]))
 
 
@@ -286,10 +293,13 @@ def _cauchy_finite_part(tab, beta, omega):
     It forms no second difference of S, so it has no rounding to amplify
     where omega lies next to a knot. It agreed with 40-digit values of the
     finite part (test_tabulated_frozen_forty_digit_values) within 2.2e-14."""
-    knots = np.asarray(tab.knots)
+    knots, kinks = np.asarray(tab.knots), np.asarray(tab.kinks)
     edges = np.union1d(0.0, np.concatenate([knots, -knots]))
     gaps = np.abs(edges - omega)
     r = max(gaps[gaps > 0].min() / 2, 1e-6 * abs(omega))  # a knot within r is C2 there
+    # ... but no kink of S (+-kinks): the QAWC piece stops halfway to the nearest
+    kink_gaps = np.abs(np.concatenate([kinks, -kinks]) - omega)
+    r = min(r, kink_gaps[kink_gaps > 0].min() / 2)
     edges = np.union1d(edges[gaps > r], [omega - r, omega + r])
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -1198,22 +1208,28 @@ class TestFinitePartCells:
 
     @settings(max_examples=30, deadline=None)
     @given(case=_finite_part_stack())
+    @example(case=(SUPER, 0.1, (0.04206711498432432,)))
     def test_matches_per_pole_quad(self, case):
-        # the reference is only as good as its tolerances (epsabs 1e-10,
-        # epsrel 1e-8): over 5892 random poles it differed from the cell rule
-        # by at most 1.9e-10 max(1, |D'|), and on the largest differences the
-        # quad was the one off (test_frozen_thirty_digit_values)
+        # the reference is only as good as its tolerances (_FINITE_PART_OPTS):
+        # over 3000 random poles it differed from the cell rule by at most
+        # 3.3e-11 max(1, |D'|); at _QUAD_OPTS by up to 1.6e-9, and on the
+        # largest differences the quad was the one off
+        # (test_frozen_thirty_digit_values)
         J, beta, stack = case
         got = bath.d_beta_deriv.__wrapped__(J, beta, stack)
         for w, g in zip(stack, got):
             try:
                 ref = _quad_finite_part(J, beta, w)
             except bath.BathIntegrationError:
-                continue  # the quad raised on 1 of those 5892 poles; the cell rule on none
+                # the quad raised on 72 of those 3000 poles (4 at _QUAD_OPTS),
+                # mostly Ohmic ones whose second differences round near x = 0;
+                # the cell rule on none
+                continue
             assert abs(g - ref) <= 1e-9 * max(1.0, abs(ref))
 
     # 30-digit values of the finite part (mpmath, S at 250 digits); the first
-    # is where the per-pole quad is off by 1.9e-10, the cell rule by 1e-16
+    # is where the per-pole quad at _QUAD_OPTS is off by 1.9e-10, the cell rule
+    # by 1e-16; on the last it was 3.4e-8 off, and the cells 8e-16
     @pytest.mark.parametrize("J, beta, w, expected", [
         (SUPER, 4.5687, 0.0218206, 0.1847474087589572),
         (OHMIC, 0.10014, -0.0304228, -5.316560136458771),
@@ -1222,6 +1238,7 @@ class TestFinitePartCells:
         (DRUDE, 0.109045, 0.0522882, -0.3602423506551804),
         (DRUDE, 10.0, -47.0, 0.0010845620466081688),
         (SUPER, 0.1, 15.0, 0.1266009326351908),
+        (SUPER, 0.1, 0.04206711498432432, 1.7597406159938461584),
     ])
     def test_frozen_thirty_digit_values(self, J, beta, w, expected):
         # measured within 4.6e-12 (relative 1.2e-12)
@@ -1318,10 +1335,14 @@ class TestFinitePartCells:
 
     @settings(max_examples=15, deadline=None)
     @given(case=_tabulated_finite_part_stack())
+    @example(case=(_table(1, 1.0, 0.0, 16, 2.0), 1.0, (0.17777777777777778, 0.7111274852380635)))
     def test_tabulated_matches_cauchy_reference(self, case):
         # the knots are cell edges, and no QUADPACK call is made. Measured
-        # within 1e-11 max(1, |D'|) over 758 random poles, and within 2.7e-11
-        # over 392 poles on a knot or 1e-16 to 1e-2 (relative) from one
+        # within 1e-11 max(1, |D'|) over 758 random poles, and within 6.9e-11
+        # over 1529 poles 1e-7 to 1e-1 (relative) from a knot of 48 tables at
+        # beta = 0.1 to 10, where the reference was the one off (6.5e-11
+        # against 40 digits). The example sits 2.3e-5 above the knot
+        # 0.7111: by second differences of S it was 1.4e-10 off
         tab, beta, stack = case
 
         def refuse(*args, **kwargs):
@@ -1349,12 +1370,21 @@ class TestFinitePartCells:
     @pytest.mark.parametrize("offset", [2.2e-16, -2.2e-16, 1e-9, 2e-6, -2e-6, 1e-4])
     def test_tabulated_next_to_a_knot(self, table, knot, offset):
         # the knot's edge |omega - w_k| would cut a first cell into the
-        # rounding of the second difference (with it, 16 of these 18 raised);
-        # measured within 6.1e-11 at beta = 0.3 and 3
+        # rounding of the second difference (with it, 16 of these 18 raised):
+        # these poles sum the first differences of S'. Measured within
+        # 3.4e-12 at beta = 0.3 and 3
         tab = TAB_OHMIC if table == "fine" else _table(1, 1.0, 0.0, 16, 1.0)
         w = tab.omegas[knot] * (1 + offset)
         ref = _cauchy_finite_part(tab, 0.3, w)
         assert abs(bath.d_beta_deriv.__wrapped__(tab, 0.3, w) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_cauchy_reference_next_to_a_kink(self):
+        # the QAWC piece around omega used to end on the kink at 0.3 and read
+        # 0.047936169063 (2.5e-8 off); the 30-digit value of the spline's cubics
+        tab = _table(3, 2.0, 0.3, 24, 1.5)
+        assert 0.3 in tab.kinks
+        ref = _cauchy_finite_part(tab, 1.0, 0.3 * (1 + 1e-6))
+        assert abs(ref - 0.047936143996) <= 1e-11
 
     def test_tabulated_kink_raises(self):
         # the slope of J jumps at the first grid point above 0, so S has a

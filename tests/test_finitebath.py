@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 from functools import reduce
@@ -5,11 +6,11 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mfgkit import bath, finitebath
+from mfgkit import bath, cli, finitebath
 from mfgkit.opcore import boltzmann, dag, gibbs, partial_trace, trace_distance
 
 from conftest import random_density_matrix, random_hermitian
@@ -259,6 +260,104 @@ class TestWindowSolve:
         assert finitebath._window_count(h, upper) >= np.count_nonzero(E <= upper)
 
 
+def _bath_energies(spec):
+    """sum_k n_k w_k over the cube, in cube order (the last mode fastest)."""
+    levels = [w * np.arange(spec.fock_cutoff + 1) for w, _ in spec.modes]
+    return np.sum(np.meshgrid(*levels, indexing="ij"), axis=0).ravel()
+
+
+def _recorded_dims(monkeypatch):
+    """Patch finitebath.assemble to record the dimension of every H_tot built."""
+    dims, assemble = [], finitebath.assemble
+
+    def record(*args, **kwargs):
+        model = assemble(*args, **kwargs)
+        dims.append(len(model.H_tot))
+        return model
+
+    monkeypatch.setattr(finitebath, "assemble", record)
+    return dims
+
+
+class TestEnergyCut:
+    """assemble on the bath states with sum_k n_k w_k <= e_cut, and
+    ladder_mfg against exact_mfg of the whole cube (the reference)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), **MODELS)
+    def test_cut_is_the_principal_submatrix_of_the_cube_bit_for_bit(
+            self, seed, d_s, n_modes, n_max, counter_term, real, cut):
+        _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
+        energies = _bath_energies(args[3])
+        levels = np.unique(energies)
+        k = int(cut * (len(levels) - 1))  # e_cut halfway between two levels,
+        assume(levels[k + 1] - levels[k] > 1e-9 * levels[-1])  # clear of rounding
+        e_cut = (levels[k] + levels[k + 1]) / 2
+        kept = np.flatnonzero(energies <= e_cut)
+        rows = (np.arange(d_s)[:, None] * len(energies) + kept).ravel()
+        cube = finitebath.assemble(*args).H_tot
+        h = finitebath.assemble(*args, e_cut=e_cut).H_tot
+        assert h.dtype == cube.dtype and h.flags.c_contiguous
+        assert np.array_equal(h, cube[np.ix_(rows, rows)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(min_value=0.1, max_value=50.0),
+           lam=st.floats(min_value=0.0, max_value=0.5), every_rung=st.booleans(),
+           **dict(MODELS, n_max=st.integers(min_value=2, max_value=5)))
+    # a weak mode (w = 0.385, g = 0.03) below the thermal bound of 1.14 and
+    # two strong ones (w = 3.29, 3.69) above it: a step of half the highest
+    # frequency added only states of the weak mode and stopped 1.3e-3 off
+    @example(seed=311259, d_s=2, n_modes=3, n_max=3, counter_term=False, real=True,
+             beta=36.688696911443515, lam=0.029474154913343042, every_rung=False)
+    def test_ladder_matches_the_cube(self, seed, d_s, n_modes, n_max, counter_term,
+                                     real, beta, lam, every_rung):
+        # every_rung climbs to the cube rather than taking it at half. Over
+        # 3000 random models so, the ladder was within 5.0e-15 of the cube,
+        # and within 4.1e-16 over 2000 as shipped
+        _, (H_S, X, _, spec) = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
+        with pytest.MonkeyPatch.context() as mp:
+            if every_rung:
+                mp.setattr(finitebath, "CUBE_SHARE", 1.0)
+            rho = finitebath.ladder_mfg(H_S, X, lam, spec, beta)
+        ref = finitebath.exact_mfg(finitebath.assemble(H_S, X, lam, spec), beta)
+        assert trace_distance(rho, ref) <= 1e-14
+
+    def test_oracle_task_stays_on_small_rungs(self, monkeypatch, tmp_path):
+        # the benchmark's oracle: 3 modes, n_max 7 (cube 1024), beta = 1.
+        # The rungs were 174, 284 and 410 at lam = 0.16, 174 and 284 below
+        dims = _recorded_dims(monkeypatch)
+        cfg = copy.deepcopy(cli.PRESETS["oracle_spin_boson"])
+        cfg["oracle"].update(n_modes=3, fock_cutoff=7)
+        assert cli.run_scenario(cfg, tmp_path) == 0
+        assert len(dims) <= 7 and max(dims) <= 410
+
+    def test_high_temperature_takes_the_cube_at_once(self, monkeypatch):
+        dims = _recorded_dims(monkeypatch)
+        spec = _benchmark_spec()
+        finitebath.ladder_mfg(0.5 * SZ + 0.25 * SX, SZ, 0.16, spec, 0.3)
+        assert dims == [1024]
+
+    def test_dimension_cap_applies_to_the_rungs(self, monkeypatch, tmp_path):
+        # cube 1024 > 600: beta = 1 converges on rungs under the cap; at
+        # beta = 0.3 the ladder takes the cube, which the cap refuses (exit 3
+        # in the CLI)
+        monkeypatch.setattr(finitebath, "DIM_CAP", 600)
+        cfg = copy.deepcopy(cli.PRESETS["oracle_spin_boson"])
+        cfg["oracle"].update(n_modes=3, fock_cutoff=7, lambdas=[0.16])
+        cfg["bath"]["beta"] = 0.3
+        assert cli.run_scenario(cfg, tmp_path) == 3
+        spec, h_s = _benchmark_spec(), 0.5 * SZ + 0.25 * SX
+        rho = finitebath.ladder_mfg(h_s, SZ, 0.16, spec, 1.0)
+        monkeypatch.setattr(finitebath, "DIM_CAP", 16384)
+        cube = finitebath.exact_mfg(finitebath.assemble(h_s, SZ, 0.16, spec), 1.0)
+        assert trace_distance(rho, cube) <= 1e-14
+        monkeypatch.setattr(finitebath, "DIM_CAP", 600)
+        with pytest.raises(ValueError, match="cap 600"):
+            finitebath.ladder_mfg(h_s, SZ, 0.16, spec, 0.3)
+        with pytest.raises(ValueError, match="cap 600"):
+            finitebath.assemble(h_s, SZ, 0.16, spec)
+
+
 class TestDiscretize:
     def test_coupling_sum_rule(self):
         # sum |g_k|^2 = int_0^wmax J dw, exact for Gauss-Legendre weights
@@ -289,6 +388,14 @@ class TestAssemble:
         spec = finitebath.FiniteBathSpec(modes=modes, fock_cutoff=7)
         with pytest.raises(ValueError):
             finitebath.assemble(H_SB, SZ, 0.1, spec)
+
+    def test_cube_index_overflow_raises(self):
+        # 2^64 states: a low cut keeps few of them, but their cube indices
+        # would wrap around in int64
+        spec = finitebath.FiniteBathSpec(modes=tuple((1.0 + k, 0.1) for k in range(64)),
+                                         fock_cutoff=1)
+        with pytest.raises(ValueError, match="overflow"):
+            finitebath.assemble(H_SB, SZ, 0.1, spec, e_cut=1.5)
 
     def test_counter_term_shifts_by_x_squared(self):
         spec_on = _spec(counter_term=True)
@@ -321,12 +428,16 @@ class TestAssemble:
         assert np.array_equal(a, b)
 
 
-def _benchmark_model():
-    """The benchmark's oracle model: D = 2 * 8^3 = 1024, real H_tot."""
+def _benchmark_spec():
+    """The benchmark's oracle bath: D = 2 * 8^3 = 1024 on the cube."""
     J = bath.DrudeLorentz(gamma=0.3, omega_d=5.0)
-    spec = finitebath.FiniteBathSpec(
+    return finitebath.FiniteBathSpec(
         modes=tuple(finitebath.discretize(J, 3, 15.0)), fock_cutoff=7)
-    return finitebath.assemble(0.5 * SZ + 0.25 * SX, SZ, 0.16, spec)
+
+
+def _benchmark_model():
+    """The benchmark's oracle model on the cube, real H_tot."""
+    return finitebath.assemble(0.5 * SZ + 0.25 * SX, SZ, 0.16, _benchmark_spec())
 
 
 class TestThermalWindow:
@@ -385,6 +496,8 @@ class TestThermalWindow:
         model = finitebath.assemble(H_SB, SZ, 0.3, _spec(n_modes=1))
         with pytest.raises(ValueError, match="beta"):
             finitebath.exact_mfg(model, beta)
+        with pytest.raises(ValueError, match="beta"):  # before a rung is cut at nan
+            finitebath.ladder_mfg(H_SB, SZ, 0.3, _spec(n_modes=1), beta)
 
 
 class TestExactMfg:
