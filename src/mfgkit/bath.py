@@ -56,7 +56,8 @@ rounding would cut the first cell short, it sums the first differences of S'
 instead (the finite part integrated by parts).
 
 QUADPACK is left for G(t) (corr_fn, _osc_quad) and finite-time Gamma_m(t)
-(its Fourier rules), and for the oscillator's correlation in clexact.
+(its Fourier rules), and for the oscillator's correlation in clexact. Every
+QUADPACK call goes through quad, which imports scipy.integrate on first use.
 
 gamma_m, d_beta and d_beta_deriv are memoized per process on their
 arguments (the spectral densities are frozen dataclasses), and take a float
@@ -66,8 +67,10 @@ QUADPACK calls an integrand once per node with a Python float. The functions
 evaluated at nodes (j_over_omega, _thermal_spectrum, coth, _phase_integral)
 take a Python float and return one (a complex from _phase_integral), computed
 with math; an array goes through numpy. A density writes its J/w once, for
-either library (_backend), so the two paths agree to rounding; a spline takes
-a float through FloatSpline, bit for bit its own value.
+either library (_backend), so the two paths agree to rounding. A Spline (the
+not-a-knot cubic of a Tabulated J and of the oscillator's Re Sigma) gives a
+float the bits it gives the same point in an array: it bisects into the
+knots and sums the cell's cubic in plain floats, in the array path's order.
 """
 
 import bisect
@@ -77,8 +80,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
+import scipy.linalg
 
 ASYMPTOTIC = "asymptotic"
 HBAR = 1.054571817e-34  # J s, for tables and scenarios in SI units
@@ -86,6 +88,7 @@ HBAR = 1.054571817e-34  # J s, for tables and scenarios in SI units
 _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-8, limit=400)
 _FOURIER_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_EPS = np.finfo(float).eps
 # the cell rule: the order-20 Gauss-Legendre sum, the order-10 one its error estimate
 (_X10, _W10), (_X20, _W20) = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _CELL_NODES = np.concatenate([_X10, _X20])
@@ -133,29 +136,124 @@ def bose(omega, beta):
     return 1.0 / np.expm1(beta * np.asarray(omega, dtype=float))
 
 
-class FloatSpline:
-    """A CubicSpline that takes a Python float without its per-call overhead.
+class Spline:
+    """The not-a-knot cubic spline through (x, y), x ascending with n >= 4
+    points: bit for bit scipy.interpolate.CubicSpline(x, y), whose banded
+    system, solve and Hermite coefficients it repeats. c[:, i] is the cubic of
+    cell i in d = w - x_i, highest power first; the end cells extrapolate.
 
-    A float bisects into the knots (the cell x_i <= w < x_(i+1), the last one
-    for w at the last knot; the end cells extrapolate) and sums its cell's
-    cubic in the order the spline does, so it returns the spline's value bit
-    for bit (Horner's order differs by up to 3 ulp). An array goes to the
-    spline.
+    A Python float (a QUADPACK node) bisects into the knots and sums its
+    cell's cubic in plain floats; an array gathers its cells. Both sum in
+    scipy's order, c3 + c2 d + c1 d^2 + c0 (d^2 d), from which Horner's rule
+    would differ by up to 3 ulp.
     """
 
-    def __init__(self, spline: CubicSpline):
-        self.spline = spline
-        self._knots = spline.x.tolist()
-        self._cells = [tuple(c) for c in spline.c.T.tolist()]
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if x.ndim != 1 or y.shape != x.shape or n < 4:
+            raise ValueError("a not-a-knot spline needs matching 1-d grids of at least 4 points")
+        dx = np.diff(x)
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and (dx > 0).all()):
+            raise ValueError("a spline needs finite values on a finite, ascending grid")
+        slope = np.diff(y) / dx
+        # the tridiagonal system for the slopes s_i, banded, and not-a-knot at both ends
+        A = np.zeros((3, n))
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        A[1, 0] = dx[1]
+        A[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = scipy.linalg.solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                                      check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self._inner = x[1:-1]  # w's cell is the number of inner knots <= w
+
+    @functools.cached_property
+    def _lists(self):
+        """The knots and the cells' coefficients as Python floats, for the float path."""
+        return self.x.tolist(), self.c.T.tolist()
 
     def __call__(self, w):
-        if not isinstance(w, float):  # also np.float64
-            return self.spline(w)
-        i = min(max(bisect.bisect_right(self._knots, w), 1), len(self._cells)) - 1
-        c3, c2, c1, c0 = self._cells[i]
-        d = w - self._knots[i]
+        if isinstance(w, float):  # also np.float64
+            knots, cells = self._lists
+            i = min(max(bisect.bisect_right(knots, w), 1), len(cells)) - 1
+            c3, c2, c1, c0 = cells[i]
+            d = w - knots[i]
+            d2 = d * d
+            return c0 + c1 * d + c2 * d2 + c3 * (d2 * d)
+        w = np.asarray(w, dtype=float)
+        i = np.searchsorted(self._inner, w, "right")
+        c3, c2, c1, c0 = self.c
+        d = w - self.x.take(i)
         d2 = d * d
-        return c0 + c1 * d + c2 * d2 + c3 * (d2 * d)
+        return c0.take(i) + c1.take(i) * d + c2.take(i) * d2 + c3.take(i) * (d2 * d)
+
+
+def piecewise_roots(x, c) -> np.ndarray:
+    """The real roots, sorted and distinct, of the piecewise cubic c (as in
+    Spline.c) on its cells [x_i, x_(i+1)], as PPoly(c, x).roots(extrapolate=
+    False), except that a cell where the cubic vanishes identically gives none.
+
+    Each cell is cut at the critical points of its cubic into pieces where the
+    cubic is monotone. An end of a piece is a root where the cubic there lies
+    within 8 eps sum |c_k d^k| (Horner's rule rounds by at most 6 eps times
+    that sum: Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
+    plus its slope times the tolerance tol = 4 eps (|x_i| + h) on positions;
+    a piece whose ends differ in sign holds one, found to within tol by
+    Newton steps kept inside its bracket, bisection where they leave it. Each
+    cell's coefficients are scaled by a power of 2 so that no square
+    underflows."""
+    x = np.asarray(x, dtype=float)
+    keep = (c != 0).any(axis=0)
+    lo_x, hi_x, h = x[:-1][keep], x[1:][keep], np.diff(x)[keep]
+    a3, a2, a1, a0 = np.ldexp(c[:, keep], -np.frexp(np.abs(c[:, keep]).max(axis=0))[1])
+    tol = 4 * _EPS * (np.abs(lo_x) + h)
+
+    def cubic(d, k):
+        return ((a3[k] * d + a2[k]) * d + a1[k]) * d + a0[k]
+
+    def slope(d, k):
+        return (3 * a3[k] * d + 2 * a2[k]) * d + a1[k]
+
+    # the roots of the derivative 3 a3 d^2 + 2 a2 d + a1, as q/(3 a3) and a1/q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(a2 + np.copysign(np.sqrt(a2 * a2 - 3 * a3 * a1), a2))
+        crit = np.stack([q / (3 * a3), a1 / q])
+    crit = np.where((crit > 0) & (crit < h), crit, h)  # NaN and the rest: the cell's end
+    ends = np.sort(np.vstack([np.zeros_like(h), crit, h]), axis=0)  # (4, cells)
+    cells = np.arange(h.size)
+    value = cubic(ends, cells)
+    rounding = 8 * _EPS * (((np.abs(a3) * ends + np.abs(a2)) * ends + np.abs(a1)) * ends
+                           + np.abs(a0)) + np.abs(slope(ends, cells)) * tol
+    sign = np.where(np.abs(value) <= rounding, 0.0, np.sign(value))
+    at = np.where(ends == h, hi_x, np.minimum(lo_x + ends, hi_x))
+    found = [at[sign == 0]]
+    piece, k = np.nonzero(sign[:-1] * sign[1:] < 0)
+    lo, hi, side = ends[piece, k], ends[piece + 1, k], sign[piece, k]
+    d = (lo + hi) / 2
+    for _ in range(100):
+        f = cubic(d, k)
+        below = np.sign(f) == side
+        lo, hi = np.where(below, d, lo), np.where(below, hi, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = d - f / slope(d, k)
+        new = np.where(f == 0, d, np.where((lo < step) & (step < hi), step, (lo + hi) / 2))
+        settled = (np.abs(new - d) <= tol[k]) | (hi - lo <= tol[k])
+        d = new
+        if settled.all():
+            break
+    found.append(np.minimum(lo_x[k] + d, hi_x[k]))
+    return np.unique(np.concatenate(found))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +371,7 @@ class Tabulated(SpectralDensity):
     omegas: tuple
     values: tuple
     # built once from omegas/values; not part of eq, hash or repr
-    _cubic: CubicSpline = field(init=False, repr=False, compare=False)
-    _at: FloatSpline = field(init=False, repr=False, compare=False)  # _cubic at a float
+    _cubic: Spline = field(init=False, repr=False, compare=False)
     _slope0: float = field(init=False, repr=False, compare=False)  # J(w0)/w0, or J'(0) if w0 = 0
     knots: tuple = field(init=False, repr=False, compare=False)
     kinks: tuple = field(init=False, repr=False, compare=False)
@@ -293,18 +390,16 @@ class Tabulated(SpectralDensity):
         v = np.clip(v, 0.0, None) * (w > 0)  # J(0) = 0
         object.__setattr__(self, "omegas", tuple(w.tolist()))  # plain floats for the float path
         object.__setattr__(self, "values", tuple(v.tolist()))
-        cubic = CubicSpline(w, v)
+        cubic = Spline(w, v)
         object.__setattr__(self, "_cubic", cubic)
-        object.__setattr__(self, "_at", FloatSpline(cubic))
-        roots = cubic.roots(extrapolate=False)
-        roots = roots[np.isfinite(roots)]
+        roots = piecewise_roots(w, cubic.c)
         object.__setattr__(self, "knots", tuple(np.union1d(w, roots).tolist()))
         # J jumps to 0 at the last grid point; its slope jumps at the roots and
         # the first (> 0), and at 0 the J'' of its odd continuation jumps
         kinks = np.union1d(roots, w[[0, -1]])
         object.__setattr__(self, "kinks", tuple(kinks.tolist()))
         object.__setattr__(self, "_slope0", float(
-            v[0] / w[0] if w[0] > 0 else max(cubic(0.0, 1), 0.0)))
+            v[0] / w[0] if w[0] > 0 else max(cubic.c[2, 0], 0.0)))  # the slope at 0
 
     def _spline(self):
         return self._cubic
@@ -312,15 +407,14 @@ class Tabulated(SpectralDensity):
     def j_over_omega(self, omega):
         """spline(w)/w on the grid, 0 above it, and at or below its first point
         (or a subnormal w, where spline(w) underflows) _slope0. A float takes
-        the spline through FloatSpline; an array takes one spline call on its
-        points."""
+        the spline's float path; an array takes one spline call on its points."""
         lo, hi = self.omegas[0] or _TINY, self.omegas[-1]
         if isinstance(omega, float):  # also np.float64
             if omega <= lo:
                 return self._slope0
             if omega > hi:
                 return 0.0
-            return max(self._at(omega), 0.0) / omega
+            return max(self._cubic(omega), 0.0) / omega
         w = np.asarray(omega, dtype=float)
         inside = (w > lo) & (w <= hi)
         x = np.where(inside, w, hi)
@@ -458,8 +552,18 @@ def load_tabulated(path, si_reference_energy=None) -> Tabulated:
 # ---------------------------------------------------------------------------
 
 
+def quad(f, a, b, **opts):
+    """scipy.integrate.quad, imported on the first call: a run that makes no
+    QUADPACK call does not load scipy.integrate."""
+    from scipy.integrate import quad as quadpack
+
+    return quadpack(f, a, b, **opts)
+
+
 def _quad(f, a, b, **opts):
-    """scipy quad, its IntegrationWarning silenced: (value, error estimate)."""
+    """quad, its IntegrationWarning silenced: (value, error estimate)."""
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(f, a, b, **opts)
@@ -725,7 +829,7 @@ def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
     half = (first - lo[start]) / 2
     x = lo[start] + half * (1 + _X20[:, None])
     amplified = np.sum(_W20[:, None] * half * (x > 0) / x / x, axis=0) + 1 / first
-    noise = np.where(sloped, 0.0, _ROUNDING * np.finfo(float).eps * np.abs(s0) * amplified)
+    noise = np.where(sloped, 0.0, _ROUNDING * _EPS * np.abs(s0) * amplified)
 
     def bound(mid, k):
         gap = np.abs(mid - a[k])

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.special import digamma, loggamma, polygamma
 
 from . import bath as bathmod
 from .opcore import dag
@@ -84,6 +82,8 @@ def log_partition(p: CLParams) -> float:
 
     Conjugate root pairs make the sum real.
     """
+    from scipy.special import loggamma
+
     val = np.log(p.beta * p.omega_0 / (4 * np.pi**2)) - loggamma(p.omega_D / p.nu)
     val += sum(loggamma(mu / p.nu) for mu in cubic_roots(p))
     if abs(val.imag) > 1e-10:
@@ -105,6 +105,8 @@ def moments(p: CLParams) -> OscillatorMoments:
     f[a, b] = f'(s) - f''(s) (c - s)/2, f[a, b, c] = f''(s)/2 for three roots.
     Worst error against a 40-digit reference: 1.3e-10 (critical), 2e-9 (triple).
     """
+    from scipy.special import digamma, polygamma
+
     def f(z, n=0):  # n-th derivative of psi(z/nu); n >= 1 needs real z
         return digamma(z / p.nu) if n == 0 else polygamma(n, z / p.nu) / p.nu**n
 
@@ -142,6 +144,12 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     (1/pi) int_0^inf cos(w dt) coth(beta w/2) Im G(w) dw with
     G(w) = 1/(w_0^2 - w^2 - Sigma(w)), Im Sigma = pi J(w)/2. At dt = 0 this
     is <x^2>; the free-bath limit gives coth(beta w_0/2)/(2 w_0).
+
+    Re Sigma is a spline on [0, w_max]. Beyond w_max it goes from its value
+    there to its w -> inf limit -int J/w as 1/w^2, the leading order of
+    Re Sigma + int J/w = PV int xi J(xi)/(xi^2 - w^2) dxi. (The last cubic of
+    the spline, extrapolated, would cross w_0^2 - w^2 again far out, near
+    3.2e6 for the oscillator_drude preset: a spurious resonance in the tail.)
     """
     if beta <= 0 or omega_0 <= 0:
         raise ValueError("need beta > 0 and omega_0 > 0")
@@ -154,10 +162,14 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
 
     w_max = max(12 * scale, 8 * omega_0, 40.0 / beta)
     grid = np.linspace(0.0, w_max, 481)
-    spline = CubicSpline(grid, _self_energy_real(J, grid))
-    sigma_re = bathmod.FloatSpline(spline)
+    re_sigma = _self_energy_real(J, grid)
+    sigma_re = bathmod.Spline(grid, re_sigma)
+    sigma_inf = -bathmod.reorganization_energy(J, 1.0)
+    sigma_tail = (re_sigma[-1] - sigma_inf) * w_max**2
 
     def denom_re(w):
+        if w > w_max:
+            return omega_0**2 - w * w - (sigma_inf + sigma_tail / (w * w))
         return omega_0**2 - w * w - sigma_re(w)
 
     def envelope(w):  # at QUADPACK's float nodes, in plain floats
@@ -175,11 +187,11 @@ def position_correlation(J: bathmod.SpectralDensity, beta: float, omega_0: float
     # crosses 0, so that the quadrature subdivides around them: on each cell
     # of the spline, w_0^2 - (x_i + d)^2 less its cubic in d = w - x_i
     x = grid[:-1]
-    c = -spline.c
+    c = -sigma_re.c
     c[1] -= 1.0
     c[2] -= 2.0 * x
     c[3] += omega_0**2 - x * x
-    roots = PPoly(c, grid).roots(extrapolate=False)
+    roots = bathmod.piecewise_roots(grid, c)
     points = roots[(roots > 0.0) & (roots < w_max)].tolist()
 
     total = bathmod.checked_quad(integrand, 0.0, w_max, points=points or None,

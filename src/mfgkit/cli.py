@@ -21,7 +21,6 @@ import hashlib
 import reprlib
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from pathlib import Path
 
@@ -599,6 +598,8 @@ def _sweep_point(args):
 def sweep_scenario(cfg: dict, param: str, grid, outdir: Path, jobs: int = 1) -> int:
     tasks = [(cfg, param, float(v), str(outdir)) for v in grid]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

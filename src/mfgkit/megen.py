@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp  # noqa: F401  (perfbench tracer target megen.solve_ivp)
 
 from . import bath as bathmod
 from .eigenops import decompose
@@ -64,6 +63,14 @@ from .opcore import dag, require_density_matrix, require_hermitian
 
 TRACE_DRIFT_ABORT = 1e-7
 HERMITICITY_PRESERVATION_TOL = 1e-12  # relative to max|L|, rounding of U L U^dag
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when called. Nothing in mfgkit calls
+    it (evolve is exact); perfbench's tracer wraps it as megen.solve_ivp."""
+    from scipy.integrate import solve_ivp as ivp
+
+    return ivp(*args, **kwargs)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

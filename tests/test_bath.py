@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from unittest import mock
@@ -209,6 +210,13 @@ def _adaptive_pv(h, a, scale):
     return pv
 
 
+@functools.lru_cache
+def _reference_spline(tab):
+    """scipy's CubicSpline through a table's stored (clipped) points: the
+    spline that Tabulated fits, from the library that it reproduces."""
+    return CubicSpline(tab.omegas, tab.values)
+
+
 def _tabulated_j_over_omega_array(tab, omega):
     """Reference: the masked array form Tabulated.j_over_omega had before its
     scalar body, J the clipped spline on the grid and 0 above it, and the first
@@ -216,10 +224,11 @@ def _tabulated_j_over_omega_array(tab, omega):
     starting at 0). Without that threshold J/w differs from it by up to
     2.3e-14 relative at w = 1e-13."""
     w0, w1 = tab.omegas[0], tab.omegas[-1]
-    slope0 = tab.values[0] / w0 if w0 > 0 else max(tab._cubic(0.0, 1), 0.0)
+    spline = _reference_spline(tab)
+    slope0 = tab.values[0] / w0 if w0 > 0 else max(spline(0.0, 1), 0.0)
     tiny = omega < max(w0, 1e-12)
     safe = np.where(tiny, 1.0, omega)
-    j = np.where(safe > w1, 0.0, np.maximum(tab._cubic(safe), 0.0))
+    j = np.where(safe > w1, 0.0, np.maximum(spline(safe), 0.0))
     return np.where(tiny, slope0, j / safe)
 
 
@@ -271,10 +280,10 @@ def _thermal_slope(tab, beta, nu):
     u = max(abs(nu), 1e-8 / beta)
     if u <= tab.omegas[0]:  # J linear through the origin
         j, dj = tab._slope0 * u, tab._slope0
-    elif u > tab.omegas[-1] or float(tab._cubic(u)) <= 0.0:  # J clipped to 0
+    elif u > tab.omegas[-1] or float(_reference_spline(tab)(u)) <= 0.0:  # J clipped to 0
         j = dj = 0.0
     else:
-        j, dj = float(tab._cubic(u)), float(tab._cubic(u, 1))
+        j, dj = float(_reference_spline(tab)(u)), float(_reference_spline(tab)(u, 1))
     n = math.exp(-beta * u) / -math.expm1(-beta * u)
     if nu >= 0:
         return (1.0 + n) * (dj - j * beta * n)
@@ -518,6 +527,126 @@ class TestFloatPath:
             assert abs(got - bath._phase_integral(np.array([x]), t)[0]) <= 1e-15 * t
 
 
+@st.composite
+def _spline_data(draw):
+    """A grid of 4 to 600 knots, from 0 or not, with spacings spread over up
+    to 4 decades, and values that are smooth or noisy, with a run of zeros
+    (which puts knots and roots on one another) in half of the draws."""
+    n = draw(st.integers(min_value=4, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spread = draw(st.floats(min_value=0.0, max_value=4.0))
+    x = np.cumsum(10.0 ** (spread * rng.uniform(-1.0, 0.0, n)))
+    x = x - x[0] if draw(st.booleans()) else x + draw(st.floats(min_value=-50.0, max_value=50.0))
+    if draw(st.booleans()):
+        y = np.sin(x * (rng.uniform(0.5, 20.0) / (x[-1] - x[0]))) + draw(
+            st.floats(min_value=-1.0, max_value=1.0))
+    else:
+        y = rng.normal(size=n) * 10.0 ** draw(st.integers(min_value=-200, max_value=200))
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=n - 1))
+        y[start:start + draw(st.integers(min_value=1, max_value=n))] = 0.0
+    return x, y
+
+
+class TestSpline:
+    """bath.Spline reproduces scipy's not-a-knot CubicSpline bit for bit, and
+    piecewise_roots its PPoly.roots(extrapolate=False)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_spline_data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_is_scipy_cubic_spline_bit_for_bit(self, data, seed):
+        x, y = data
+        ref, spline = CubicSpline(x, y), bath.Spline(x, y)
+        assert np.array_equal(spline.x, ref.x) and np.array_equal(spline.c, ref.c)
+        # inside, on the knots, and extrapolated beyond both ends
+        span = x[-1] - x[0]
+        w = np.concatenate([np.random.default_rng(seed).uniform(x[0] - span, x[-1] + span, 300),
+                            x, [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+        assert np.array_equal(spline(w), ref(w))
+        assert np.array_equal(spline(w[:300].reshape(30, 10)), ref(w[:300]).reshape(30, 10))
+        for v in (*w[:40].tolist(), *w[300:].tolist()[:60], *w[-2:].tolist()):
+            got = spline(v)
+            assert type(got) is float and got == float(ref(v))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_spline_data())
+    def test_roots_match_ppoly_roots(self, data):
+        # each root lies within tol = 1e-12 (x_n - x_0) of one of scipy's, and
+        # each of scipy's within tol of one here, but for two kinds of root
+        # that rounding places:
+        # - a near-double root, where p' ~ 0, moves by the reach
+        #   (eps sum |c_k d^k| + the smallest subnormal) / |p'(d)| over which
+        #   its cubic stays within rounding of 0, added to tol (scipy's own
+        #   was 5e-11 from the exact root of a cubic in a run of zeros, p' =
+        #   5.5e-8 there, and 2.7e-10 from it on a cubic whose coefficients
+        #   are subnormal);
+        # - a root of a cell's cubic within tol of a knot may fall just
+        #   inside the cell or just outside (scipy put one at 1.4e-17 in a
+        #   cell whose cubic, increasing, is 2.2e-16 at its start), so a root
+        #   within tol of a knot where a cubic next to it vanishes to within
+        #   tol needs no partner.
+        x, y = data
+        ref = CubicSpline(x, y)
+        got = bath.piecewise_roots(x, ref.c)
+        theirs = ref.roots(extrapolate=False)
+        # scipy lists the start of a cell where the cubic vanishes, then nan
+        vanish = ~ref.c.any(axis=0)
+        theirs = theirs[np.isfinite(theirs) & ~np.isin(theirs, x[:-1][vanish])]
+        assert np.all(np.diff(got) > 0) and np.all((x[0] <= got) & (got <= x[-1]))
+        tol = 1e-12 * (x[-1] - x[0])
+        info = np.finfo(float)
+
+        def rounding(size):  # of Horner's rule on a cubic, underflow included
+            return 16 * (info.eps * size + info.smallest_subnormal)
+
+        def cubic(k, d):  # the cubic of cell k at d, its slope and the sum of |c_k d^k|
+            c3, c2, c1, c0 = ref.c[:, k]
+            return (c0 + c1 * d + c2 * d * d + c3 * d**3, c1 + 2 * c2 * d + 3 * c3 * d * d,
+                    abs(c0) + abs(c1 * d) + abs(c2 * d * d) + abs(c3 * d**3))
+
+        def cells(r):  # r's cell, and the one before if r is its knot
+            i = int(np.clip(np.searchsorted(x, r, "right") - 1, 0, x.size - 2))
+            return [k for k in {i, i - 1 if r == x[i] else i} if 0 <= k and ref.c[:, k].any()]
+
+        def reach(r):
+            out = 0.0
+            for k in cells(r):
+                _, slope, size = cubic(k, r - x[k])
+                out = max(out, rounding(size) / abs(slope) if slope else np.inf)
+            return out
+
+        def at_knot(r):
+            i = int(np.argmin(np.abs(x - r)))
+            if abs(x[i] - r) > tol:
+                return False
+            for k in (i - 1, i):
+                if 0 <= k < x.size - 1:
+                    value, slope, size = cubic(k, x[i] - x[k])
+                    if abs(value) <= tol * abs(slope) + rounding(size):
+                        return True
+            return False
+
+        for mine, other in ((got, theirs), (theirs, got)):
+            for r in mine:
+                gap = np.abs(other - r).min() if other.size else np.inf
+                near = other[np.abs(other - r) == gap]
+                assert gap <= tol + max([reach(r), *map(reach, near)]) or at_knot(r)
+
+    def test_vanishing_cells_give_no_root(self):
+        x = np.linspace(0.0, 3.0, 7)
+        spline = bath.Spline(x, np.zeros(7))
+        assert not spline.c.any() and bath.piecewise_roots(x, spline.c).size == 0
+        # scipy lists each such cell's start, then nan
+        assert np.isnan(CubicSpline(x, np.zeros(7)).roots(extrapolate=False)).any()
+
+    def test_rejects_what_scipy_rejects(self):
+        x = np.linspace(0.0, 1.0, 5)
+        for bad_x, bad_y in ((x, [0, 1, np.nan, 2, 3]), (x[::-1], x), (x[:3], x[:3]),
+                             ([0, 1, np.inf, 4, 5], x)):
+            with pytest.raises(ValueError):
+                bath.Spline(bad_x, bad_y)
+
+
 class TestPrincipalValue:
     def test_exponential_oracle(self):
         # PV int_0^inf e^(-w)(w + a)/(w^2 - a^2) dw = -e^(-a) Ei(a)
@@ -743,16 +872,6 @@ class TestCellRule:
         ref = _knot_resolved_pv(
             TAB_OHMIC, lambda w: w * w * _tabulated_j_over_omega_array(TAB_OHMIC, w), 0.0)
         assert bath.reorganization_energy(TAB_OHMIC, 1.0) == pytest.approx(ref, rel=1e-14)
-
-    def test_float_spline_is_the_spline_bit_for_bit(self):
-        # inside the grid, on its knots, and extrapolated beyond both ends
-        grid = np.linspace(0.0, 60.0, 481)
-        spline = CubicSpline(grid, np.sin(grid / 7.0) * np.exp(-grid / 20.0))
-        at = bath.FloatSpline(spline)
-        for w in (*np.random.default_rng(3).uniform(-5.0, 70.0, 200).tolist(),
-                  0.0, 0.125, 60.0, -1e-3, 61.0):
-            assert at(w) == float(spline(w))
-        assert np.array_equal(at(grid), spline(grid))
 
 
 @st.composite

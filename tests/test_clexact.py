@@ -218,6 +218,38 @@ class TestCrossRoute:
             clexact.position_correlation(J, 2.0, 1.0, dt)
 
 
+    @pytest.mark.parametrize("gamma, omega_d, beta, omega_0", [
+        (0.5, 5.0, 2.0, 1.0), (0.1, 5.0, 1.0, 1.0), (2.0, 3.0, 0.5, 2.0), (0.5, 20.0, 5.0, 0.3)])
+    def test_tail_follows_the_exact_self_energy(self, monkeypatch, gamma, omega_d, beta,
+                                                omega_0):
+        # beyond w_max the envelope takes Re Sigma from its value there to its
+        # limit -int J/w as 1/w^2, and never extrapolates the spline: against
+        # Drude's exact Re Sigma = -gamma w_D w^2/(w^2 + w_D^2) the tail [w_max,
+        # inf) was within 1.6e-15 (the limit alone: 1.2e-12; the extrapolated
+        # last cubic: 3.8e-13, and a spurious resonance near w = 3.2e6)
+        calls = []
+
+        def spy(f, a, b, **opts):
+            out = quad(f, a, b, **opts)
+            calls.append((f, a, b, out[0]))
+            return out
+
+        monkeypatch.setattr(bath, "quad", spy)
+        J = bath.DrudeLorentz(gamma=gamma, omega_d=omega_d)
+        clexact.position_correlation(J, beta, omega_0)
+        f, w_max, b, tail = calls[-1]  # the tail is the last quadrature
+        assert b == np.inf and "position_correlation" in f.__qualname__
+
+        def exact(w):
+            im_sigma = np.pi * J.j(w) / 2
+            d = omega_0**2 - w * w + gamma * omega_d * w * w / (w * w + omega_d**2)
+            return bath.coth(beta * w / 2) * im_sigma / (d * d + im_sigma * im_sigma)
+
+        ref = quad(exact, w_max, np.inf, limit=200, epsabs=1e-16, epsrel=1e-13)[0]
+        assert tail == pytest.approx(ref, abs=1e-14)
+        for w in np.geomspace(w_max * (1 + 1e-12), 1e9, 600).tolist():
+            assert f(w) == pytest.approx(exact(w), rel=1e-6)
+
 class TestGaussianState:
     def test_vacuum(self):
         m = clexact.OscillatorMoments(xx=0.5, pp=0.5)

@@ -1,6 +1,9 @@
 import functools
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from copy import deepcopy
 from pathlib import Path
@@ -661,3 +664,44 @@ class TestSweep:
         assert code == cli.EXIT_SCHEMA
         assert "abc" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+
+# modules that a CLI run loads only when it calls what needs them
+_DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize",
+             "scipy.sparse", "concurrent.futures.process")
+
+
+def _loaded_after(code, cwd):
+    """The modules of _DEFERRED that a fresh interpreter holds after running code."""
+    script = f"import sys\n{code}\nprint(*[m for m in {_DEFERRED!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestColdStart:
+    """A run imports numpy, yaml and scipy.linalg, and the rest only on first
+    use, so that a later top-level import cannot undo the cold start."""
+
+    def test_import_loads_none(self, tmp_path):
+        assert _loaded_after("import mfgkit.cli", tmp_path) == []
+
+    def test_presets_without_quadpack_load_none(self, tmp_path):
+        runs = "; ".join(f"assert cli.main(['run', '--scenario', {p!r}, '--out', {p!r}]) == 0"
+                         for p in ("spin_boson", "fig1_weak", "fig1_strong"))
+        assert _loaded_after(f"from mfgkit import cli; {runs}", tmp_path) == []
+
+    def test_spline_runs_load_no_interpolate(self, tmp_path):
+        table = tmp_path / "j.csv"
+        w = np.linspace(0.0, 60.0, 200)
+        j = 0.1 * w * np.exp(-w / 4)
+        table.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(w.tolist(), j.tolist())))
+        cfg = dict(cli.PRESETS["spin_boson"], task="statics_all")
+        cfg["bath"] = {"kind": "tabulated", "path": str(table), "beta": 1.0}
+        path = _write_scenario(tmp_path, cfg)
+        runs = "; ".join(f"assert cli.main(['run', '--scenario', {p!r}, '--out', {o!r}]) == 0"
+                         for p, o in ((path, "tab"), ("oscillator_drude", "osc")))
+        assert "scipy.interpolate" not in _loaded_after(f"from mfgkit import cli; {runs}", tmp_path)
