@@ -176,12 +176,16 @@ class Spline:
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-        self._inner = x[1:-1]  # w's cell is the number of inner knots <= w
+        self._inner = x[1:-1]
 
     @functools.cached_property
     def _lists(self):
         """The knots and the cells' coefficients as Python floats, for the float path."""
         return self.x.tolist(), self.c.T.tolist()
+
+    def cell(self, w):
+        """The cell of each point of the float array w: how many inner knots are <= it."""
+        return np.searchsorted(self._inner, w, "right")
 
     def __call__(self, w):
         if isinstance(w, float):  # also np.float64
@@ -192,7 +196,7 @@ class Spline:
             d2 = d * d
             return c0 + c1 * d + c2 * d2 + c3 * (d2 * d)
         w = np.asarray(w, dtype=float)
-        i = np.searchsorted(self._inner, w, "right")
+        i = self.cell(w)
         c3, c2, c1, c0 = self.c
         d = w - self.x.take(i)
         d2 = d * d
@@ -433,7 +437,7 @@ class Tabulated(SpectralDensity):
         w = np.asarray(omega, dtype=float)
         inside = (w > lo) & (w <= hi)
         x = np.where(inside, w, hi)
-        i = np.clip(np.searchsorted(cubic.x, x, side="right") - 1, 0, cubic.x.size - 2)
+        i = cubic.cell(x)
         p, (c3, c2, c1, c0) = cubic.x[i], cubic.c[:, i]  # J = c0 + c1 t + c2 t^2 + c3 t^3
         t = x - p
         num = (c1 * p - c0) + t * (2 * c2 * p + t * ((c2 + 3 * c3 * p) + t * 2 * c3))

@@ -25,14 +25,15 @@ The reduced state needs only the thermal window of the spectrum of H_tot:
 the k eigenpairs with E_i <= upper = min diag(H_tot) + (ln D + 37)/beta. Each
 diagonal entry is a Rayleigh quotient, so E_0 <= min diag(H_tot), and the
 pairs left out carry at most D e^(-beta(upper - E_0)) <= e^-37 < eps/2 of Z.
-LAPACK's ?syevr (?heevr) finds those k pairs alone, in H_tot's own memory
-and by index up to an interlacing bound on k (_solve_window), so exact_mfg
-peaks at about 0.36 H_tot above H_tot itself (D = 1024; a value-range solve
-on a copy peaked at 2.04 H_tot). It is slower than the full decomposition
-once k exceeds about a fifth of D, so a wide window takes the full one.
-With the columns v_i of V (D x k) reshaped to d_s x D_B and
-p_i = e^(-beta E_i)/Z, rho_S = tr_B sum_i p_i |v_i><v_i| is one GEMM (V p) V^dag
-over V reshaped to d_s x (D_B k), so the global Gibbs state is never formed.
+While k is below about a fifth of D, LAPACK's ?syevr (?heevr) finds those k
+pairs alone, by value; a wider window takes the full decomposition, which is
+faster there. Each solve works on its own copy of H_tot, about 2 H_tot at its
+peak, and nothing writes to H_tot after assemble. Only a cold bath narrows
+the window, and the ladder then copies rungs of at most CUBE_SHARE of the
+cube, so its peak stays below that of a warm bath's full solves. With the
+columns v_i of V (D x k) reshaped to d_s x D_B and p_i = e^(-beta E_i)/Z,
+rho_S = tr_B sum_i p_i |v_i><v_i| is one GEMM (V p) V^dag over V reshaped to
+d_s x (D_B k), so the global Gibbs state is never formed.
 Everything here is deterministic: fixed spec in, bit-identical numbers out.
 """
 
@@ -40,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack
+import scipy.linalg
 
 from .opcore import boltzmann, dag, require_hermitian, trace_distance
 
@@ -50,12 +51,10 @@ DIM_CAP = 16384
 # Boltzmann weights below e^-WEIGHT_EXPONENT < eps/2 of the ground state's are
 # rounding (see the module docstring)
 WEIGHT_EXPONENT = 37.0
-# The subset solve beats the full one while the window holds fewer than about
-# a fifth (D <= 512) to a third (D >= 1024) of the spectrum (1 BLAS thread)
+# The value-range solve is faster while the window holds less than 1/7 (D =
+# 138), 1/5 (D = 236 to 640) or 1/4 to 1/3 (D = 744 to 1144) of the spectrum
+# (1 BLAS thread); eig's proxy, the diagonal share <= upper, was within 0.03
 WINDOW_FRACTION = 0.2
-# rows per block when the window solve sums or mirrors H_tot, so that no
-# temporary grows beyond ROW_BLOCK x D
-ROW_BLOCK = 64
 # ladder_mfg stops at two rungs this close in trace distance, or takes the
 # cube when a rung would hold more than this share of it
 LADDER_TOL = 1e-14
@@ -115,79 +114,19 @@ class GlobalModel:
         every eigenpair with eigenvalue <= upper. While fewer than
         WINDOW_FRACTION of the diagonal entries of H_tot lie at or below upper
         (the proxy for the number of eigenvalues there) and nothing is cached,
-        it solves for those pairs alone, in place (_solve_window: H_tot comes
-        back bit-identical), and caches nothing; otherwise it returns the
-        cached full decomposition. A caller that reduces one model at several
-        temperatures can call eig() first, so that every later request is
-        served from the cache.
+        it returns exactly the pairs <= upper from one value-range solve on a
+        copy of H_tot, and caches nothing; otherwise the cached full decomposition. A
+        caller that reduces one model at several temperatures can call eig()
+        first, so that every later request is served from the cache.
         """
         h = self.H_tot
         if (upper is not None and self._eig is None
                 and np.count_nonzero(h.diagonal().real <= upper) < WINDOW_FRACTION * len(h)):
-            return _solve_window(h, upper)
+            return scipy.linalg.eigh(h, subset_by_value=(-np.inf, upper), driver="evr",
+                                     check_finite=False)
         if self._eig is None:
             self._eig = tuple(np.linalg.eigh(h))
         return self._eig
-
-
-def _window_count(h: np.ndarray, upper: float) -> int:
-    """An upper bound on the number of eigenvalues of Hermitian h <= upper.
-
-    The rows i with h_ii - R_i > upper, R_i = sum_(j != i) |h_ij|, span a
-    principal block whose Gershgorin discs all lie above upper. By Cauchy
-    interlacing h has at least as many eigenvalues above upper as that block
-    has rows, so at most #{i : h_ii - R_i <= upper} lie at or below it. The
-    count of diagonal entries <= upper is no such bound: [[0, 1], [1, 0]] has
-    none below -0.5 and the eigenvalue -1.
-
-    The same pass compares each block of rows, from its diagonal on, with the
-    conjugate of its block of columns and raises ValueError unless h is
-    exactly Hermitian, as _solve_window needs, before anything writes to h.
-    """
-    count = 0
-    for r0 in range(0, len(h), ROW_BLOCK):
-        rows = h[r0:r0 + ROW_BLOCK]
-        if not np.array_equal(rows[:, r0:], np.conjugate(h[r0:, r0:r0 + ROW_BLOCK].T)):
-            raise ValueError(f"H_tot is not exactly Hermitian in rows {r0} to "
-                             f"{r0 + len(rows) - 1}; the window solve mirrors one triangle")
-        diagonal = np.diagonal(rows, offset=r0)
-        radius = np.abs(rows).sum(axis=1) - np.abs(diagonal)
-        count += np.count_nonzero(diagonal.real - radius <= upper)
-    return count
-
-
-def _solve_window(h: np.ndarray, upper: float):
-    """Every eigenpair of h with eigenvalue <= upper, solved in h's memory.
-
-    h must be C-ordered and exactly Hermitian, as assemble builds H_tot
-    (_window_count raises ValueError otherwise, with h untouched). Its
-    transpose is then a Fortran view of h^T = conj(h), whose eigenvectors are
-    the conjugates of h's. ?syevr (?heevr) with lower=1 reads the lower
-    triangle of that view, h's upper one, and overwrites it and the diagonal;
-    h's strict lower triangle is left intact. It returns the lowest
-    _window_count(h, upper) pairs, of which those above upper are dropped.
-    Whether the solve returns or raises, h's upper triangle is mirrored back
-    from its lower one in ROW_BLOCK-row blocks and its saved diagonal is
-    restored, so h comes back bit-identical.
-    """
-    solve = scipy.linalg.lapack.zheevr if np.iscomplexobj(h) else scipy.linalg.lapack.dsyevr
-    count = max(_window_count(h, upper), 1)  # range "I" needs iu >= il = 1
-    diagonal = h.diagonal().copy()
-    try:
-        w, v, _, _, info = solve(h.T, range="I", lower=1, il=1, iu=count, overwrite_a=1)
-    finally:
-        strict_upper = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool), 1)
-        for r0 in range(0, len(h), ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, len(h))
-            h[r0:r1, r1:] = np.conjugate(h[r1:, r0:r1].T)
-            block = h[r0:r1, r0:r1]
-            np.copyto(block, np.conjugate(block.T), where=strict_upper[:r1 - r0, :r1 - r0])
-        np.fill_diagonal(h, diagonal)
-    if info:
-        raise np.linalg.LinAlgError(f"{solve.__name__} failed (info = {info})")
-    kept = np.count_nonzero(w[:count] <= upper)
-    # C order, so that exact_mfg reshapes the columns to d_s x (D_B k) in place
-    return w[:kept], np.conjugate(v[:, :kept], order="C")
 
 
 def _bath_states(spec: FiniteBathSpec, e_cut: float, d_s: int):

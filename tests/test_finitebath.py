@@ -1,11 +1,10 @@
 import copy
-import tracemalloc
 import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -187,12 +186,13 @@ class TestSystemBathSplitEquivalence:
 
 
 class TestWindowSolve:
-    """The in-place window solve against np.linalg.eigh, and H_tot's restore."""
+    """The value-range window solve against np.linalg.eigh."""
 
     @settings(max_examples=40, deadline=None)
     @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), **MODELS)
-    def test_window_matches_eigh_and_restores_h_tot(self, seed, d_s, n_modes, n_max,
-                                                    counter_term, real, cut):
+    def test_window_matches_eigh_and_leaves_h_tot_unchanged(self, seed, d_s, n_modes,
+                                                            n_max, counter_term, real,
+                                                            cut):
         _, args = _random_model(seed, d_s, n_modes, n_max, counter_term, real)
         h = finitebath.assemble(*args).H_tot
         before = h.copy()
@@ -200,7 +200,11 @@ class TestWindowSolve:
         k = int(cut * (len(E) - 1))  # upper halfway between E_k and E_(k+1)
         assume(E[k + 1] - E[k] > 1e-9 * np.abs(E).max())
         upper = (E[k] + E[k + 1]) / 2
-        w, v = finitebath._solve_window(h, upper)
+        # the narrow side: some diagonal entry lies above upper
+        assume(np.count_nonzero(h.diagonal().real <= upper) < len(h))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finitebath, "WINDOW_FRACTION", 1.0)
+            w, v = finitebath.GlobalModel(d_s, h).eig(upper)
         assert np.array_equal(h, before)
         assert v.dtype == h.dtype and v.shape == (len(h), k + 1)
         assert np.abs(w - E[:k + 1]).max() <= 1e-12 * np.abs(E).max()
@@ -208,56 +212,42 @@ class TestWindowSolve:
         overlaps = np.abs(np.einsum("ki,ki->i", V[:, :k + 1].conj(), v))
         assert np.abs(overlaps - 1).max() < 1e-8
 
-    @pytest.mark.parametrize("real", [True, False])
-    def test_h_tot_is_restored_when_the_solver_raises(self, monkeypatch, real):
-        _, args = _random_model(7, 2, 3, 3, True, real)
-        model = finitebath.assemble(*args)
-        before = model.H_tot.copy()
+    @staticmethod
+    def _assert_exact_window(h, upper):
+        """eig(upper) on the value-range side returns exactly the eigenvalues
+        of h <= upper, against eigvalsh: an eigenvalue within rounding of
+        upper may fall on either side."""
+        E = np.linalg.eigvalsh(h)
+        tol = 1e-12 * np.abs(E).max()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finitebath, "WINDOW_FRACTION", np.inf)  # every upper
+            w, v = finitebath.GlobalModel(1, h).eig(upper)
+        assert np.count_nonzero(E <= upper - tol) <= len(w) <= np.count_nonzero(E <= upper + tol)
+        assert v.shape == (len(h), len(w))
+        assert np.abs(w - E[:len(w)]).max(initial=0.0) <= tol
+        return w
 
-        def scribble(a, **kwargs):
-            # everything the driver may overwrite: its lower triangle and diagonal
-            a[np.tril_indices(len(a))] = np.nan
-            raise RuntimeError("solver failed")
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr" if real else "zheevr", scribble)
-        upper = np.sort(model.H_tot.diagonal().real)[2]
-        with pytest.raises(RuntimeError, match="solver failed"):
-            model.eig(upper)
-        assert np.array_equal(model.H_tot, before)
-
-    @pytest.mark.parametrize("real", [True, False])
-    def test_window_rejects_h_tot_that_is_not_exactly_hermitian(self, real):
-        # the solve mirrors H_tot's lower triangle over its upper one, so a
-        # hand-built H_tot off by 1e-15 would come back changed; it raises first
-        _, args = _random_model(7, 2, 3, 3, True, real)
-        h = finitebath.assemble(*args).H_tot
-        h[0, 5] += 1e-15
-        before = h.copy()
-        upper = np.sort(h.diagonal().real)[2]
-        with pytest.raises(ValueError, match="not exactly Hermitian"):
-            finitebath.GlobalModel(2, h).eig(upper)
-        assert np.array_equal(h, before)
-
-    def test_count_bound_sees_an_eigenvalue_below_every_diagonal_entry(self):
+    def test_window_sees_an_eigenvalue_below_every_diagonal_entry(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.count_nonzero(h.diagonal() <= -0.5) == 0
-        assert finitebath._window_count(h, -0.5) >= 1
-        w, v = finitebath._solve_window(h, -0.5)  # the pair at +1 is dropped
-        assert w == pytest.approx([-1.0]) and np.array_equal(h, [[0, 1], [1, 0]])
+        # the pair at +1 is left out
+        assert self._assert_exact_window(h, -0.5) == pytest.approx([-1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            dim=st.integers(min_value=1, max_value=150),
            cut=st.floats(min_value=-0.5, max_value=1.5), real=st.booleans())
-    def test_count_bound_covers_every_eigenvalue_below_upper(self, seed, dim, cut, real):
+    def test_window_holds_exactly_the_eigenvalues_below_upper(self, seed, dim, cut, real):
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, dim)
         h = h.real if real else h
-        # a dominant diagonal makes the bound tight enough to cut the spectrum
         h = h + np.diag(rng.uniform(0.0, 3.0 * dim, size=dim))
         E = np.linalg.eigvalsh(h)
-        upper = E[0] + cut * (E[-1] - E[0])
-        assert finitebath._window_count(h, upper) >= np.count_nonzero(E <= upper)
+        self._assert_exact_window(h, E[0] + cut * (E[-1] - E[0]))
+        # just below an eigenvalue it is left out, just above it is kept
+        j = int(np.clip(cut, 0.0, 1.0) * (dim - 1))
+        for shift in (-1e-9, 1e-9):
+            self._assert_exact_window(h, E[j] + shift * np.abs(E).max())
 
 
 def _bath_energies(spec):
@@ -441,55 +431,56 @@ def _benchmark_model():
 
 
 class TestThermalWindow:
-    """Which LAPACK solve exact_mfg takes, at the benchmark's oracle size."""
+    """Which solve exact_mfg and ladder_mfg take, on the benchmark's oracle bath."""
 
     @staticmethod
-    def _solves(monkeypatch, beta):
-        """Run exact_mfg on the benchmark model; return its (solver, pairs) calls."""
-        model = _benchmark_model()
+    def _spy(monkeypatch):
+        """Record every (solver, dimension, pairs, value range) finitebath asks for."""
         calls = []
 
         def spy(name, solve):
-            def wrapper(*args, **kwargs):
-                result = solve(*args, **kwargs)
-                if name == "full":
-                    calls.append((name, len(result[0]), None))
-                else:  # ?syevr/?heevr return (w, z, m, isuppz, info)
-                    calls.append((name, result[2], (kwargs["range"], kwargs["il"])))
+            def wrapper(h, **kwargs):
+                result = solve(h, **kwargs)
+                calls.append((name, len(h), len(result[0]), kwargs.get("subset_by_value")))
                 return result
             return wrapper
 
-        for driver in ("dsyevr", "zheevr"):
-            monkeypatch.setattr(scipy.linalg.lapack, driver,
-                                spy("window", getattr(scipy.linalg.lapack, driver)))
+        monkeypatch.setattr(scipy.linalg, "eigh", spy("window", scipy.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigh", spy("full", np.linalg.eigh))
+        return calls
+
+    def _solves(self, monkeypatch, beta):
+        """Run exact_mfg on the benchmark model; return D and its solves."""
+        model = _benchmark_model()
+        calls = self._spy(monkeypatch)
         finitebath.exact_mfg(model, beta)
         return len(model.H_tot), calls
 
     def test_low_temperature_solves_for_the_window_only(self, monkeypatch):
         dim, calls = self._solves(monkeypatch, 1.0)
         assert len(calls) == 1
-        name, pairs, bounds = calls[0]
-        assert name == "window" and bounds == ("I", 1)
+        name, _, pairs, bounds = calls[0]
+        assert name == "window" and bounds[0] == -np.inf
         assert 0 < pairs < dim / 4
 
     def test_high_temperature_takes_the_full_solve(self, monkeypatch):
         dim, calls = self._solves(monkeypatch, 0.2)
-        assert calls == [("full", dim, None)]
+        assert calls == [("full", dim, dim, None)]
 
-    def test_exact_mfg_peak_memory_stays_below_half_h_tot(self):
-        # the window is solved in H_tot's memory and only its columns are
-        # allocated (0.36 H_tot); a value-range solve on a copy of H_tot
-        # peaked at 2.04 H_tot
-        model = _benchmark_model()
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            finitebath.exact_mfg(model, 1.0)
-            peak = tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
-        assert peak < model.H_tot.nbytes / 2
+    @pytest.mark.parametrize("lam", [0.16, 0.08, 0.04])
+    def test_benchmark_ladder_takes_the_full_solve_on_every_rung(self, monkeypatch, lam):
+        # the benchmark's oracle (beta = 1) has at least 0.4 of each rung's
+        # diagonal below the window bound, so the value-range solve never runs
+        calls = self._spy(monkeypatch)
+        finitebath.ladder_mfg(0.5 * SZ + 0.25 * SX, SZ, lam, _benchmark_spec(), 1.0)
+        assert len(calls) >= 2 and {name for name, *_ in calls} == {"full"}
+
+    @pytest.mark.parametrize("lam", [0.16, 0.08, 0.04])
+    def test_cold_ladder_solves_by_value_after_its_first_rung(self, monkeypatch, lam):
+        calls = self._spy(monkeypatch)
+        finitebath.ladder_mfg(0.5 * SZ + 0.25 * SX, SZ, lam, _benchmark_spec(), 10.0)
+        assert len(calls) >= 2
+        assert [name for name, *_ in calls] == ["full"] + ["window"] * (len(calls) - 1)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_invalid_beta(self, beta):
