@@ -26,34 +26,31 @@ a sum over the atoms of S for a discrete bath and a quadrature for a
 continuous J (see gamma_m); G(r) is not needed.
 
 Every principal-value integral over a continuous J, the Lamb shift
-Im Gamma_m(infinity), D_beta, the oscillator self-energy in clexact and the
-reorganization energy (a pole at 0), is PV int_0^inf h(w)/(w^2 - a^2) dw,
-evaluated by principal_value over a stack of poles a at once. It subtracts
-h(a), which leaves a regular integrand, and sums it by fixed Gauss-Legendre
-rules of order 20 and 10, their difference the error estimate (Davis &
-Rabinowitz, Methods of Numerical Integration), over each pole's own cells
-(_graded_rule on the engine _cell_sum), bisected until each is narrow beside
-its distance from the singularities of the integrand. For an analytic J they
-are [0, a] and [a, a + 16 scale], plus the tail w = X/t. A J with knots
-(Tabulated: J a cubic between its knots, 0 beyond the last one W) has its
-knots as cell edges up to W, and the tail beyond W in closed form.
+Im Gamma_m(infinity), D_beta and D_beta', the oscillator self-energy in
+clexact and the reorganization energy (a pole at 0), is
+PV int_0^inf h(w)/(w^2 - a^2) dw, evaluated by principal_value over a stack
+of poles a at once. It subtracts h(a), which leaves a regular integrand, and
+sums it by fixed Gauss-Legendre rules of order 20 and 10, their difference
+the error estimate (Davis & Rabinowitz, Methods of Numerical Integration),
+over each pole's own cells (_graded_rule on the engine _cell_sum), bisected
+until each is narrow beside its distance from the singularities of the
+integrand. For an analytic J they are [0, a] and [a, a + 16 scale], plus the
+tail w = X/t. A J with knots (Tabulated: J a cubic between its knots, 0
+beyond the last one W) has its knots as cell edges up to W, and the tail
+beyond W in closed form.
 
-Im Gamma(infinity) and D_beta are one integral:
+With the thermal spectrum S of _thermal_spectrum, Im Gamma(infinity) and
+D_beta are one integral:
 
-    D_beta(omega) = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw.
+    D_beta(omega) = PV int S(nu)/(nu - omega) dnu - int_0^inf J(w)/w dw
+                  = -Im Gamma_{-omega}(infinity) - int_0^inf J(w)/w dw,
 
-With the thermal spectrum S of _thermal_spectrum, D_beta(omega) =
-PV int S(nu)/(nu - omega) dnu - int J/w, so D_beta' is a Hadamard finite part:
-
-    D_beta'(omega) = int_0^inf [S(omega + x) + S(omega - x) - 2 S(omega)] / x^2 dx.
-
-d_beta_deriv sums it on the same engine (_finite_part_cells, _cell_sum), in
-cells of x split where omega +- x crosses a knot or a kink of J. A kink at 0
-(Ohmic-class J) is one of S at nu = 0: x = |omega| is an edge, and D_beta' ~
-log|omega| as omega -> 0, resolved down to where the rounding of the second
-difference takes over. Within 1e-2 |omega| of a knot of a table, where that
-rounding would cut the first cell short, it sums the first differences of S'
-instead (the finite part integrated by parts).
+and D_beta'(omega) = PV int S'(nu)/(nu - omega) dnu, S' taking a jump of S
+(to 0 past +-W for a Tabulated J) as a delta function. Folded onto nu = +-w,
+it is the principal value above at a = |omega| with
+h(w) = S'(w) (w + omega) - S'(-w) (w - omega). Where S' jumps, at nu = 0 for
+Ohmic-class J (J/w with a slope at 0) and at the kinks of a Tabulated J,
+D_beta' diverges as log|omega - nu|.
 
 QUADPACK is left for G(t) (corr_fn, _osc_quad) and finite-time Gamma_m(t)
 (its Fourier rules), and for the oscillator's correlation in clexact. Every
@@ -93,7 +90,6 @@ _EPS = np.finfo(float).eps
 (_X10, _W10), (_X20, _W20) = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _CELL_NODES = np.concatenate([_X10, _X20])
 _CELL_BLOCK = 1 << 14  # points per h call of the cell rules, bounding their memory
-_ROUNDING = 3.0  # of D_beta', per eps |S(omega)| dx/x^2 (_finite_part_cells)
 
 
 class BathIntegrationError(RuntimeError):
@@ -267,16 +263,12 @@ def piecewise_roots(x, c) -> np.ndarray:
 
 class SpectralDensity:
     """A continuous density is its J(omega)/omega: subclasses implement
-    j_over_omega() and scale(), and J is derived. A discrete bath
-    (DiscreteModes) is the atoms of its thermal spectrum instead."""
+    j_over_omega(), its slope j_over_omega_slope() (for D_beta') and scale(),
+    and J is derived. A discrete bath (DiscreteModes) is the atoms of its
+    thermal spectrum instead."""
 
     discrete = False
     knots = ()  # the cell edges of a piecewise J (Tabulated), for principal_value
-    # where J, continued as an odd function, is not smooth (for a Tabulated J:
-    # not twice differentiable); with the knots, edges of d_beta_deriv's cells.
-    # A kink at 0 is one of S at nu = 0 (OhmicExp, SuperOhmicCubic: J/w is a
-    # function of |w|); Drude's J/w is smooth in w^2 and has none
-    kinks = ()
 
     def j(self, omega):
         """J(omega) = omega * J(omega)/omega."""
@@ -295,8 +287,6 @@ class SpectralDensity:
 class OhmicExp(SpectralDensity):
     """J(omega) = gamma * omega * exp(-omega/omega_c); gamma dimensionless."""
 
-    kinks = (0.0,)  # J/w = gamma e^(-|w|/omega_c): odd J has a jump in J'' at 0
-
     gamma: float
     omega_c: float
 
@@ -308,6 +298,10 @@ class OhmicExp(SpectralDensity):
         xp, w = _backend(omega)
         return self.gamma * xp.exp(-w / self.omega_c)
 
+    def j_over_omega_slope(self, omega):
+        """d(J/w)/dw at an array of points w >= 0."""
+        return -self.gamma / self.omega_c * np.exp(-np.asarray(omega, dtype=float) / self.omega_c)
+
     def scale(self):
         return self.omega_c
 
@@ -315,8 +309,6 @@ class OhmicExp(SpectralDensity):
 @dataclass(frozen=True)
 class SuperOhmicCubic(SpectralDensity):
     """J(omega) = (gamma/2) * (omega^3/omega_c^3) * exp(-omega/omega_c)."""
-
-    kinks = (0.0,)  # J/w has e^(-|w|/omega_c): odd J has a jump in J'''' at 0
 
     gamma: float
     omega_c: float
@@ -329,6 +321,11 @@ class SuperOhmicCubic(SpectralDensity):
         xp, w = _backend(omega)
         u = w / self.omega_c
         return 0.5 * self.gamma * u * u * xp.exp(-u) / self.omega_c
+
+    def j_over_omega_slope(self, omega):
+        """d(J/w)/dw at an array of points w >= 0."""
+        u = np.asarray(omega, dtype=float) / self.omega_c
+        return 0.5 * self.gamma * u * (2 - u) * np.exp(-u) / self.omega_c**2
 
     def scale(self):
         return self.omega_c
@@ -349,6 +346,11 @@ class DrudeLorentz(SpectralDensity):
         _, w = _backend(omega)  # w * w: a float's w**2 raises OverflowError
         return (2 * self.gamma * self.omega_d**2 / math.pi) / (w * w + self.omega_d**2)
 
+    def j_over_omega_slope(self, omega):
+        """d(J/w)/dw at an array of points w >= 0."""
+        w = np.asarray(omega, dtype=float)
+        return (-4 * self.gamma * self.omega_d**2 / math.pi) * w / (w * w + self.omega_d**2) ** 2
+
     def scale(self):
         return self.omega_d
 
@@ -366,10 +368,10 @@ class Tabulated(SpectralDensity):
 
     J/w is smooth between its knots, the grid and the points inside it where
     the spline crosses 0 (J is clipped to 0 there), and 0 beyond the grid;
-    the knots are edges of the cells of principal_value and d_beta_deriv.
-    Of them, J continued as an odd function is not twice differentiable at
-    its kinks: the roots, the last grid point and the first, 0 included
-    (where the odd continuation of the spline's w^2 term is w |w|).
+    the knots are the edges of principal_value's cells. Of them, J/w is not
+    smooth at its kinks, the roots, the last grid point and the first (at 0,
+    where J/w, a function of |w|, has the spline's slope), and there the S'
+    of d_beta_deriv jumps and D_beta' diverges.
     """
 
     omegas: tuple
@@ -623,12 +625,16 @@ def _graded_rule(h, poles, scale, delta, knots):
     with knots they lie between 0, the knots and a up to the last knot W, and
     the tail -h(a) int_W^inf dw/(w^2 - a^2) is closed form. Each is bisected
     to a half-width of at most 2/3 of its reach, the least of hypot(mid,
-    delta) (h's singularities at +-i delta), mid + a (the pole at -a,
-    removable at a = 0) and max(|mid - a|, delta) (h(w) - h(a) cancels the
-    pole at a), but 3/4 |mid - a| on knot cells not next to a, whose cubics
-    reach other values at a, and also 3/4 mid above the first knot cell, where
-    the cubic over w has a pole at 0: at a small a the three poles merge into
-    one of order 3, whose order-10 sum fell short of the tolerance at 2/3."""
+    delta) (h's singularities at +-i delta) and max(|mid - a|, delta)
+    (h(w) - h(a) cancels the pole at a), but 3/4 |mid - a| on knot cells not
+    next to a, whose cubics reach other values at a, and also 3/4 mid above
+    the first knot cell, where the cubic over w has a pole at 0: at a small a
+    the three poles merge into one of order 3, whose order-10 sum fell short
+    of the tolerance at 2/3. The pole at -a, removable at a = 0, bounds the
+    half-width by (mid + a)/3: h(w) - h(a) does not cancel it, and the two
+    branches S'(w) and S'(-w) of D_beta' make it a full pole, on which a
+    bound of 2 (mid + a)/3 fell short of the tolerance (OhmicExp(0.2, 3),
+    beta = 1, omega from -0.409 to -0.4634)."""
     m = poles.size
     ha = h(poles, np.arange(m))
     if not len(knots):
@@ -663,7 +669,7 @@ def _graded_rule(h, poles, scale, delta, knots):
         reach = np.minimum(np.hypot(mid, delta),
                            np.where(beside, np.maximum(gap, delta), 0.75 * gap))
         reach = np.where(mid > first, np.minimum(reach, 0.75 * mid), reach)
-        return 2 * np.where(a > 0, np.minimum(reach, mid + a), reach) / 3
+        return np.where(a > 0, np.minimum(2 * reach, mid + a), 2 * reach) / 3
 
     def integrand(w, dw, k):
         a = poles[k]
@@ -672,7 +678,7 @@ def _graded_rule(h, poles, scale, delta, knots):
     return _cell_sum(lo, hi, pole, far, bound, integrand, "graded cell rule", tail)
 
 
-def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None, noise=0.0):
+def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None):
     """The graded-cell engine: for each pole k of a stack, the integral over
     its cells [lo, hi] (pole[i] is cell i's pole), each bisected until its
     half-width is at most bound(mid, pole), plus its tail beyond far[k]: tail[k]
@@ -681,7 +687,7 @@ def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None, noise=0.0):
     cells) of the poles k. Nodes go in blocks of _CELL_BLOCK; each cell's node
     sum and each pole's cell sum runs in a fixed order, so a pole's value does
     not depend on the rest of the stack. Its error estimate for _converged is
-    the order-20 less the order-10 sum, plus noise[k], rounding that it misses."""
+    the order-20 less the order-10 sum."""
     cells = []
     while lo.size:
         half = (hi - lo) / 2
@@ -704,7 +710,7 @@ def _cell_sum(lo, hi, pole, far, bound, integrand, rule, tail=None, noise=0.0):
             high.append(sum(wt * row for wt, row in zip(_W20, f[len(_W10):])))
     pole = np.concatenate([body[2], rest[2]])
     low, high = (np.bincount(pole, np.concatenate(s), far.size) for s in (low, high))
-    return _converged(high if tail is None else high + tail, np.abs(high - low) + noise, rule)
+    return _converged(high if tail is None else high + tail, np.abs(high - low), rule)
 
 
 def _edge_cells(edges):
@@ -754,16 +760,21 @@ def d_beta(J: SpectralDensity, beta: float, omega_m):
 
 @functools.lru_cache(maxsize=4096)
 def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
-    """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else the
-    finite part of the module docstring by cells for the whole stack
-    (_finite_part_cells), at every omega_m. Against 50-digit values at
-    beta = 0.1 to 10 and |omega_m| from 0.3 down to 1e-9 scale, Drude and
-    super-Ohmic J are within 9e-15 max(1, |D_beta'|). For Ohmic-class J
-    (OhmicExp, a Tabulated J from 0) D_beta' ~ log|omega_m|, and D_beta'(0)
-    diverges: the rounding of the second differences near x = 0 grows as
-    1/|omega_m|, so the value is within the _QUAD_OPTS tolerance down to
-    about 1.2e-7 scale, and below that it raises BathIntegrationError. So it
-    raises within about 1e-6 (relative) of a kink of a Tabulated J.
+    """dD_beta/d omega_m: a sum over the atoms of S for a discrete bath, else
+    one principal_value call for the whole stack (see the module docstring),
+
+        D_beta'(omega) = PV int_0^inf [S'(w) (w + omega) - S'(-w) (w - omega)]
+                                      / (w^2 - omega^2) dw,
+
+    plus, for a Tabulated J, -S(W)/(W - omega) - S(-W)/(W + omega) from the
+    jumps of S to 0 at +-W, its last knot. Against 50-digit values at beta =
+    0.1 to 10 and |omega_m| from 0.3 down to 1e-9 scale (1e-12 for OhmicExp)
+    the analytic J are within 5e-16 max(1, |D_beta'|). Where S' jumps, at nu
+    = 0 for Ohmic-class J (OhmicExp, a Tabulated J from 0) and at a kink p of
+    a Tabulated J, D_beta' ~ c log|omega_m - nu|, and it raises
+    BathIntegrationError on the jump itself. Next to p a rounding u of
+    omega_m moves D_beta' by about c u/|omega_m - p|: 3e-7 (relative 2e-8) at
+    1e-10 (relative) from a kink of a 16-point table.
 
     omega_m is a float or a tuple of floats; a tuple gives a read-only array.
     Values are memoized per process on (J, beta, omega_m)."""
@@ -773,90 +784,44 @@ def d_beta_deriv(J: SpectralDensity, beta: float, omega_m):
     if J.discrete:
         nu, s = J.atoms(beta, om)
         return _stacked(np.sum(s / (nu - om[:, None]) ** 2, axis=1), omega_m)
-    return _stacked(_finite_part_cells(J, beta, om) if om.size else om, omega_m)
 
+    def h(w, k):
+        up, down = _thermal_slopes(J, beta, w)
+        return up * (w + om[k]) - down * (w - om[k])
 
-def _finite_part_cells(J: SpectralDensity, beta: float, omega) -> np.ndarray:
-    """D_beta' for an (M,) stack of omega by _cell_sum. With a = |omega|,
-    S(omega +- x) is smooth in x but where omega +- x crosses a knot or kink p
-    of J, at x = |a - p| and a + p (x = a for a kink at 0): the cell edges up
-    to X, beyond which the tail is -2 S(omega)/X with knots (X = a + W, W the
-    last) and x = X/t without (X = a + 16 scale). The first cell is summed as
-    an even function over [-x1, x1], where omega +- x stay on omega's piece,
-    so no node comes nearer x = 0, where the second difference is rounding,
-    than 0.08 x1; without knots or kinks (Drude) x1 = 0.3 hypot(a, delta).
-    Each cell is bisected to a half-width of at most a third of its reach,
-    the least of its distance to a +- i delta, delta = min(2 pi/beta, scale)
-    (the thermal poles of S and the density's own); above the first cell, mid
-    (S continued past the kink or a knot leaves a 1/x^2 pole at 0); and
-    |mid - a| where |omega - x| is past the first knot (spline(nu)/nu has a
-    pole at 0).
-
-    Rounding of the second difference grows as 1/x1, and next to a knot x1
-    is short: a pole within 1e-2 a of a knot where J is C2 (and of no kink)
-    sums instead the first differences [S'(omega + x) - S'(omega - x)]/x of
-    _thermal_slope, D_beta' integrated by parts over [-W, W] (S = 0 beyond):
-    PV int S'(nu)/(nu - omega) dnu - S(W)/(W - omega) - S(-W)/(W + omega),
-    on the same cells, whose rounding weighs dx/x. On the knot itself its
-    first cell is [0, x2]: the pieces on either side meet in S and S'."""
-    omega = np.where(np.abs(omega) < _TINY, 0.0, omega)  # a subnormal pole's cells underflow
-    a, scale = np.abs(omega), J.scale()
-    delta = min(2 * math.pi / beta, scale)
-    s0 = _thermal_spectrum(J, beta, omega)
-    points = np.union1d(J.knots, J.kinks)
-    cross = np.abs(a[:, None] - points)
-    kink = np.isin(points, J.kinks)
-    near = cross < 1e-2 * a[:, None]
-    sloped = (near & ~kink).any(axis=1) & ~(near & kink).any(axis=1)  # the first differences of S'
-    # by second differences, a knot where J is C2 within 1e-5 a gives no
-    # edge, which would cut a first cell so short that rounding swamps them
-    merged = (cross < 1e-5 * a[:, None]) & ~kink & ~sloped[:, None]
+    pv = principal_value(h, np.abs(om), J.scale(), J.knots,
+                         delta=min(2 * math.pi / beta, J.scale()))
     if J.knots:
         W = J.knots[-1]
-        far = a + W
-        tail = np.where(sloped, -_thermal_spectrum(J, beta, W) / (W - omega)
-                        - _thermal_spectrum(J, beta, -W) / (W + omega), -2.0 * s0 / far)
-        pieces = points[1] if points[0] == 0 else points[0]  # spline(nu)/nu is smooth below
-    else:
-        far, tail, pieces = a + 16 * scale, None, np.inf
-    edges = [np.zeros_like(a), far, np.where(merged, 0.0, cross), a[:, None] + points]
-    if not points.size:
-        edges.append(0.3 * np.hypot(a, delta))
-    lo, hi, pole = _edge_cells(np.column_stack(edges))
-    start = np.searchsorted(pole, np.arange(a.size))  # each pole's first cell
-    first = hi[start]
-    on_knot = sloped & (cross == 0).any(axis=1)
-    lo[start] = np.where(merged.any(axis=1) | on_knot, 0.0, -first)
-    # rounding of the second difference, a few eps |S(omega)| at each node,
-    # weighs dx/x^2: most at the first cell's nodes, 1/x1 over the cells above.
-    # Against 50-digit values the error was at most 2.5 eps |S(omega)| times that
-    half = (first - lo[start]) / 2
-    x = lo[start] + half * (1 + _X20[:, None])
-    amplified = np.sum(_W20[:, None] * half * (x > 0) / x / x, axis=0) + 1 / first
-    noise = np.where(sloped, 0.0, _ROUNDING * _EPS * np.abs(s0) * amplified)
+        s_up, s_down = _thermal_spectrum(J, beta, np.array([W, -W]))
+        pv = pv - s_up / (W - om) - s_down / (W + om)
+    return _stacked(pv, omega_m)
 
-    def bound(mid, k):
-        gap = np.abs(mid - a[k])
-        reach = np.hypot(gap, delta)
-        reach = np.where(mid > first[k], np.minimum(reach, mid), reach)
-        return np.where(gap > pieces, np.minimum(reach, gap), reach) / 3
 
-    def integrand(x, dx, k):
-        f, dx = np.empty_like(x), np.broadcast_to(dx, x.shape)  # (nodes, cells)
-        for by_slope in (False, True):
-            cols = sloped[k] == by_slope
-            if not cols.any():
-                continue
-            w, y = omega[k[cols]], x[:, cols]
-            d = (y > 0) * dx[:, cols] / y
-            if by_slope:
-                f[:, cols] = (_thermal_slope(J, beta, w + y) - _thermal_slope(J, beta, w - y)) * d
-            else:  # x * x underflows at a tiny a
-                f[:, cols] = (_thermal_spectrum(J, beta, w + y) + _thermal_spectrum(J, beta, w - y)
-                              - 2.0 * s0[k[cols]]) * (d / y)
-        return f
+def _thermal_slopes(J: SpectralDensity, beta: float, w):
+    """S'(w) and S'(-w) at an array of w >= 0 from one pair of exponentials,
+    e = e^(-x) and E = 1 - e at x = beta w. With m = J/w and B = _bose_ratio,
+    S(+-w) = m(w) B(+-x)/beta, and B(-x) = e B(x), so
 
-    return _cell_sum(lo, hi, pole, far, bound, integrand, "cell rule for D_beta'", tail, noise)
+        S'(w) = m' B/beta + m B',    S'(-w) = e [m (B - B') - m' B/beta],
+
+    B = x/E and B' = (E - x e)/E^2; below x = 0.1, where E - x e cancels,
+    their Bernoulli series (the next terms are 2e-8 x^10 and 2e-7 x^9)."""
+    m = J.j_over_omega(w)
+    dm = np.where(m > 0, J.j_over_omega_slope(w), 0.0)  # 0 where a table is clipped to 0
+    x = beta * w
+    e, E = np.exp(-x), -np.expm1(-x)
+    series = x < 0.1
+    s = np.where(series, x, 0.0)
+    s2 = s * s
+    safe = np.where(series, 1.0, E)
+    B = np.where(series,
+                 1 + s / 2 + s2 * (1 / 12 - s2 * (1 / 720 - s2 * (1 / 30240 - s2 / 1209600))),
+                 x / safe)
+    dB = np.where(series, 0.5 + s * (1 / 6 - s2 * (1 / 180 - s2 * (1 / 5040 - s2 / 151200))),
+                  (safe - x * e) / (safe * safe))
+    tilt = dm * B / beta
+    return tilt + m * dB, e * (m * (B - dB) - tilt)
 
 
 def _bose_ratio(x):
@@ -866,32 +831,6 @@ def _bose_ratio(x):
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 + x / 2.0 + x * x / 12.0, safe / -np.expm1(-safe))
-
-
-def _bose_ratio_slope(x):
-    """The derivative of _bose_ratio at an array of x, (E - y e)/E^2 for x =
-    y >= 0 and e (y - E)/E^2 for x = -y, with e = e^(-y) and E = 1 - e (the
-    two sum to 1); below |x| = 0.1, where E - y e cancels, its Bernoulli
-    series to x^7 (the next term is 2e-7 x^9)."""
-    small = np.abs(x) < 0.1
-    s = np.where(small, x, 0.0)
-    y = np.where(small, 1.0, np.abs(x))
-    e, big = np.exp(-y), -np.expm1(-y)
-    closed = np.where(x >= 0, big - y * e, e * (y - big)) / (big * big)
-    return np.where(small, 0.5 + s * (1 / 6 + s * s * (-1 / 180 + s * s * (1 / 5040 - s * s / 151200))),
-                    closed)
-
-
-def _thermal_slope(J: Tabulated, beta: float, nu):
-    """S'(nu) for an array of nu. S(nu) = m(|nu|) B(beta nu)/beta, with m =
-    J/w and B = _bose_ratio, so S' = sign(nu) m'(|nu|) B/beta + m B'; for
-    nu < 0, B(beta nu) is e^(-beta |nu|) B(beta |nu|), as in
-    _thermal_spectrum, so that it does not overflow."""
-    u = np.abs(nu)
-    m = J.j_over_omega(u)
-    dm = np.where(m > 0, J.j_over_omega_slope(u), 0.0)  # 0 where J is clipped to 0
-    ratio = _bose_ratio(beta * u) * np.where(nu >= 0, 1.0, np.exp(-beta * u))
-    return np.sign(nu) * dm * ratio / beta + m * _bose_ratio_slope(beta * nu)
 
 
 def _thermal_spectrum(J: SpectralDensity, beta: float, nu):
@@ -1071,9 +1010,9 @@ def _gamma_asymptotic(J: SpectralDensity, beta: float, omega_m) -> np.ndarray:
     def h(w, k):
         return J.j_over_omega(w) * (om[k] * _w_coth(w, beta) - w * w)
 
-    re = np.pi * np.array([_thermal_spectrum(J, beta, -w) for w in om.tolist()])
-    return re + 1j * principal_value(h, np.abs(om), J.scale(), J.knots,
-                                     delta=min(2 * math.pi / beta, J.scale()))
+    im = principal_value(h, np.abs(om), J.scale(), J.knots,
+                         delta=min(2 * math.pi / beta, J.scale()))
+    return np.pi * _thermal_spectrum(J, beta, -om) + 1j * im
 
 
 def reorganization_energy(J: SpectralDensity, lam: float) -> float:
