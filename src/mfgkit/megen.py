@@ -23,8 +23,9 @@ where the variants differ:
 
 The family is built in the eigenbasis V of H_S, where H_S = diag(E) exactly
 and each X_m is the entries of V^dag X V with one Bohr label, so every mode
-sum is a gather (_redfield_generator). A Liouvillian keeps that matrix, V
-and the original-basis matrix rotated from it. At weak coupling
+sum is a gather (_redfield_generator). A Liouvillian keeps that matrix and
+V, and rotates the original-basis matrix out of them when it is read (evolve
+and apply read it). At weak coupling
 the populations and the coherences between degenerate levels relax at rates
 of order lambda^2 against ||H_S||, and the energy basis keeps them apart from
 the rest exactly (for Davies the two blocks do not couple at all), which
@@ -43,7 +44,7 @@ coherence-vector form (Alicki & Lendi, Quantum Dynamical Semigroups and
 Applications, LNP 286 (1987)). The fixed unitary U of _hermitian_frame takes
 vec(rho) to the diagonal entries, then sqrt(2) Re and sqrt(2) Im of each
 upper entry of rho; R = U L U^dag is real, and its LU, eigenvalues, 2-norm
-and bordered solve run in real LAPACK. steady_state eliminates the fast
+and SVD run in real LAPACK. steady_state eliminates the fast
 coordinates with one LU and finds the null space on the slow Schur
 complement, at its own scale lambda^2 rather than ||L||. It raises
 ValueError for a generator whose Im(U L U^dag) exceeds the rounding of L
@@ -84,18 +85,22 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """A generator: `matrix` acts on vec(rho). One built in the basis V =
-    `basis` of the system also keeps `stored`, the same generator on vec(rho_V)
-    for rho = V rho_V V^dag (matrix = W stored W^dag, W = conj(V) kron V), and
-    `slow`, the pairs (i, j) whose coordinates rho_V[i, j] relax on the slow
-    scale, which steady_state keeps apart from the fast ones.
-    Liouvillian(mat) is mat itself: V the identity, every pair slow.
+    """A generator, held once: `stored` acts on vec(rho_V) for rho =
+    V rho_V V^dag in the basis V = `basis` of the system, and `slow` marks the
+    pairs (i, j) whose coordinates rho_V[i, j] relax on the slow scale, which
+    steady_state keeps apart from the fast ones. `matrix`, the generator on
+    vec(rho) (W stored W^dag, W = conj(V) kron V), is rotated out of the basis
+    on each read. Liouvillian(mat) is mat itself: V the identity, every pair
+    slow.
     """
 
-    matrix: np.ndarray
-    stored: np.ndarray | None = None
+    stored: np.ndarray
     basis: np.ndarray | None = None
     slow: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.stored if self.basis is None else _out_of_basis(self.stored, self.basis)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho))
@@ -162,8 +167,7 @@ def _redfield_generator(H_S, X, bath: bathmod.BathParams, *,
     idx = np.arange(d)
     mat[idx, :, idx, :] += -1j * h_eff - 0.5 * lam**2 * anti  # rho -> left rho
     mat[:, idx, :, idx] += (1j * h_eff - 0.5 * lam**2 * anti).T  # rho -> rho right
-    stored = mat.reshape(d * d, d * d)
-    return Liouvillian(_out_of_basis(stored, v), stored, basis=v, slow=dec.degenerate)
+    return Liouvillian(mat.reshape(d * d, d * d), basis=v, slow=dec.degenerate)
 
 
 def _out_of_basis(stored, v):
@@ -272,7 +276,8 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be ascending and start at t >= 0")
     steps, step_of = np.unique(np.diff(t_grid), return_inverse=True)
-    propagators = [scipy.linalg.expm(L.matrix * dt) for dt in steps]
+    mat = L.matrix
+    propagators = [scipy.linalg.expm(mat * dt) for dt in steps]
     d = rho0.shape[0]
     v = np.empty((t_grid.size, d * d), dtype=complex)
     v[0] = vec(rho0)
@@ -396,25 +401,22 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     restricted to the slow coordinates. At weak coupling R is of order
     ||H_S|| and S of order lambda^2, so the null space is found relative to
     the scale of S (_null_index over eigvals(S), relative to ||S||_2), not
-    to ||L||. A one-dimensional null space gives the unique steady state from
-    the bordered system [S; s tr] v = [0; s], s = max|S|, one real
-    least-squares solve (QuTiP's direct solver adds the trace condition to L
-    likewise: Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
-    (2013)); the trace row is 1 on the d diagonal coordinates, and scaling
-    it to S keeps its rounding at the scale of S. A null space of dimension
-    k > 1 is spanned by the k right singular vectors of S of least singular
-    value (those within the 1e-8 rung; eigenvectors of a repeated null
-    eigenvalue can come out nearly parallel), and gives the candidates of
+    to ||L||. A null space of any dimension k is spanned by the k right
+    singular vectors of S of least singular value, those within the 1e-8
+    rung (Golub & Van Loan, Matrix Computations, sec. 2.4; eigenvectors of a
+    repeated null eigenvalue can come out nearly parallel). For k = 1 it
+    gives the unique steady state, and for k > 1 the candidates of
     _degenerate_candidates. The fast coordinates of a null vector v are
-    -R_ff^-1 R_fs v, and it maps back to the exactly Hermitian unvec(U^dag v)
-    in the stored basis. A unique null vector is positivity-projected and
-    trace-normalized there, and the states are rotated back by V; the
-    negative weight the projection removes is reported as
-    clipped_negativity, and the residual is ||L_V vec(rho_V)||. The spectral gap
-    is taken over eigvals(R) without its null-space-many eigenvalues of
+    -R_ff^-1 R_fs v, and it maps back to the exactly Hermitian
+    unvec(U^dag v) in the stored basis. A unique null vector, of either
+    sign and unit 2-norm, is oriented, positivity-projected and
+    trace-normalized there (_clip_to_state), and the states are rotated back
+    by V; the negative weight the projection removes is reported as
+    clipped_negativity, and the residual is ||L_V vec(rho_V)||. The spectral
+    gap is taken over eigvals(R) without its null-space-many eigenvalues of
     least modulus. Liouvillian(mat) has no fast block, so S = R.
     """
-    mat = L.matrix if L.stored is None else L.stored
+    mat = L.stored
     d = int(round(np.sqrt(len(mat))))
     c, p, q, u_dag = _hermitian_frame(d)
     framed = _in_frame(mat, c, p, q)
@@ -434,19 +436,9 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     norm = max(np.linalg.norm(S, 2), 1e-300)
     s_evals = np.linalg.eigvals(S)
     evals = np.linalg.eigvals(R) if fast.any() else s_evals
-    null_idx = _null_index(s_evals, norm)
-    if null_idx.size == 1:
-        scale = np.abs(S).max() or 1.0
-        trace_row = np.zeros(len(S))
-        trace_row[:d] = scale  # tr rho = sum of the diagonal coordinates
-        rhs = np.zeros(len(S) + 1)
-        rhs[-1] = scale
-        null = scipy.linalg.lstsq(np.vstack([S, trace_row]), rhs, lapack_driver="gelsy",
-                                  check_finite=False)[0][:, None]
-    else:  # the kernel of S: its right singular vectors of least singular value
-        _, sv, vt = np.linalg.svd(S)
-        k = null_idx.size
-        null = vt[-k:][sv[-k:] <= 1e-8 * norm].T
+    k = _null_index(s_evals, norm).size
+    _, sv, vt = np.linalg.svd(S)  # the kernel: right singular vectors of least singular value
+    null = vt[-k:][sv[-k:] <= 1e-8 * norm].T
     coords = np.empty((len(R), null.shape[1]))
     coords[slow] = null
     coords[fast] = -elim @ null
@@ -463,7 +455,7 @@ def steady_state(L: Liouvillian) -> SteadyStateReport:
     residual = max(float(np.linalg.norm(mat @ vec(rho))) for rho, _ in found)
     v = np.eye(d) if L.basis is None else L.basis
     states = [v @ rho @ dag(v) for rho, _ in found]
-    live = np.delete(evals, np.argsort(np.abs(evals))[:null_idx.size])
+    live = np.delete(evals, np.argsort(np.abs(evals))[:k])
     gap = float(-live.real.max()) if live.size else 0.0
     return SteadyStateReport(
         states=states, residual=residual, spectral_gap=gap, unique=unique,

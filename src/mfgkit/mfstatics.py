@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import bath as bathmod
 from .eigenops import BohrDecomposition, decompose
@@ -191,9 +190,6 @@ def mfg_high_t(H_S, projectors, baths, beta: float) -> MfgResult:
     ells = np.array([
         bathmod.reorganization_energy(J_n, lam_n) for J_n, lam_n in baths
     ])
-    lam_op = sum(
-        ell * np.asarray(p, dtype=complex) for ell, p in zip(ells, projectors)
-    )
     # split H_S against the projector basis (diagonal vs hopping)
     h_rot = dag(basis) @ H_S @ basis if basis.shape[1] == d else None
     if h_rot is None:
@@ -201,7 +197,8 @@ def mfg_high_t(H_S, projectors, baths, beta: float) -> MfgResult:
     h_eps = basis @ np.diag(np.diag(h_rot)) @ dag(basis)
     h_j = H_S - h_eps
 
-    dress = scipy.linalg.expm(-beta / 6.0 * lam_op)
+    # Lam = basis diag(ell) basis^dag, so its exponential is one in that basis
+    dress = (basis * np.exp(-beta / 6.0 * ells)) @ dag(basis)
     h_eff = h_eps + dress @ h_j @ dress
     state = gibbs(require_hermitian(h_eff, tol=1e-10), beta)
     ell_beta = float(np.max(np.abs(ells)) * beta)

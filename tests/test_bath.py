@@ -348,6 +348,17 @@ class TestSpectralDensities:
         diff = (J.j_over_omega(w + h) - J.j_over_omega(w - h)) / (2 * h)
         assert np.allclose(J.j_over_omega_slope(w), diff, rtol=0, atol=1e-9)
 
+    def test_tabulated_slope_does_not_underflow(self):
+        # on the first cell of a grid from 0 the slope is the spline's t^2
+        # coefficient plus 2 t its t^3 one: it must not square w, whose square
+        # is subnormal below 1.5e-154 and 0 below 1.5e-162. Measured equal to
+        # the slope at 1e-100 to the bit
+        tiny = np.array([1e-100, 1e-155, 1e-160, 1e-200, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = TAB_OHMIC.j_over_omega_slope(tiny)
+        assert np.all(np.abs(slope - slope[0]) <= 4 * np.spacing(abs(slope[0])))
+
     def test_tabulated_roundtrip(self):
         grid = np.linspace(0.01, 40.0, 800)
         tab = bath.Tabulated(omegas=tuple(grid), values=tuple(SUPER.j(grid)))
@@ -1173,6 +1184,34 @@ def _drude_gamma_inf(gamma, omega_d, beta, omega):
                  + 1j * omega / (omega**2 + omega_d**2) * matsubara)
 
 
+def _drude_matsubara(gamma, omega_d, beta, t):
+    """(mu_k, c_k) of the Matsubara expansion G(t) = sum_k c_k e^(-mu_k t),
+    t > 0, of _drude_gamma_inf, truncated where mu_k t > 745 (e^(-mu_k t)
+    underflows)."""
+    a = 2 * gamma * omega_d**2 / np.pi
+    nu = 2 * np.pi / beta * np.arange(1, int(745 * beta / (2 * np.pi * t)) + 2)
+    mu = np.concatenate([[omega_d], nu])
+    c = np.concatenate([[np.pi * a / 2 * (1 / np.tan(beta * omega_d / 2) - 1j)],
+                        2 * np.pi * a / beta * nu / (nu**2 - omega_d**2)])
+    return mu, c
+
+
+@st.composite
+def _drude_finite_time_case(draw):
+    """A Drude-Lorentz J, beta in [0.03, 30], t in [0.5, 20] and |omega| in
+    [1e-3, 20] Omega, with beta Omega at least 2% of 2 pi from 2 pi k, k >= 1,
+    where c_0 and c_k are singular and cancel."""
+    gamma = draw(st.floats(min_value=0.01, max_value=1.0))
+    omega_d = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.5))
+    beta = 10.0 ** draw(st.floats(min_value=-1.5, max_value=1.5))
+    x = beta * omega_d / (2 * np.pi)
+    assume(x < 0.5 or abs(x - round(x)) >= 0.02)
+    t = draw(st.floats(min_value=0.5, max_value=20.0))
+    omega = draw(st.sampled_from([1.0, -1.0])) * omega_d * 10.0 ** draw(
+        st.floats(min_value=-3.0, max_value=math.log10(20.0)))
+    return bath.DrudeLorentz(gamma, omega_d), beta, t, omega
+
+
 @st.composite
 def _drude_case(draw):
     """A Drude-Lorentz J, beta in [0.03, 30] and omega = 0 or +-[1e-4, 20] Omega."""
@@ -1214,6 +1253,37 @@ class TestDrudeMatsubara:
         J = case[0]
         ref = lam**2 * J.gamma * J.omega_d
         assert abs(bath.reorganization_energy(J, lam) - ref) <= 4e-15 * max(1.0, ref)
+
+
+class TestDrudeFiniteTime:
+    """Exact Drude-Lorentz references at finite t from the Matsubara expansion
+    of _drude_matsubara: G(t) = sum_k c_k e^(-mu_k t), and Gamma_m(t) =
+    int_0^t e^(-i omega r) G(r) dr = Gamma_m(infinity) - sum_k c_k
+    e^(-(mu_k + i omega) t)/(mu_k + i omega). Over 6000 draws of
+    _drude_finite_time_case, Gamma_m(t) was within 1.1e-11 max(1, |ref|),
+    its largest errors at beta Omega < 0.02, and over 4000 G(t) was within
+    9.1e-12 max(1, |ref|), both inside the library's error tolerances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_drude_finite_time_case())
+    # QAWF over [0, inf] alone failed its cycle extrapolation here
+    @example(case=(bath.DrudeLorentz(0.8853336253121425, 28.11439370353238),
+                   9.327081818252376, 11.688525320737932, 1.0))
+    def test_correlation_function(self, case):
+        J, beta, t, _ = case
+        mu, c = _drude_matsubara(J.gamma, J.omega_d, beta, t)
+        ref = np.sum(c * np.exp(-mu * t))
+        assert abs(bath.corr_fn(J, beta, t) - ref) <= 2e-11 * max(1.0, abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_drude_finite_time_case())
+    def test_gamma(self, case):
+        J, beta, t, omega = case
+        mu, c = _drude_matsubara(J.gamma, J.omega_d, beta, t)
+        z = mu + 1j * omega
+        ref = _drude_gamma_inf(J.gamma, J.omega_d, beta, omega) - np.sum(c * np.exp(-z * t) / z)
+        got = bath.gamma_m.__wrapped__(J, beta, omega, t)
+        assert abs(got - ref) <= 3e-11 * max(1.0, abs(ref))
 
 
 class TestDBeta:
@@ -1314,6 +1384,18 @@ class TestDBeta:
         c = -2 * float(J.j_over_omega_slope(np.array([1e-12]))[0])
         d = [bath.d_beta_deriv.__wrapped__(J, 1.0, sign * 10.0**-k) for k in range(8, 15)]
         assert -np.diff(d) == pytest.approx(c * np.log(10), rel=2e-7)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tabulated_derivative_keeps_its_log_law_below_1e_154(self, sign):
+        # the slope of J/w underflowed below about 1e-154, and D' raised; the
+        # drop per decade from 1e-155 down to 1e-300 matches the one from
+        # 1e-145 to 1e-155, measured within 8.4e-14 relative
+        d = {k: bath.d_beta_deriv.__wrapped__(TAB_OHMIC, 1.0, sign * 10.0**-k)
+             for k in (145, 155, 160, 200, 300)}
+        per_decade = (d[145] - d[155]) / 10
+        for lo, hi in ((155, 160), (160, 200), (200, 300)):
+            assert np.isfinite(d[hi])
+            assert (d[lo] - d[hi]) / (hi - lo) == pytest.approx(per_decade, rel=1e-12)
 
     def test_discrete_derivative_keeps_collision_check(self):
         with pytest.raises(bath.BathIntegrationError, match="collides"):

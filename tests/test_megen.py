@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,28 @@ class TestEnergyBasisBuild:
                 assert trace_distance(got.states[0], want.states[0]) <= tol
             assert abs(got.spectral_gap - want.spectral_gap) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("build", [megen.davies_generator, megen.brme_generator,
+                                       megen.brme_real_only],
+                             ids=["davies", "brme", "real_only"])
+    def test_one_matrix_rotated_on_read(self, monkeypatch, rng, build):
+        # a generator holds stored only: neither the build nor steady_state
+        # rotates it, and matrix is that rotation, bit for bit, on each read
+        assert [f.name for f in dataclasses.fields(megen.Liouvillian)] == ["stored", "basis", "slow"]
+        calls = []
+        rotate = megen._out_of_basis
+
+        def counting(stored, v):
+            calls.append(1)
+            return rotate(stored, v)
+
+        monkeypatch.setattr(megen, "_out_of_basis", counting)
+        h, x = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        L = build(h, x, _bp(0.3))
+        assert megen.steady_state(L).unique
+        assert not calls
+        assert np.array_equal(L.matrix, rotate(L.stored, L.basis))
+        assert len(calls) == 1
+
 
 class TestSmallCoupling:
     """spin_boson (H_SB, sigma_z, Drude gamma = 0.1, omega_D = 5, beta = 1) as
@@ -534,8 +557,7 @@ def _hermitian_null_basis(vectors):
 
 def _eig_steady_state(L):
     """Reference: steady_state's complex full-eigendecomposition path, which
-    the bordered solve replaced for a one-dimensional null space and the real
-    Hermitian frame replaced for every null space."""
+    the real Hermitian frame replaced."""
     mat = L.matrix
     norm = max(np.linalg.norm(mat, 2), 1e-300)
     evals, evecs = np.linalg.eig(mat)
@@ -591,6 +613,45 @@ def _real_frame_steady_state(L):
         clipped_negativity=float(max(neg for _, neg in found)))
 
 
+def _bordered_steady_state(L):
+    """Reference: steady_state as it was before the SVD kernel served a
+    one-dimensional null space, which it took from the bordered system
+    [S; s tr] v = [0; s], s = max|S|, one real least-squares solve (gelsy)
+    on the slow Schur complement S of the stored L."""
+    mat = L.stored
+    d = int(round(np.sqrt(len(mat))))
+    c, p, q, u_dag = megen._hermitian_frame(d)
+    R = np.ascontiguousarray(megen._in_frame(mat, c, p, q).real)
+    slow = np.ones(len(R), dtype=bool) if L.slow is None else L.slow.ravel(order="F")[p]
+    fast = ~slow
+    S, elim = R, np.zeros((0, len(R)))
+    if fast.any():
+        elim = np.linalg.solve(R[np.ix_(fast, fast)], R[np.ix_(fast, slow)])
+        S = R[np.ix_(slow, slow)] - R[np.ix_(slow, fast)] @ elim
+    norm = max(np.linalg.norm(S, 2), 1e-300)
+    s_evals = np.linalg.eigvals(S)
+    evals = np.linalg.eigvals(R) if fast.any() else s_evals
+    null_idx = megen._null_index(s_evals, norm)
+    assert null_idx.size == 1, "the bordered solve served a unique null vector only"
+    scale = np.abs(S).max() or 1.0
+    trace_row = np.zeros(len(S))
+    trace_row[:d] = scale
+    rhs = np.zeros(len(S) + 1)
+    rhs[-1] = scale
+    null = scipy.linalg.lstsq(np.vstack([S, trace_row]), rhs, lapack_driver="gelsy",
+                              check_finite=False)[0]
+    coords = np.empty(len(R))
+    coords[slow] = null
+    coords[fast] = -elim @ null
+    rho, negativity = megen._clip_to_state(megen.unvec(u_dag @ coords), orient=True)
+    v = np.eye(d) if L.basis is None else L.basis
+    live = np.delete(evals, np.argsort(np.abs(evals))[:1])
+    return megen.SteadyStateReport(
+        states=[v @ rho @ dag(v)], residual=float(np.linalg.norm(mat @ megen.vec(rho))),
+        spectral_gap=float(-live.real.max()) if live.size else 0.0, unique=True,
+        clipped_negativity=float(negativity))
+
+
 def _redfield_d10_system(seed):
     """H_S with the fixed spectrum linspace(-2, 2, 10) plus jitter in a random
     real eigenbasis, and a random real symmetric X of unit 2-norm."""
@@ -640,7 +701,7 @@ class TestSteadyState:
     @example(kind="davies", dim=2, seed=13586, lam=0.375, beta=1.0)
     @example(kind="davies", dim=6, seed=156, lam=0.3, beta=2.8157)
     @example(kind="davies", dim=3, seed=615, lam=0.5, beta=2.0)
-    def test_bordered_solve_matches_eig_path(self, kind, dim, seed, lam, beta):
+    def test_energy_basis_solve_matches_real_frame_path(self, kind, dim, seed, lam, beta):
         # Davies and real-only: the steady state is the Gibbs state, a theorem
         # the energy-basis solve meets to rounding whatever the gap. BRME and
         # Pauli: today's solve against the real-frame solve it replaced.
@@ -672,6 +733,41 @@ class TestSteadyState:
         assert got.residual == pytest.approx(ref.residual, rel=1e-9, abs=1e-12)
         assert got.clipped_negativity == pytest.approx(ref.clipped_negativity, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["davies", "brme", "real_only", "pauli"]),
+        dim=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+        log_lam=st.floats(min_value=-6.0, max_value=0.0),
+        beta=st.floats(min_value=0.3, max_value=3.0),
+    )
+    def test_svd_kernel_matches_bordered_solve(self, kind, dim, seed, log_lam, beta):
+        # the SVD kernel against the bordered least-squares solve it replaced
+        # for a one-dimensional null space. Over 2400 draws, Davies and
+        # real-only came within 6.7e-15 of the Gibbs state (the bordered solve
+        # 9.5e-14), the states within 1.2e-13 of the bordered solve's and
+        # their clipped negativities within 1.5e-13, and unclipped residuals
+        # stayed below 3.5e-15
+        rng = np.random.default_rng(seed)
+        h, x = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        bp = _bp(10.0**log_lam, beta=beta)
+        if kind == "pauli":
+            L = megen.pauli_ultrastrong(mfstatics.pointer_split(h, x), bp)
+        else:
+            L = {"davies": megen.davies_generator, "brme": megen.brme_generator,
+                 "real_only": megen.brme_real_only}[kind](h, x, bp)
+        got, ref = megen.steady_state(L), _bordered_steady_state(L)
+        assert got.unique
+        assert trace_distance(got.states[0], ref.states[0]) <= 5e-13
+        assert got.spectral_gap == ref.spectral_gap
+        assert abs(got.clipped_negativity - ref.clipped_negativity) <= 5e-13
+        if got.clipped_negativity <= 1e-12:
+            assert got.residual <= 2e-14
+        else:
+            assert got.residual == pytest.approx(ref.residual, rel=1e-9, abs=1e-12)
+        if kind in ("davies", "real_only"):
+            assert trace_distance(got.states[0], gibbs(h, beta)) <= 5e-14
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_redfield_d10_matches_complex_path(self, seed):
         # the real Hermitian frame against the complex eigendecomposition on
@@ -699,13 +795,13 @@ class TestSteadyState:
             megen.steady_state(megen.Liouvillian(1j * np.eye(4)))
 
     def test_lapack_calls_are_real(self, monkeypatch):
-        # the LU solve of the fast block, eigenvalues, the 2-norm scale, the
-        # kernel and the bordered solve run on the real frame (dgesv, dgeev,
-        # dgesdd, dgelsy), never on the complex L; the residual is a vector
-        # norm on the complex L and is not a LAPACK call
-        bordered = megen.brme_generator(H_SB, SZ, _bp(0.3))
+        # the LU solve of the fast block, eigenvalues, the 2-norm scale and
+        # the kernel run on the real frame (dgesv, dgeev, dgesdd), never on
+        # the complex L; the residual is a vector norm on the complex L and
+        # is not a LAPACK call
+        unique = megen.brme_generator(H_SB, SZ, _bp(0.3))
         degenerate = TestSteadyState._block_model([(0.6 * SZ, SX), (0.4 * SY, SX)])[1]
-        seen = {"eigvals": [], "svd": [], "norm": [], "solve": [], "lstsq": []}
+        seen = {"eigvals": [], "svd": [], "norm": [], "solve": []}
 
         def spy(module, name):
             real = getattr(module, name)
@@ -719,8 +815,7 @@ class TestSteadyState:
 
         for name in ("eigvals", "svd", "norm", "solve"):
             spy(np.linalg, name)
-        spy(megen.scipy.linalg, "lstsq")
-        assert megen.steady_state(bordered).unique
+        assert megen.steady_state(unique).unique
         assert not megen.steady_state(degenerate).unique  # kernel path
         assert all(seen.values()), seen
         assert all(dt == np.float64 for dts in seen.values() for dt in dts), seen

